@@ -96,19 +96,37 @@ def _reflect(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo + np.where(t > span, 2.0 * span - t, t)
 
 
-def sample_candidate(archive: SolutionArchive, xi: float,
-                     bounds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one candidate from the archive's Gaussian kernel mixture."""
-    weights = archive.weights
-    probs = np.cumsum(weights / weights.sum())
-    guide = min(int(np.searchsorted(probs, rng.random(), side="right")),
-                len(weights) - 1)
-    s_g = archive.solutions[guide]
-    k = archive.solutions.shape[0]
-    sd = xi * np.abs(archive.solutions - s_g).sum(axis=0) / (k - 1)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    sd = np.maximum(sd, _SD_FLOOR_REL * (hi - lo))
-    return _reflect(s_g + sd * rng.standard_normal(s_g.shape[0]), lo, hi)
+def selection_cdf(weights: np.ndarray) -> np.ndarray:
+    """Cumulative guide-selection probabilities of the ranked archive."""
+    return np.cumsum(weights / weights.sum())
+
+
+def kernel_widths(solutions: np.ndarray, xi: float,
+                  bounds: np.ndarray) -> np.ndarray:
+    """Kernel widths with each archive member as guide: (k, d).
+
+    Row g is xi times the mean distance of the archive from member g,
+    coordinate by coordinate, floored relative to the box extent.
+    """
+    k = solutions.shape[0]
+    spread = np.abs(solutions[None, :, :] - solutions[:, None, :]).sum(axis=1)
+    sd = xi * spread / (k - 1)
+    return np.maximum(sd, _SD_FLOOR_REL * (bounds[:, 1] - bounds[:, 0]))
+
+
+def sample_candidate(solutions: np.ndarray, cdf: np.ndarray,
+                     widths: np.ndarray, bounds: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw one candidate from the archive's Gaussian kernel mixture.
+
+    `cdf` comes from selection_cdf and `widths` from kernel_widths of the
+    same archive, so one iteration's ants share them.
+    """
+    guide = min(int(np.searchsorted(cdf, rng.random(), side="right")),
+                len(cdf) - 1)
+    s_g = solutions[guide]
+    return _reflect(s_g + widths[guide] * rng.standard_normal(s_g.shape[0]),
+                    bounds[:, 0], bounds[:, 1])
 
 
 def update_archive(archive: SolutionArchive, candidates: np.ndarray,
@@ -181,10 +199,12 @@ def optimize(objective: Callable[[np.ndarray], float], dims: int,
                               objectives=objectives[order],
                               weights=rank_weights(k, config.q))
 
+    cdf = selection_cdf(archive.weights)
     history = np.empty(config.max_iter)
     for it in range(config.max_iter):
+        widths = kernel_widths(archive.solutions, config.xi, bounds)
         candidates = np.array([
-            sample_candidate(archive, config.xi, bounds,
+            sample_candidate(archive.solutions, cdf, widths, bounds,
                              substream(config.seed, _ANT_STREAM, it, ant))
             for ant in range(config.n_ants)
         ])

@@ -8,6 +8,15 @@ mixture stays defined even when every raw strength underflows.
 Premise parameters live on a flat vector (rule-major, feature-minor,
 (center, sigma) pairs) so an external optimizer can tune them while the
 consequents are refit by damped least squares.
+
+Batch arrays use a rules x rows layout: every per-rule quantity is a
+(c, n) array whose rows run over the n samples. Log-firing is one matrix
+product of a (c, 2d+1) premise matrix with the (2d+1, n) row basis
+[X^2, X, 1], which training builds once; the max shift, exp and
+normalisation then work on contiguous rows of length n, and the
+transposed design matrix (c*(d+1), n) is the normalized strengths times
+the (X, 1) rows of that basis. `fitness` is the one path that refits
+the consequents and scores them.
 """
 
 from __future__ import annotations
@@ -86,10 +95,34 @@ def _as_batch(x) -> np.ndarray:
     return X
 
 
-def log_firing_strengths(model: FisModel, X: np.ndarray) -> np.ndarray:
-    """log w for a batch: (n, c) with log w_i = -0.5 sum_j ((x_j-c_ij)/s_ij)^2."""
-    z = (X[:, None, :] - model.centers[None, :, :]) / model.sigmas[None, :, :]
-    return -0.5 * np.einsum("ncd,ncd->nc", z, z)
+def row_basis(X) -> np.ndarray:
+    """Basis [X^2, X, 1] of a feature batch, one row per term: (2d+1, n).
+
+    Rows :d hold the squared features, rows d:2d the features and row 2d
+    ones, so basis[d:] is the (x, 1) regressor block of the consequents.
+    Training builds it once and reuses it at every fitness evaluation.
+    """
+    X = _as_batch(X)
+    n, d = X.shape
+    basis = np.empty((2 * d + 1, n))
+    np.square(X.T, out=basis[:d])
+    basis[d:2 * d] = X.T
+    basis[2 * d] = 1.0
+    return basis
+
+
+def log_firing_strengths(model: FisModel, basis: np.ndarray) -> np.ndarray:
+    """log w for every rule and row: (c, n), as one matrix product.
+
+    With S = 1/sigma^2, log w_i = -0.5 sum_j ((x_j - c_ij)/s_ij)^2 expands
+    to row i of P = [-S/2, C*S, -sum_j C^2*S / 2] times the basis column
+    [x^2, x, 1] of each row.
+    """
+    S = 1.0 / (model.sigmas * model.sigmas)
+    CS = model.centers * S
+    const = -0.5 * (CS * model.centers).sum(axis=1, keepdims=True)
+    P = np.concatenate([-0.5 * S, CS, const], axis=1)
+    return P @ basis
 
 
 def firing_strengths(model: FisModel, x) -> np.ndarray:
@@ -98,21 +131,32 @@ def firing_strengths(model: FisModel, x) -> np.ndarray:
     if X.shape[1] != model.n_features:
         raise ValueError(f"firing_strengths: expected {model.n_features} "
                          f"features, got {X.shape[1]}")
-    return np.exp(log_firing_strengths(model, X))[0]
+    return np.exp(log_firing_strengths(model, row_basis(X)))[:, 0]
 
 
-def normalized_firing(model: FisModel, X: np.ndarray) -> np.ndarray:
-    """Normalized strengths w_i / sum_j w_j, stable under underflow.
+def normalized_firing(model: FisModel, basis: np.ndarray) -> np.ndarray:
+    """Normalized strengths w_i / sum_j w_j per sample: (c, n).
 
-    The log-domain shift by the per-row maximum keeps the dominant rule's
-    weight at exp(0) = 1, so the denominator never rounds to zero.
+    Stable under underflow: the log-domain shift by each sample's maximum
+    keeps the dominant rule's weight at exp(0) = 1, so the denominator
+    never rounds to zero.
     """
-    logw = log_firing_strengths(model, X)
-    shifted = np.exp(logw - logw.max(axis=1, keepdims=True))
-    total = shifted.sum(axis=1, keepdims=True)
+    w = log_firing_strengths(model, basis)
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    total = w.sum(axis=0)
     if not np.isfinite(total).all() or (total == 0.0).any():
         raise NumericError("fis: all rule premises degenerate at some input")
-    return shifted / total
+    w /= total
+    return w
+
+
+def _regressors(model: FisModel, basis: np.ndarray) -> np.ndarray:
+    """Transposed design matrix (c*(d+1), n); row i*(d+1)+j = wbar_i*(x,1)_j."""
+    wbar = normalized_firing(model, basis)
+    c, n = wbar.shape
+    Xa = basis[model.n_features:]
+    return (wbar[:, None, :] * Xa[None]).reshape(c * Xa.shape[0], n)
 
 
 def predict_batch(model: FisModel, X) -> np.ndarray:
@@ -123,9 +167,10 @@ def predict_batch(model: FisModel, X) -> np.ndarray:
                          f"got {X.shape[1]}")
     if not np.isfinite(X).all():
         raise ValueError("predict: non-finite feature value")
-    wbar = normalized_firing(model, X)
-    rule_out = X @ model.coeffs[:, :-1].T + model.coeffs[:, -1]  # (n, c)
-    return np.einsum("nc,nc->n", wbar, rule_out)
+    basis = row_basis(X)
+    w = normalized_firing(model, basis)
+    w *= model.coeffs @ basis[model.n_features:]  # rule outputs, (c, n)
+    return w.sum(axis=0)
 
 
 def predict(model: FisModel, x) -> float:
@@ -137,13 +182,10 @@ def design_matrix(model: FisModel, X: np.ndarray) -> np.ndarray:
     """Least-squares regressors for the consequents: (n, c*(d+1)).
 
     Row k holds, rule by rule, the normalized strength times (features, 1),
-    so design @ coeffs.ravel() equals the model prediction at X.
+    so design @ coeffs.ravel() equals the model prediction at X. The
+    result is a transposed view of the rules x rows array.
     """
-    X = _as_batch(X)
-    n, d = X.shape
-    wbar = normalized_firing(model, X)
-    Xa = np.concatenate([X, np.ones((n, 1))], axis=1)
-    return (wbar[:, :, None] * Xa[:, None, :]).reshape(n, -1)
+    return _regressors(model, row_basis(X)).T
 
 
 def solve_consequents(A: np.ndarray, y: np.ndarray,
@@ -157,8 +199,8 @@ def solve_consequents(A: np.ndarray, y: np.ndarray,
     if lam < 0.0:
         raise ValueError(f"solve_consequents: damping must be >= 0, got {lam}")
     if lam > 0.0:
-        k = A.shape[1]
-        gram = A.T @ A + lam * np.eye(k)
+        gram = A.T @ A
+        gram.flat[::gram.shape[0] + 1] += lam
         try:
             return np.linalg.solve(gram, A.T @ y)
         except np.linalg.LinAlgError:
@@ -166,14 +208,26 @@ def solve_consequents(A: np.ndarray, y: np.ndarray,
     return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
+def fitness(model: FisModel, basis: np.ndarray, y: np.ndarray,
+            lam: float = DEFAULT_DAMPING) -> tuple[np.ndarray, float]:
+    """Damped least-squares consequents under fixed premises, and their RMSE.
+
+    `basis` is row_basis of the rows y belongs to. Returns the (c, d+1)
+    consequents and the root-mean-square residual they leave. This is
+    the one fitness path: the optimizer's objective, the final refit,
+    fit_consequents and init_from_fcm all go through it.
+    """
+    At = _regressors(model, basis)
+    theta = solve_consequents(At.T, y, lam)
+    resid = theta @ At - y
+    return (theta.reshape(model.n_rules, model.n_features + 1),
+            float(np.sqrt(np.mean(resid * resid))))
+
+
 def fit_consequents(model: FisModel, X: np.ndarray, y: np.ndarray,
                     lam: float = DEFAULT_DAMPING) -> FisModel:
     """Refit the affine consequents by damped least squares, premises fixed."""
-    X = _as_batch(X)
-    y = np.asarray(y, dtype=float)
-    A = design_matrix(model, X)
-    theta = solve_consequents(A, y, lam)
-    coeffs = theta.reshape(model.n_rules, model.n_features + 1)
+    coeffs, _ = fitness(model, row_basis(X), np.asarray(y, dtype=float), lam)
     return replace(model, coeffs=coeffs)
 
 

@@ -126,6 +126,13 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
         raise DataError("train: dataset is empty or too small")
 
     train_ds, test_ds = split(data, config.p, config.effective_split_seed())
+    if len(train_ds) < config.n_rules:
+        raise DataError(f"train: the training share holds {len(train_ds)} "
+                        f"of {len(data)} rows, fewer than --rules "
+                        f"{config.n_rules}; lower --rules or raise --p")
+    if len(test_ds) < 2:
+        raise DataError(f"train: the test share holds {len(test_ds)} of "
+                        f"{len(data)} rows, need at least 2; lower --p")
     norm = fit_normalizer(train_ds)
     norm_train = apply_normalizer(norm, train_ds)
     Xtr = norm_train.features()
@@ -160,12 +167,11 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
         bounds = _premise_bounds(config.n_rules, d)
         guess = fis.encode_premise(template)
 
+        basis = fis.row_basis(Xtr)
+
         def objective(v: np.ndarray) -> float:
-            model = fis.decode_premise(v, template)
-            A = fis.design_matrix(model, Xtr)
-            theta = fis.solve_consequents(A, ytr, config.lam)
-            resid = A @ theta - ytr
-            return float(np.sqrt(np.mean(resid * resid)))
+            return fis.fitness(fis.decode_premise(v, template), basis, ytr,
+                               config.lam)[1]
 
         def finalize(v: np.ndarray) -> fis.FisModel:
             return fis.fit_consequents(fis.decode_premise(v, template),

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antfis.aco import (AcoConfig, OptResult, SolutionArchive, optimize,
-                        rank_weights, sample_candidate, update_archive)
+from antfis.aco import (AcoConfig, OptResult, SolutionArchive, kernel_widths,
+                        optimize, rank_weights, sample_candidate,
+                        selection_cdf, update_archive)
 from antfis.errors import NumericError
 from antfis.rng import mix_seed, substream
 
@@ -18,6 +19,13 @@ def make_archive(solutions, objectives, q=0.1):
     return SolutionArchive(solutions=solutions[order],
                            objectives=objectives[order],
                            weights=rank_weights(len(objectives), q))
+
+
+def draw(archive, xi, bounds, rng):
+    """One candidate, with the per-iteration CDF and widths built here."""
+    return sample_candidate(archive.solutions, selection_cdf(archive.weights),
+                            kernel_widths(archive.solutions, xi, bounds),
+                            bounds, rng)
 
 
 def sphere(x):
@@ -54,7 +62,7 @@ class TestSampleCandidate:
         arch = make_archive(np.tile(vec, (5, 1)), np.zeros(5))
         bounds = np.array([[-1.0, 1.0]] * 3)
         rng = substream(0, 1)
-        out = sample_candidate(arch, 0.85, bounds, rng)
+        out = draw(arch, 0.85, bounds, rng)
         np.testing.assert_allclose(out, vec, atol=1e-6)
 
     def test_guide_selection_frequencies(self):
@@ -68,7 +76,7 @@ class TestSampleCandidate:
         # identify the guide by nearest archive member (sd is small vs spacing)
         counts = np.zeros(k)
         for _ in range(n):
-            v = sample_candidate(arch, 0.05, bounds, rng)
+            v = draw(arch, 0.05, bounds, rng)
             counts[int(np.argmin(np.abs(arch.solutions[:, 0] - v[0])))] += 1
         for i in range(k):
             sd = math.sqrt(n * probs[i] * (1 - probs[i]))
@@ -82,15 +90,33 @@ class TestSampleCandidate:
         bounds = np.column_stack([np.full(d, -0.5), np.full(d, 0.8)])
         sols = -0.5 + 1.3 * rng.random((k, d))
         arch = make_archive(sols, rng.random(k))
-        out = sample_candidate(arch, 0.85, bounds, substream(seed, 2))
+        out = draw(arch, 0.85, bounds, substream(seed, 2))
         assert (out >= bounds[:, 0]).all() and (out <= bounds[:, 1]).all()
 
     def test_zero_spread_dimension_floored(self):
         sols = np.column_stack([np.full(4, 0.25), np.linspace(0, 1, 4)])
         arch = make_archive(sols, np.arange(4.0))
         bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = sample_candidate(arch, 0.85, bounds, substream(3, 0))
+        out = draw(arch, 0.85, bounds, substream(3, 0))
         assert abs(out[0] - 0.25) < 1e-6  # sd floor ~ 1e-9 * span
+
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(2, 30),
+           d=st.integers(1, 40), xi=st.floats(0.01, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_hoisted_widths_match_per_guide_formula(self, seed, k, d, xi):
+        # optimize computes every guide's width once per iteration; each
+        # row must carry the bits the per-guide formula gives, so seeded
+        # trajectories do not change
+        rng = np.random.default_rng(seed)
+        sols = rng.uniform(-3.0, 3.0, (k, d))
+        sols[rng.random((k, d)) < 0.2] = 0.5  # ties: zero-spread coordinates
+        bounds = np.column_stack([np.full(d, -3.0), np.full(d, 3.0)])
+        widths = kernel_widths(sols, xi, bounds)
+        for g in range(k):
+            sd = xi * np.abs(sols - sols[g]).sum(axis=0) / (k - 1)
+            sd = np.maximum(sd, 1e-9 * (bounds[:, 1] - bounds[:, 0]))
+            assert np.array_equal(widths[g], sd)
 
 
 class TestUpdateArchive:

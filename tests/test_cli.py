@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -99,6 +103,32 @@ class TestTrain:
                               str(tmp_path / "m.txt"))
         assert code == 2
         assert "not found" in err
+
+    def test_too_small_training_share_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "tiny.csv"
+        assert run(["gen-data", "--n", "8", "--seed", "3",
+                    "--out", str(data)]) == 0
+        code, _, err = invoke(capsys, "train", "--data", str(data),
+                              "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert "--rules" in err and "--p" in err
+        assert "fcm" not in err
+
+    def test_blas_thread_count_keeps_model_bytes(self, data_csv, tmp_path):
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.txt"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "antfis", "train", "--data",
+                 str(data_csv), "--stage", "5", "--ants", "6", "--iters",
+                 "4", "--seed", "3", "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
 
     def test_bad_p_is_usage_error(self, capsys, data_csv, tmp_path):
         code, _, err = invoke(capsys, "train", "--data", str(data_csv),

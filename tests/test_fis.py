@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from antfis.dataset import FeatureStage, Normalizer
 from antfis.fcm import FcmConfig, fcm_cluster
 from antfis.fis import (SIGMA_CAP, SIGMA_FLOOR, FisModel, decode_premise,
                         design_matrix, encode_premise, firing_strengths,
-                        fit_consequents, init_from_fcm, predict,
-                        predict_batch, solve_consequents)
+                        fit_consequents, fitness, init_from_fcm,
+                        log_firing_strengths, predict, predict_batch,
+                        row_basis, solve_consequents)
+from antfis.trainer import CENTER_BOUNDS, SIGMA_BOUNDS
 
 
 def unit_normalizer(d):
@@ -304,3 +307,100 @@ class TestModelValidation:
         assert rules[0].premise[1].center == 0.2
         assert rules[0].premise[1].sigma == 0.6
         assert rules[0].consequent == (1.0, 2.0, 3.0)
+
+
+# --- parity of the matrix-product form with the direct formula -----------
+
+def oracle_log_firing(m, X):
+    """Direct form -0.5 sum_j ((x_j - c_ij) / s_ij)^2, rows x rules."""
+    z = (X[:, None, :] - m.centers[None]) / m.sigmas[None]
+    return -0.5 * np.einsum("ncd,ncd->nc", z, z)
+
+
+def oracle_weights(m, X):
+    logw = oracle_log_firing(m, X)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def oracle_predict(m, X):
+    rule_out = X @ m.coeffs[:, :-1].T + m.coeffs[:, -1]
+    return np.einsum("nc,nc->n", oracle_weights(m, X), rule_out)
+
+
+def oracle_rmse(m, X, y, lam):
+    Xa = np.concatenate([X, np.ones((len(X), 1))], axis=1)
+    A = (oracle_weights(m, X)[:, :, None] * Xa[:, None, :]).reshape(len(X), -1)
+    resid = A @ solve_consequents(A, y, lam) - y
+    return float(np.sqrt(np.mean(resid * resid)))
+
+
+def log_firing_tolerance(m, X):
+    """1e-9, widened where the expanded terms grow past ~5e5 (rows x rules).
+
+    The matrix-product form adds S*x^2, -2*S*c*x and S*c^2, which cancel
+    near a center, so its rounding error scales with their size, not
+    with log w. On the search box (sigma >= 0.02) the terms stay below
+    ~1e5 and the bound is 1e-9; at SIGMA_FLOOR they reach ~1e7.
+    """
+    S = m.sigmas ** -2.0
+    terms = (S[None] * (np.abs(X)[:, None, :]
+                        + np.abs(m.centers)[None]) ** 2).sum(axis=2)
+    return 1e-9 * np.maximum(1.0, 2e-6 * terms)
+
+
+@st.composite
+def premises_and_rows(draw):
+    c = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(c * (d + 1), 60))
+    centers = draw(arrays(float, (c, d),
+                          elements=st.floats(*CENTER_BOUNDS)))
+    sigmas = draw(arrays(float, (c, d), elements=st.one_of(
+        st.just(SIGMA_FLOOR), st.floats(*SIGMA_BOUNDS))))
+    coeffs = draw(arrays(float, (c, d + 1), elements=st.floats(-2.0, 2.0)))
+    X = draw(arrays(float, (n, d), elements=st.floats(0.0, 1.0)))
+    return make_model(centers, sigmas, coeffs), X
+
+
+class TestMatrixProductParity:
+    @given(case=premises_and_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_log_firing(self, case):
+        m, X = case
+        got = log_firing_strengths(m, row_basis(X)).T
+        want = oracle_log_firing(m, X)
+        assert (np.abs(got - want) <= log_firing_tolerance(m, X)).all()
+
+    @given(case=premises_and_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_predict_batch(self, case):
+        m, X = case
+        # a weight error e moves the output by at most 2 e |rule output|
+        rule_out = np.abs(X @ m.coeffs[:, :-1].T + m.coeffs[:, -1])
+        tol = (log_firing_tolerance(m, X).max(axis=1)
+               * np.maximum(1.0, 2.0 * rule_out.max(axis=1)))
+        assert (np.abs(predict_batch(m, X) - oracle_predict(m, X))
+                <= tol).all()
+
+    @given(case=premises_and_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_objective_rmse(self, case):
+        m, X = case
+        y = np.sin(3.0 * X[:, 0]) + X[:, -1] ** 2
+        _, rmse = fitness(m, row_basis(X), y, 1e-6)
+        assert abs(rmse - oracle_rmse(m, X, y, 1e-6)) <= 1e-9
+
+    @given(case=premises_and_rows())
+    @settings(max_examples=50, deadline=None)
+    def test_fitness_is_the_refit(self, case):
+        # the objective's consequents are the refit's, and its RMSE is the
+        # refit model's RMSE through the prediction path
+        m, X = case
+        y = np.cos(2.0 * X[:, -1])
+        coeffs, rmse = fitness(m, row_basis(X), y)
+        refit = fit_consequents(m, X, y)
+        np.testing.assert_array_equal(coeffs, refit.coeffs)
+        resid = predict_batch(refit, X) - y
+        assert rmse == pytest.approx(np.sqrt(np.mean(resid * resid)),
+                                     rel=1e-9, abs=1e-12)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,23 @@ class TestTrain:
         np.testing.assert_array_equal(small_model.fis.centers, b.fis.centers)
         np.testing.assert_array_equal(small_model.fis.coeffs, b.fis.coeffs)
         np.testing.assert_array_equal(small_model.convergence, b.convergence)
+
+    def test_objective_is_the_final_refit_rmse(self, small_data, small_model):
+        # the last convergence value is objective(best vector); the model
+        # is finalize(best vector): its unclamped training RMSE must agree
+        train_ds, _ = training_partitions(small_model, small_data)
+        Xn = small_model.fis.normalizer.transform(train_ds.features())
+        resid = predict_batch(small_model.fis, Xn) - train_ds.targets()
+        assert np.sqrt(np.mean(resid * resid)) == pytest.approx(
+            small_model.convergence[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, flag", [(8, 0.7, "--rules"),
+                                            (12, 0.95, "--p")])
+    def test_too_small_shares_are_data_errors(self, small_data, n, p, flag):
+        data = DataSet(small_data.samples[:n], small_data.feature_stage)
+        config = replace(quick_config(FeatureStage.XYZPV5, n_rules=10), p=p)
+        with pytest.raises(DataError, match=flag):
+            train(data, config)
 
     def test_reports_match_partitions(self, small_data, small_model):
         train_ds, test_ds = training_partitions(small_model, small_data)
