@@ -3,13 +3,12 @@ tuned by a continuous-domain ant colony optimizer."""
 
 from .aco import AcoConfig, OptResult, SolutionArchive, optimize, rank_weights
 from .dataset import (CSV_HEADER, DataSet, EvalReport, FeatureStage,
-                      Normalizer, Sample, apply_normalizer, eval_metrics,
+                      Normalizer, apply_normalizer, eval_metrics,
                       fit_normalizer, load_dataset, split, write_dataset_csv)
 from .errors import AntfisError, DataError, NumericError
 from .fcm import FcmConfig, FcmResult, fcm_cluster, fcm_objective
-from .fis import (FisModel, GaussianMf, Rule, decode_premise, encode_premise,
-                  firing_strengths, fit_consequents, init_from_fcm, predict,
-                  predict_batch)
+from .fis import (FisModel, decode_premise, encode_premise, fit_consequents,
+                  init_from_fcm, predict_batch)
 from .synthfield import (PlumeParams, ReactorGeometry, generate_dataset,
                          holdup_at, mean_holdup, pressure_at, velocity_at)
 from .trainer import (SweepReport, TrainConfig, TrainedModel, evaluate,

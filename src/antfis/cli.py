@@ -9,16 +9,12 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .aco import AcoConfig
-from .dataset import (FeatureStage, eval_metrics, load_dataset,
+from .dataset import (FeatureStage, load_dataset, read_csv_table,
                       write_dataset_csv)
 from .errors import AntfisError, DataError, NumericError
 from .fcm import FcmConfig
@@ -215,39 +211,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read_points(path: str, stage: FeatureStage) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"points file not found: {path}")
-    with p.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise DataError(f"{path}: empty points file") from None
-        if header != stage.feature_names:
-            raise DataError(f"{path}: header must be exactly "
-                            f"{','.join(stage.feature_names)} for this model")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}, line {lineno}: {exc}") from None
-            if len(rows[-1]) != stage.n_features:
-                raise DataError(f"{path}, line {lineno}: expected "
-                                f"{stage.n_features} columns")
-    if not rows:
-        raise DataError(f"{path}: no points")
-    return np.array(rows, dtype=float)
-
-
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     stage = model.config.stage
-    points = _read_points(args.points, stage)
+    points = read_csv_table(args.points, stage.feature_names, "points")
     preds = predict_points(model, points)
     with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(stage.feature_names + ("prediction",)) + "\n")

@@ -1,4 +1,4 @@
-"""Node-level sample ingestion, partitioning, scaling, and fit metrics.
+"""Node-table ingestion, partitioning, scaling, and fit metrics.
 
 The canonical on-disk format is a UTF-8 CSV with the exact header
 ``x,y,z,pressure,air_superficial_velocity,air_volume_fraction`` and one
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -48,50 +48,66 @@ class FeatureStage(Enum):
         raise ValueError(f"feature stage must be 1..5, got {k}")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One reactor node: coordinates, fluid features, and gas volume fraction."""
-
-    x: float
-    y: float
-    z: float
-    pressure: float
-    superficial_velocity: float
-    volume_fraction: float
-
-    def __post_init__(self):
-        values = (self.x, self.y, self.z, self.pressure,
-                  self.superficial_velocity, self.volume_fraction)
-        if not all(math.isfinite(v) for v in values):
-            raise DataError("sample fields must be finite")
-        if not 0.0 <= self.volume_fraction <= 1.0:
-            raise DataError(
-                f"volume_fraction {self.volume_fraction!r} outside [0, 1]")
-
-    def all_features(self) -> tuple[float, ...]:
-        return (self.x, self.y, self.z, self.pressure, self.superficial_velocity)
+def _first_invalid_row(X: np.ndarray, y: np.ndarray | None = None,
+                       ) -> tuple[int, str] | None:
+    """(index, reason) of the first row holding a non-finite value or, when
+    targets y are given, a volume fraction outside [0, 1]; None if all pass."""
+    finite = np.isfinite(X).all(axis=1)
+    ok = finite if y is None else finite & (y >= 0.0) & (y <= 1.0)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    if finite[i] and np.isfinite(y[i]):
+        return i, f"{TARGET_NAME} {float(y[i])!r} outside [0, 1]"
+    return i, "non-finite value"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataSet:
-    """Ordered samples plus the feature stage they are consumed at."""
+    """Reactor nodes as columns, plus the feature stage they are consumed at.
 
-    samples: tuple[Sample, ...]
+    X holds all five feature columns (n, 5) and y the volume fractions
+    (n,). Both are read-only copies of the arrays passed in; every value
+    must be finite and every volume fraction in [0, 1].
+    """
+
+    X: np.ndarray
+    y: np.ndarray
     feature_stage: FeatureStage
 
+    def __post_init__(self):
+        X = np.array(self.X, dtype=float, order="C")
+        y = np.array(self.y, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES) \
+                or y.shape != X.shape[:1]:
+            raise ValueError(f"DataSet: need (n, {len(FEATURE_NAMES)}) "
+                             f"features and (n,) targets, got {X.shape} "
+                             f"and {y.shape}")
+        bad = _first_invalid_row(X, y)
+        if bad is not None:
+            raise DataError(f"row {bad[0]}: {bad[1]}")
+        X.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.y)
 
     def features(self) -> np.ndarray:
-        """Feature matrix (n, d) for the dataset's stage."""
-        d = self.feature_stage.n_features
-        return np.array([s.all_features()[:d] for s in self.samples], dtype=float)
+        """Read-only feature matrix (n, d) for the dataset's stage."""
+        # Below stage 5 the column prefix is strided, and BLAS rounds
+        # products of a strided matrix differently; a contiguous copy
+        # keeps every stage's trained model bit-stable.
+        X = np.ascontiguousarray(self.X[:, :self.feature_stage.n_features])
+        X.flags.writeable = False
+        return X
 
     def targets(self) -> np.ndarray:
-        return np.array([s.volume_fraction for s in self.samples], dtype=float)
+        return self.y
 
     def with_stage(self, stage: FeatureStage) -> "DataSet":
-        return DataSet(self.samples, stage)
+        return DataSet(self.X, self.y, stage)
 
 
 @dataclass(frozen=True)
@@ -121,43 +137,62 @@ class Normalizer:
         return (X - self.mins) / (self.maxs - self.mins)
 
 
-def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:
-    """Read the canonical CSV into a DataSet carrying `stage`.
+def read_csv_table(path: str | Path, header: tuple[str, ...],
+                   rows: str) -> np.ndarray:
+    """Parse a CSV with exactly `header` into an (m, len(header)) array.
 
-    Raises DataError on a missing file, header mismatch, malformed or
-    incomplete rows (with the offending line number), or an empty body.
+    Blank lines are skipped. Raises DataError on a missing or empty file,
+    a header mismatch, and, with the offending line number, a row of the
+    wrong width, a cell that is not a float, a non-finite cell, or (when
+    the last column is the volume fraction) a target outside [0, 1]. A
+    file without data rows is reported as holding no `rows`.
     """
     path = Path(path)
     if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    samples = []
+        raise DataError(f"{path}: file not found")
+    values, lines = [], []
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header "
-                            f"{','.join(CSV_HEADER)}") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise DataError(f"{path}: header must be exactly "
-                            f"{','.join(CSV_HEADER)}, got {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise DataError(f"{path}, line {lineno}: expected "
-                                f"{len(CSV_HEADER)} columns, got {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise DataError(f"{path}, line {lineno}: {exc}") from None
-            try:
-                samples.append(Sample(*values))
-            except DataError as exc:
-                raise DataError(f"{path}, line {lineno}: {exc}") from None
-    if not samples:
-        raise DataError(f"{path}: no samples")
-    return DataSet(tuple(samples), stage)
+            got = next(reader, None)
+            if got is None:
+                raise DataError(f"{path}: empty file, expected header "
+                                f"{','.join(header)}")
+            if tuple(h.strip() for h in got) != header:
+                raise DataError(f"{path}: header must be exactly "
+                                f"{','.join(header)}, got {','.join(got)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}, line {lineno}: expected "
+                                    f"{len(header)} columns, got {len(row)}")
+                try:
+                    values.append([float(cell) for cell in row])
+                except ValueError as exc:
+                    raise DataError(f"{path}, line {lineno}: {exc}") from None
+                lines.append(lineno)
+        except csv.Error as exc:
+            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    if not values:
+        raise DataError(f"{path}: no {rows}")
+    table = np.array(values, dtype=float)
+    bad = (_first_invalid_row(table[:, :-1], table[:, -1])
+           if header[-1] == TARGET_NAME else _first_invalid_row(table))
+    if bad is not None:
+        raise DataError(f"{path}, line {lines[bad[0]]}: {bad[1]}")
+    return table
+
+
+def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:
+    """Read the canonical CSV into a DataSet carrying `stage`.
+
+    Raises DataError as read_csv_table does.
+    """
+    table = read_csv_table(path, CSV_HEADER, "samples")
+    return DataSet(table[:, :-1], table[:, -1], stage)
 
 
 def write_dataset_csv(data: DataSet, path: str | Path) -> None:
@@ -165,9 +200,8 @@ def write_dataset_csv(data: DataSet, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for s in data.samples:
-            row = (*s.all_features(), s.volume_fraction)
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in np.column_stack([data.X, data.y]).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def split(data: DataSet, p: float, seed: int) -> tuple[DataSet, DataSet]:
@@ -183,10 +217,10 @@ def split(data: DataSet, p: float, seed: int) -> tuple[DataSet, DataSet]:
         raise ValueError(f"split: need at least 2 samples, got {n}")
     n_train = int(round(p * n))
     order = np.random.default_rng(seed).permutation(n)
-    train = tuple(data.samples[i] for i in order[:n_train])
-    test = tuple(data.samples[i] for i in order[n_train:])
+    train, test = order[:n_train], order[n_train:]
     stage = data.feature_stage
-    return DataSet(train, stage), DataSet(test, stage)
+    return (DataSet(data.X[train], data.y[train], stage),
+            DataSet(data.X[test], data.y[test], stage))
 
 
 def fit_normalizer(train: DataSet) -> Normalizer:
@@ -218,13 +252,9 @@ def apply_normalizer(norm: Normalizer, data: DataSet) -> DataSet:
     if len(norm.feature_names) != d:
         raise ValueError("apply_normalizer: normalizer arity "
                          f"{len(norm.feature_names)} != stage arity {d}")
-    scaled = norm.transform(data.features())
-    field_names = ("x", "y", "z", "pressure", "superficial_velocity")
-    samples = []
-    for i, s in enumerate(data.samples):
-        updates = {field_names[j]: float(scaled[i, j]) for j in range(d)}
-        samples.append(replace(s, **updates))
-    return DataSet(tuple(samples), data.feature_stage)
+    X = data.X.copy()
+    X[:, :d] = norm.transform(data.features())
+    return DataSet(X, data.y, data.feature_stage)
 
 
 def eval_metrics(pred, target) -> EvalReport:

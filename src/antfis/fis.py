@@ -34,18 +34,6 @@ DEFAULT_DAMPING = 1e-6
 
 
 @dataclass(frozen=True)
-class GaussianMf:
-    center: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class Rule:
-    premise: tuple[GaussianMf, ...]
-    consequent: tuple[float, ...]  # d feature weights followed by the bias
-
-
-@dataclass(frozen=True)
 class FisModel:
     """Immutable rule base; refits return new models."""
 
@@ -78,22 +66,6 @@ class FisModel:
     def n_features(self) -> int:
         return self.centers.shape[1]
 
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        return tuple(
-            Rule(premise=tuple(GaussianMf(float(c), float(s))
-                               for c, s in zip(self.centers[i], self.sigmas[i])),
-                 consequent=tuple(float(v) for v in self.coeffs[i]))
-            for i in range(self.n_rules)
-        )
-
-
-def _as_batch(x) -> np.ndarray:
-    X = np.asarray(x, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    return X
-
 
 def row_basis(X) -> np.ndarray:
     """Basis [X^2, X, 1] of a feature batch, one row per term: (2d+1, n).
@@ -102,7 +74,7 @@ def row_basis(X) -> np.ndarray:
     ones, so basis[d:] is the (x, 1) regressor block of the consequents.
     Training builds it once and reuses it at every fitness evaluation.
     """
-    X = _as_batch(X)
+    X = np.asarray(X, dtype=float)
     n, d = X.shape
     basis = np.empty((2 * d + 1, n))
     np.square(X.T, out=basis[:d])
@@ -123,15 +95,6 @@ def log_firing_strengths(model: FisModel, basis: np.ndarray) -> np.ndarray:
     const = -0.5 * (CS * model.centers).sum(axis=1, keepdims=True)
     P = np.concatenate([-0.5 * S, CS, const], axis=1)
     return P @ basis
-
-
-def firing_strengths(model: FisModel, x) -> np.ndarray:
-    """Raw rule activations w_i in (0, 1] at a single point."""
-    X = _as_batch(x)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"firing_strengths: expected {model.n_features} "
-                         f"features, got {X.shape[1]}")
-    return np.exp(log_firing_strengths(model, row_basis(X)))[:, 0]
 
 
 def normalized_firing(model: FisModel, basis: np.ndarray) -> np.ndarray:
@@ -161,21 +124,16 @@ def _regressors(model: FisModel, basis: np.ndarray) -> np.ndarray:
 
 def predict_batch(model: FisModel, X) -> np.ndarray:
     """Weighted-average model output for a batch of feature rows (unclamped)."""
-    X = _as_batch(X)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"predict: expected {model.n_features} features, "
-                         f"got {X.shape[1]}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError(f"predict: expected (n, {model.n_features}) "
+                         f"features, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("predict: non-finite feature value")
     basis = row_basis(X)
     w = normalized_firing(model, basis)
     w *= model.coeffs @ basis[model.n_features:]  # rule outputs, (c, n)
     return w.sum(axis=0)
-
-
-def predict(model: FisModel, x) -> float:
-    """Model output at a single feature vector (unclamped)."""
-    return float(predict_batch(model, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def design_matrix(model: FisModel, X: np.ndarray) -> np.ndarray:
@@ -241,11 +199,11 @@ def init_from_fcm(fcm_result, X: np.ndarray, y: np.ndarray,
     center, floored at SIGMA_FLOOR. Consequents start at zero and are
     then fit by least squares.
     """
-    X = _as_batch(X)
+    X = np.asarray(X, dtype=float)
     centers = np.asarray(fcm_result.centers, dtype=float)
     U = np.asarray(fcm_result.memberships, dtype=float)
     c, d = centers.shape
-    if X.shape[1] != d or X.shape[0] != U.shape[0] or U.shape[1] != c:
+    if X.shape != (U.shape[0], d) or U.shape[1] != c:
         raise ValueError("init_from_fcm: clustering does not match the data")
     if d != stage.n_features:
         raise ValueError(f"init_from_fcm: cluster arity {d} != stage arity "

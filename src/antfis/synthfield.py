@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataSet, FeatureStage, Sample
+from .dataset import DataSet, FeatureStage
 
 RAMP_LENGTH = 0.1  # m over which the plume switches on above the sparger
 
@@ -133,7 +133,7 @@ def velocity_at(point, geom: ReactorGeometry, params: PlumeParams) -> float:
 def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
                      seed: int, stage: FeatureStage = FeatureStage.XYZPV5,
                      ) -> DataSet:
-    """Sample n nodes uniformly inside the cylinder and tabulate the fields.
+    """Draw n nodes uniformly inside the cylinder and tabulate the fields.
 
     Polar sampling with radius R*sqrt(U) gives the area-correct radial
     density. The target is holdup plus seeded Gaussian noise, clamped to
@@ -154,9 +154,5 @@ def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
     velocity = _velocity(x, y, z, geom, params)
     alpha = np.clip(_holdup(x, y, z, geom, params) + params.noise_sd * eps,
                     0.0, 1.0)
-    samples = tuple(
-        Sample(float(x[i]), float(y[i]), float(z[i]), float(pressure[i]),
-               float(velocity[i]), float(alpha[i]))
-        for i in range(n)
-    )
-    return DataSet(samples, stage)
+    return DataSet(np.column_stack([x, y, z, pressure, velocity]), alpha,
+                   stage)

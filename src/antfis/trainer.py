@@ -33,9 +33,11 @@ _ACO_STREAM = 3
 # may sit somewhat outside [0, 1]; sigma's lower edge avoids needle rules.
 CENTER_BOUNDS = (-0.25, 1.25)
 SIGMA_BOUNDS = (0.02, fis.SIGMA_CAP)
-COEFF_BOUNDS = (-2.0, 2.0)
 
-MODEL_MAGIC = "antfis-model v1"
+MODEL_MAGIC = "antfis-model v2"
+# v1 files also hold the switch of a since-removed mode that tuned the
+# consequents by ant colony; the loader reads them and ignores that key.
+MODEL_MAGIC_V1 = "antfis-model v1"
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class TrainConfig:
     aco: AcoConfig = field(default_factory=AcoConfig)
     seed: int = 7
     lam: float = fis.DEFAULT_DAMPING
-    optimize_consequents: bool = False  # tune consequents by ACO instead of LS
     # Sweeps pin one partition for every cell so stage/ant comparisons are
     # on identical data; None derives the split from the master seed.
     split_seed: int | None = None
@@ -113,11 +114,10 @@ def _report(model: fis.FisModel, data: DataSet) -> EvalReport:
 def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedModel:
     """Run the full pipeline on `data` and return the trained model.
 
-    The optimizer minimizes training RMSE of the decoded model (with
-    consequents refit by damped least squares unless
-    config.optimize_consequents). The rule base seeded from clustering
-    joins the initial archive so the search starts no worse than the
-    clustering baseline.
+    The optimizer minimizes training RMSE of the decoded model, with
+    consequents refit by damped least squares. The rule base seeded from
+    clustering joins the initial archive so the search starts no worse
+    than the clustering baseline.
     """
     if data.feature_stage != config.stage:
         raise ValueError(f"train: data stage {data.feature_stage.n_features} "
@@ -144,44 +144,20 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     template = fis.init_from_fcm(clustering, Xtr, ytr, config.stage, norm,
                                  lam=config.lam)
 
-    d = config.stage.n_features
-    premise_dims = 2 * config.n_rules * d
-    if config.optimize_consequents:
-        dims = premise_dims + config.n_rules * (d + 1)
-        bounds = _premise_bounds(config.n_rules, d) \
-            + (COEFF_BOUNDS,) * (config.n_rules * (d + 1))
-        guess = np.concatenate([fis.encode_premise(template),
-                                template.coeffs.ravel()])
+    bounds = _premise_bounds(config.n_rules, config.stage.n_features)
+    basis = fis.row_basis(Xtr)
 
-        def objective(v: np.ndarray) -> float:
-            model = replace(fis.decode_premise(v[:premise_dims], template),
-                            coeffs=v[premise_dims:].reshape(config.n_rules, d + 1))
-            resid = fis.predict_batch(model, Xtr) - ytr
-            return float(np.sqrt(np.mean(resid * resid)))
-
-        def finalize(v: np.ndarray) -> fis.FisModel:
-            return replace(fis.decode_premise(v[:premise_dims], template),
-                           coeffs=v[premise_dims:].reshape(config.n_rules, d + 1))
-    else:
-        dims = premise_dims
-        bounds = _premise_bounds(config.n_rules, d)
-        guess = fis.encode_premise(template)
-
-        basis = fis.row_basis(Xtr)
-
-        def objective(v: np.ndarray) -> float:
-            return fis.fitness(fis.decode_premise(v, template), basis, ytr,
-                               config.lam)[1]
-
-        def finalize(v: np.ndarray) -> fis.FisModel:
-            return fis.fit_consequents(fis.decode_premise(v, template),
-                                       Xtr, ytr, config.lam)
+    def objective(v: np.ndarray) -> float:
+        return fis.fitness(fis.decode_premise(v, template), basis, ytr,
+                           config.lam)[1]
 
     aco_cfg = replace(config.aco, seed=mix_seed(config.seed, _ACO_STREAM),
                       bounds=bounds)
-    result = optimize(objective, dims, aco_cfg, initial_guesses=(guess,),
+    result = optimize(objective, len(bounds), aco_cfg,
+                      initial_guesses=(fis.encode_premise(template),),
                       n_workers=n_workers)
-    best = finalize(result.best_vector)
+    best = fis.fit_consequents(
+        fis.decode_premise(result.best_vector, template), Xtr, ytr, config.lam)
 
     return TrainedModel(fis=best, config=config,
                         train_report=_report(best, train_ds),
@@ -189,8 +165,15 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
                         convergence=result.history)
 
 
+def _require_rows(data: DataSet, caller: str) -> None:
+    if len(data) < 2:
+        raise DataError(f"{caller}: --data holds {len(data)} row(s), "
+                        "need at least 2")
+
+
 def training_partitions(model: TrainedModel, data: DataSet) -> tuple[DataSet, DataSet]:
     """Reproduce the exact (train, test) partition a model was fit on."""
+    _require_rows(data, "training_partitions")
     return split(data, model.config.p, model.config.effective_split_seed())
 
 
@@ -199,6 +182,7 @@ def evaluate(model: TrainedModel, data: DataSet) -> EvalReport:
     if data.feature_stage != model.config.stage:
         raise ValueError(f"evaluate: data stage {data.feature_stage.n_features} "
                          f"!= model stage {model.config.stage.n_features}")
+    _require_rows(data, "evaluate")
     return _report(model.fis, data)
 
 
@@ -287,7 +271,6 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         f"seed = {cfg.seed}",
         f"split_seed = {'none' if cfg.split_seed is None else cfg.split_seed}",
         f"lam = {_fmt_float(cfg.lam)}",
-        f"optimize_consequents = {'true' if cfg.optimize_consequents else 'false'}",
         f"fcm.m = {_fmt_float(cfg.fcm.m)}",
         f"fcm.tol = {_fmt_float(cfg.fcm.tol)}",
         f"fcm.max_iter = {cfg.fcm.max_iter}",
@@ -326,7 +309,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def _parse_sections(text: str, path) -> dict[str, dict[str, str]]:
     lines = text.splitlines()
-    if not lines or lines[0].strip() != MODEL_MAGIC:
+    if not lines or lines[0].strip() not in (MODEL_MAGIC, MODEL_MAGIC_V1):
         raise DataError(f"{path}: not a recognized model file "
                         f"(expected first line '{MODEL_MAGIC}')")
     sections: dict[str, dict[str, str]] = {}
@@ -377,12 +360,17 @@ def load_model(path: str | Path) -> TrainedModel:
             split_seed=(None if cfg_s["split_seed"] == "none"
                         else int(cfg_s["split_seed"])),
             lam=float(cfg_s["lam"]),
-            optimize_consequents=cfg_s["optimize_consequents"] == "true",
         )
         norm_s = sections["normalizer"]
         normalizer = Normalizer(
             feature_names=tuple(norm_s["features"].split(",")),
             mins=_floats(norm_s["min"]), maxs=_floats(norm_s["max"]))
+        span = normalizer.maxs - normalizer.mins
+        if normalizer.feature_names != stage.feature_names \
+                or span.shape != (stage.n_features,) \
+                or not (np.isfinite(span) & (span > 0.0)).all():
+            raise DataError(f"{path}: [normalizer] must name the stage's "
+                            "features, each with finite min < max")
         centers, sigmas, coeffs = [], [], []
         for i in range(n_rules):
             rule_s = sections[f"rule {i}"]

@@ -249,7 +249,7 @@ def test_criterion_9_unseen_node_prediction():
         train_ds, _ = training_partitions(model, data)
 
         # midpoints of consecutive training nodes never appear in training
-        pts = np.array([(s.x, s.y, s.z) for s in train_ds.samples])
+        pts = train_ds.features()[:, :3]
         mids = (pts[:-1] + pts[1:]) / 2.0
         feats = np.array([
             (x, y, z, pressure_at((x, y, z), GEOM, params),

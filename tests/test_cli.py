@@ -145,6 +145,14 @@ class TestEval:
         assert stdout.startswith("R=")
         assert "n=240" in stdout
 
+    def test_one_row_table_is_data_error(self, capsys, tmp_path, model_file):
+        one = tmp_path / "one.csv"
+        one.write_text(",".join(CSV_HEADER) + "\n0,0,1,1e5,0.1,0.05\n")
+        code, _, err = invoke(capsys, "eval", "--model", str(model_file),
+                              "--data", str(one))
+        assert code == 2
+        assert "--data" in err
+
     def test_corrupt_model(self, capsys, tmp_path, data_csv):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a model\n")
@@ -188,8 +196,8 @@ class TestPredict:
         data = load_dataset(data_csv, FeatureStage.XYZPV5)
         points = tmp_path / "points.csv"
         header = ",".join(FeatureStage.XYZPV5.feature_names)
-        rows = [",".join(repr(v) for v in s.all_features())
-                for s in data.samples[:7]]
+        rows = [",".join(map(repr, row))
+                for row in data.features()[:7].tolist()]
         points.write_text(header + "\n" + "\n".join(rows) + "\n")
         out = tmp_path / "preds.csv"
         code, stdout, _ = invoke(capsys, "predict", "--model",
@@ -210,6 +218,18 @@ class TestPredict:
                               str(tmp_path / "p.csv"))
         assert code == 2
         assert "header" in err
+
+
+    def test_non_finite_point_is_data_error(self, capsys, model_file,
+                                            tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text(",".join(FeatureStage.XYZPV5.feature_names)
+                          + "\n0,0,1,1e5,0.1\n0,0,1,nan,0.1\n")
+        code, _, err = invoke(capsys, "predict", "--model", str(model_file),
+                              "--points", str(points), "--out",
+                              str(tmp_path / "p.csv"))
+        assert code == 2
+        assert f"{points}, line 3: non-finite" in err
 
 
 class TestReport:
@@ -233,6 +253,15 @@ class TestReport:
         assert len(conv_lines) - 1 == 4  # model was trained with --iters 4
         rmse = [float(line.split(",")[1]) for line in conv_lines[1:]]
         assert all(a >= b for a, b in zip(rmse, rmse[1:]))
+
+    def test_one_row_table_is_data_error(self, capsys, tmp_path, model_file):
+        one = tmp_path / "one.csv"
+        one.write_text(",".join(CSV_HEADER) + "\n0,0,1,1e5,0.1,0.05\n")
+        code, _, err = invoke(capsys, "report", "--model", str(model_file),
+                              "--data", str(one), "--out-prefix",
+                              str(tmp_path / "rep"))
+        assert code == 2
+        assert "--data" in err
 
     def test_byte_identical_reruns(self, capsys, model_file, data_csv,
                                    tmp_path):

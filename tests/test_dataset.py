@@ -5,34 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antfis.dataset import (CSV_HEADER, DataSet, FeatureStage, Sample,
+from antfis.dataset import (CSV_HEADER, DataSet, FeatureStage,
                             apply_normalizer, eval_metrics, fit_normalizer,
                             load_dataset, split, write_dataset_csv)
 from antfis.errors import DataError
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 
 
-def make_sample(x=0.0, y=0.0, z=1.0, pressure=1e5, velocity=0.1, vf=0.05):
-    return Sample(x, y, z, pressure, velocity, vf)
-
-
 def make_dataset(rows, stage=FeatureStage.XYZPV5):
-    samples = tuple(Sample(*row) for row in rows)
-    return DataSet(samples, stage)
+    table = np.array(rows, dtype=float).reshape(-1, 6)
+    return DataSet(table[:, :5], table[:, 5], stage)
 
 
-class TestSample:
+def make_node(x=0.0, y=0.0, z=1.0, pressure=1e5, velocity=0.1, vf=0.05):
+    return make_dataset([(0.0, 0.0, 1.0, 1e5, 0.1, 0.05),
+                         (x, y, z, pressure, velocity, vf)])
+
+
+class TestDataSet:
     def test_volume_fraction_bounds(self):
-        with pytest.raises(DataError):
-            make_sample(vf=1.2)
-        with pytest.raises(DataError):
-            make_sample(vf=-0.01)
+        with pytest.raises(DataError, match="row 1: air_volume_fraction 1.2"):
+            make_node(vf=1.2)
+        with pytest.raises(DataError, match="outside"):
+            make_node(vf=-0.01)
+        assert len(make_node(vf=0.0)) == len(make_node(vf=1.0)) == 2
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DataError):
-            make_sample(pressure=float("nan"))
-        with pytest.raises(DataError):
-            make_sample(x=float("inf"))
+        with pytest.raises(DataError, match="row 1: non-finite"):
+            make_node(pressure=float("nan"))
+        with pytest.raises(DataError, match="non-finite"):
+            make_node(x=float("inf"))
+        with pytest.raises(DataError, match="non-finite"):
+            make_node(vf=float("nan"))
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="targets"):
+            DataSet(np.zeros((3, 5)), np.zeros(2), FeatureStage.X1)
+        with pytest.raises(ValueError, match="features"):
+            DataSet(np.zeros((3, 3)), np.zeros(3), FeatureStage.X1)
+
+    @pytest.mark.parametrize("stage", [FeatureStage.XYZ3, FeatureStage.XYZPV5])
+    def test_arrays_cannot_be_written_through(self, stage):
+        X = np.arange(10.0).reshape(2, 5)
+        ds = DataSet(X, [0.1, 0.2], stage)
+        for view in (ds.features(), ds.targets()):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.5
+        X[0, 0] = 99.0  # the dataset holds its own copy
+        assert ds.features()[0, 0] == 0.0
 
 
 class TestFeatureStage:
@@ -61,7 +81,8 @@ class TestLoadDataset:
         write_dataset_csv(data, path)
         loaded = load_dataset(path, FeatureStage.XYZPV5)
         assert len(loaded) == 1500
-        assert loaded.samples == data.samples
+        np.testing.assert_array_equal(loaded.X, data.X)
+        np.testing.assert_array_equal(loaded.targets(), data.targets())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -93,6 +114,36 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path, FeatureStage.XYZPV5)
 
+    def test_non_finite_cell_names_row(self, tmp_path):
+        # line numbers count the skipped blank line
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n\n"
+                        "0,0,1,1e5,0.1,0.5\n"
+                        "0,0,1,inf,0.1,0.5\n")
+        with pytest.raises(DataError, match="line 4: non-finite"):
+            load_dataset(path, FeatureStage.XYZPV5)
+
+    def test_not_utf8_is_data_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(",".join(CSV_HEADER).encode() + b"\n\xff,0,1\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_dataset(path, FeatureStage.XYZPV5)
+
+    def test_oversized_field_names_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n0,0,1,1e5,0.1,0.5\n"
+                        + "1" * 200_000 + ",0,1,1e5,0.1,0.5\n")
+        with pytest.raises(DataError, match="line 3: field larger"):
+            load_dataset(path, FeatureStage.XYZPV5)
+
+    def test_writes_repr_precision_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_dataset_csv(make_dataset([(0.1, -0.0, 1.0, 1e5, 1 / 3, 0.05)]),
+                          path)
+        assert path.read_text() == (",".join(CSV_HEADER) + "\n"
+                                    "0.1,-0.0,1.0,100000.0,"
+                                    "0.3333333333333333,0.05\n")
+
     def test_short_row_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_HEADER) + "\n0,0,1\n")
@@ -112,15 +163,16 @@ class TestSplit:
         train, test = split(data, 0.70, seed=3)
         assert len(train) == 7
         # disjoint cover, verified by enumerating the original rows
-        combined = sorted(s.x for s in train.samples + test.samples)
+        combined = sorted(np.concatenate([train.X[:, 0], test.X[:, 0]]))
         assert combined == sorted(float(i) for i in range(10))
 
     def test_determinism(self):
         data = make_dataset([(i, 0, 1, 1e5, 0.1, 0.1) for i in range(10)])
         a = split(data, 0.5, seed=11)
         b = split(data, 0.5, seed=11)
-        assert a[0].samples == b[0].samples
-        assert a[1].samples == b[1].samples
+        for part_a, part_b in zip(a, b):
+            np.testing.assert_array_equal(part_a.X, part_b.X)
+            np.testing.assert_array_equal(part_a.y, part_b.y)
 
     def test_p_out_of_range(self):
         data = make_dataset([(i, 0, 1, 1e5, 0.1, 0.1) for i in range(4)])
@@ -134,7 +186,7 @@ class TestSplit:
         data = make_dataset([(i, 0, 1, 1e5, 0.1, 0.1) for i in range(n)])
         train, test = split(data, p, seed)
         assert len(train) == int(round(p * n))
-        ids = sorted(s.x for s in train.samples + test.samples)
+        ids = sorted(np.concatenate([train.X[:, 0], test.X[:, 0]]))
         assert ids == [float(i) for i in range(n)]
 
 

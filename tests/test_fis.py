@@ -9,10 +9,9 @@ from hypothesis.extra.numpy import arrays
 from antfis.dataset import FeatureStage, Normalizer
 from antfis.fcm import FcmConfig, fcm_cluster
 from antfis.fis import (SIGMA_CAP, SIGMA_FLOOR, FisModel, decode_premise,
-                        design_matrix, encode_premise, firing_strengths,
-                        fit_consequents, fitness, init_from_fcm,
-                        log_firing_strengths, predict, predict_batch,
-                        row_basis, solve_consequents)
+                        design_matrix, encode_premise, fit_consequents,
+                        fitness, init_from_fcm, log_firing_strengths,
+                        predict_batch, row_basis, solve_consequents)
 from antfis.trainer import CENTER_BOUNDS, SIGMA_BOUNDS
 
 
@@ -28,6 +27,16 @@ def make_model(centers, sigmas, coeffs):
                     coeffs=np.asarray(coeffs, dtype=float),
                     stage=FeatureStage.from_arity(d),
                     normalizer=unit_normalizer(d))
+
+
+def firing_strengths(m, x):
+    """Raw rule activations at one point, from a 1-row batch log-firing."""
+    return np.exp(log_firing_strengths(m, row_basis([x])))[:, 0]
+
+
+def predict(m, x):
+    """Model output at one point, from a 1-row predict_batch."""
+    return float(predict_batch(m, [x])[0])
 
 
 class TestFiringStrengths:
@@ -62,8 +71,8 @@ class TestFiringStrengths:
 
     def test_arity_mismatch(self):
         m = make_model([[0.5, 0.5]], [[0.2, 0.2]], np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            firing_strengths(m, [0.5])
+        with pytest.raises(ValueError, match=r"expected \(n, 2\) features"):
+            predict(m, [0.5])
 
 
 class TestPredict:
@@ -96,7 +105,8 @@ class TestPredict:
         m = make_model([[0.0], [1.0]], [[SIGMA_FLOOR], [SIGMA_FLOOR]],
                        [[0.0, 1.0], [0.0, 2.0]])
         x = 0.4
-        assert np.exp(firing_strengths(m, [x])).max() == pytest.approx(1.0)
+        logw = log_firing_strengths(m, row_basis([[x]]))[:, 0]
+        assert np.exp(logw - logw.max()).max() == 1.0
         assert firing_strengths(m, [x]).max() == 0.0  # raw strengths underflow
         assert predict(m, [x]) == pytest.approx(1.0, abs=1e-9)
 
@@ -129,7 +139,7 @@ class TestPredict:
 
     def test_non_finite_rejected(self):
         m = make_model([[0.5]], [[0.3]], [[1.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             predict(m, [float("nan")])
 
 
@@ -299,14 +309,6 @@ class TestModelValidation:
             FisModel(centers=np.zeros((2, 2)), sigmas=np.full((2, 3), 0.1),
                      coeffs=np.zeros((2, 3)), stage=FeatureStage.XY2,
                      normalizer=unit_normalizer(2))
-
-    def test_rules_view(self):
-        m = make_model([[0.1, 0.2]], [[0.5, 0.6]], [[1.0, 2.0, 3.0]])
-        rules = m.rules
-        assert len(rules) == 1
-        assert rules[0].premise[1].center == 0.2
-        assert rules[0].premise[1].sigma == 0.6
-        assert rules[0].consequent == (1.0, 2.0, 3.0)
 
 
 # --- parity of the matrix-product form with the direct formula -----------

@@ -125,14 +125,14 @@ class TestGenerateDataset:
 
     def test_all_rows_inside_cylinder(self):
         data = generate_dataset(GEOM, PARAMS, 1500, seed=7)
-        for s in data.samples:
-            assert s.x**2 + s.y**2 <= GEOM.radius**2 * (1 + 1e-12)
-            assert 0.0 <= s.z <= GEOM.height
+        x, y, z = data.X[:, :3].T
+        assert (x**2 + y**2 <= GEOM.radius**2 * (1 + 1e-12)).all()
+        assert ((0.0 <= z) & (z <= GEOM.height)).all()
 
     def test_radial_density(self):
         # uniform sampling over the disc: P(r <= t) = t^2 / R^2
         data = generate_dataset(GEOM, PARAMS, 100_000, seed=11)
-        r = np.hypot([s.x for s in data.samples], [s.y for s in data.samples])
+        r = np.hypot(data.X[:, 0], data.X[:, 1])
         res = stats.kstest(r, lambda t: (t / GEOM.radius) ** 2)
         assert res.pvalue > 1e-4
 
@@ -145,13 +145,13 @@ class TestGenerateDataset:
     def test_noise_free_target_is_exact_field(self):
         params = PlumeParams(noise_sd=0.0)
         data = generate_dataset(GEOM, params, 200, seed=9)
-        for s in data.samples:
-            assert s.volume_fraction == pytest.approx(
-                holdup_at((s.x, s.y, s.z), GEOM, params), abs=1e-15)
-            assert s.pressure == pytest.approx(
-                pressure_at((s.x, s.y, s.z), GEOM, params), rel=1e-15)
-            assert s.superficial_velocity == pytest.approx(
-                velocity_at((s.x, s.y, s.z), GEOM, params), abs=1e-15)
+        for (x, y, z, pressure, velocity), vf in zip(data.X, data.y):
+            assert vf == pytest.approx(
+                holdup_at((x, y, z), GEOM, params), abs=1e-15)
+            assert pressure == pytest.approx(
+                pressure_at((x, y, z), GEOM, params), rel=1e-15)
+            assert velocity == pytest.approx(
+                velocity_at((x, y, z), GEOM, params), abs=1e-15)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):

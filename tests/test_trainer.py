@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antfis.aco import AcoConfig
-from antfis.dataset import DataSet, FeatureStage, Normalizer, Sample
+from antfis.dataset import DataSet, FeatureStage, Normalizer
 from antfis.errors import AntfisError, DataError
 from antfis.fcm import FcmConfig
 from antfis.fis import FisModel, predict_batch
@@ -31,6 +31,59 @@ def small_model(small_data):
     return train(small_data, quick_config(FeatureStage.XYZPV5))
 
 
+# A stage-1 model file in the v1 layout, which also carried the
+# `optimize_consequents` switch of a since-removed training mode.
+V1_MODEL = """antfis-model v1
+
+[config]
+p = 0.7
+stage = 1
+n_rules = 2
+seed = 3
+split_seed = none
+lam = 1e-06
+optimize_consequents = false
+fcm.m = 2.0
+fcm.tol = 1e-05
+fcm.max_iter = 200
+aco.n_ants = 6
+aco.archive_size = 10
+aco.q = 0.1
+aco.xi = 0.85
+aco.max_iter = 2
+
+[normalizer]
+features = x
+min = -0.125
+max = 0.125
+
+[rule 0]
+center = 0.25
+sigma = 0.2
+coeff = 0.5,0.1
+
+[rule 1]
+center = 0.75
+sigma = 0.3
+coeff = -0.25,0.2
+
+[report train]
+pearson_r = 0.9
+rmse = 0.01
+mae = 0.008
+n = 7
+
+[report test]
+pearson_r = 0.8
+rmse = 0.02
+mae = 0.015
+n = 3
+
+[convergence]
+rmse = 0.02,0.01
+"""
+
+
 class TestTrain:
     def test_planted_two_rule_fis_recovered(self):
         rng = np.random.default_rng(5)
@@ -43,9 +96,8 @@ class TestTrain:
             stage=FeatureStage.XY2,
             normalizer=Normalizer(("x", "y"), np.zeros(2), np.ones(2)))
         y = predict_batch(planted, X)
-        samples = tuple(Sample(float(X[i, 0]), float(X[i, 1]), 1.0, 1e5, 0.1,
-                               float(y[i])) for i in range(n))
-        data = DataSet(samples, FeatureStage.XY2)
+        cols = np.column_stack([X, np.tile([1.0, 1e5, 0.1], (n, 1))])
+        data = DataSet(cols, y, FeatureStage.XY2)
         config = TrainConfig(stage=FeatureStage.XY2, n_rules=2,
                              fcm=FcmConfig(c=2), seed=3)
         model = train(data, config)
@@ -86,7 +138,8 @@ class TestTrain:
     @pytest.mark.parametrize("n, p, flag", [(8, 0.7, "--rules"),
                                             (12, 0.95, "--p")])
     def test_too_small_shares_are_data_errors(self, small_data, n, p, flag):
-        data = DataSet(small_data.samples[:n], small_data.feature_stage)
+        data = DataSet(small_data.X[:n], small_data.y[:n],
+                       small_data.feature_stage)
         config = replace(quick_config(FeatureStage.XYZPV5, n_rules=10), p=p)
         with pytest.raises(DataError, match=flag):
             train(data, config)
@@ -97,16 +150,6 @@ class TestTrain:
         assert evaluate(small_model, train_ds) == small_model.train_report
         assert evaluate(small_model, test_ds) == small_model.test_report
 
-    def test_optimize_consequents_mode_runs(self, small_data):
-        config = TrainConfig(stage=FeatureStage.XY2, n_rules=2,
-                             fcm=FcmConfig(c=2),
-                             aco=AcoConfig(n_ants=6, archive_size=10,
-                                           max_iter=5),
-                             seed=3, optimize_consequents=True)
-        model = train(small_data.with_stage(FeatureStage.XY2), config)
-        assert np.isfinite(model.train_report.rmse)
-        assert len(model.convergence) == 5
-
 
 class TestEvaluate:
     def test_full_data_count(self, small_data, small_model):
@@ -114,8 +157,8 @@ class TestEvaluate:
         assert rep.n == len(small_data)
 
     def test_repeated_row_zero_variance(self, small_model):
-        s = Sample(0.01, 0.02, 1.0, 1.1e5, 0.05, 0.08)
-        ds = DataSet((s, s, s), FeatureStage.XYZPV5)
+        ds = DataSet(np.tile([0.01, 0.02, 1.0, 1.1e5, 0.05], (3, 1)),
+                     np.full(3, 0.08), FeatureStage.XYZPV5)
         with pytest.raises(DataError, match="zero-variance"):
             evaluate(small_model, ds)
 
@@ -181,7 +224,7 @@ class TestSweep:
         from antfis.dataset import split
         t1, _ = split(small_data.with_stage(FeatureStage.X1), base.p, seed)
         t2, _ = split(small_data.with_stage(FeatureStage.XY2), base.p, seed)
-        assert [s.x for s in t1.samples] == [s.x for s in t2.samples]
+        np.testing.assert_array_equal(t1.X, t2.X)
 
     def test_cell_failure_names_cell(self):
         tiny = generate_dataset(ReactorGeometry(), PlumeParams(), 8, seed=1)
@@ -239,6 +282,24 @@ class TestModelFile:
         path.write_text("\n".join(lines[:10]))
         with pytest.raises(DataError, match="invalid model file"):
             load_model(path)
+
+
+    def test_v1_file_loads_and_resaves_as_v2(self, tmp_path):
+        path = tmp_path / "v1.txt"
+        path.write_text(V1_MODEL)
+        model = load_model(path)
+        assert model.config.stage is FeatureStage.X1
+        assert model.config.aco.n_ants == 6
+        np.testing.assert_array_equal(model.fis.coeffs,
+                                      [[0.5, 0.1], [-0.25, 0.2]])
+        # raw x = 0 scales to 0.5, midway between the two rule centers
+        np.testing.assert_array_equal(predict_points(model, [[0.0]]),
+                                      predict_batch(model.fis, [[0.5]]))
+        again = tmp_path / "v2.txt"
+        save_model(model, again)
+        assert again.read_text() == V1_MODEL.replace(
+            "antfis-model v1", "antfis-model v2").replace(
+            "optimize_consequents = false\n", "")
 
 
 class TestTrainConfig:
