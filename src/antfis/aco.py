@@ -8,8 +8,12 @@ are reflected back into the box. After each iteration the archive keeps
 the best k of old plus new solutions, which forgets weak trails the way
 evaporation does.
 
-Every candidate draws from its own counter-based stream addressed by
-(seed, iteration, ant), so the trajectory is reproducible no matter how
+Every ant draws its guide uniform and kernel normals from its own
+counter-based stream addressed by (seed, iteration, ant); the draws of
+one iteration's ants are gathered into one block, row a for ant a, and
+turned into candidates with array operations. Kernel widths are computed
+only for the archive members chosen as guides. All candidates are drawn
+before any is evaluated, so the trajectory is reproducible no matter how
 fitness evaluations are parallelized.
 """
 
@@ -18,12 +22,13 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import NumericError
-from .rng import substream
+from .rng import substream, substreams
 
 logger = logging.getLogger(__name__)
 
@@ -101,31 +106,41 @@ def selection_cdf(weights: np.ndarray) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
-def kernel_widths(solutions: np.ndarray, xi: float,
-                  bounds: np.ndarray) -> np.ndarray:
-    """Kernel widths with each archive member as guide: (k, d).
+def kernel_widths(solutions: np.ndarray, xi: float, bounds: np.ndarray,
+                  guides: np.ndarray | None = None) -> np.ndarray:
+    """Kernel widths with the given archive members as guides: (g, d).
 
-    Row g is xi times the mean distance of the archive from member g,
-    coordinate by coordinate, floored relative to the box extent.
+    Row r is xi times the mean distance of the archive from member
+    guides[r], coordinate by coordinate, floored relative to the box
+    extent. Without `guides` every member is a guide, in rank order.
     """
     k = solutions.shape[0]
-    spread = np.abs(solutions[None, :, :] - solutions[:, None, :]).sum(axis=1)
+    centers = solutions if guides is None else solutions[guides]
+    spread = np.abs(solutions[None, :, :] - centers[:, None, :]).sum(axis=1)
     sd = xi * spread / (k - 1)
     return np.maximum(sd, _SD_FLOOR_REL * (bounds[:, 1] - bounds[:, 0]))
 
 
-def sample_candidate(solutions: np.ndarray, cdf: np.ndarray,
-                     widths: np.ndarray, bounds: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Draw one candidate from the archive's Gaussian kernel mixture.
+def sample_candidates(solutions: np.ndarray, cdf: np.ndarray, xi: float,
+                      bounds: np.ndarray,
+                      rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Draw one candidate per generator from the archive's kernel mixture.
 
-    `cdf` comes from selection_cdf and `widths` from kernel_widths of the
-    same archive, so one iteration's ants share them.
+    Each generator gives its ant one guide uniform, then d standard
+    normals; row a of the result belongs to the a-th generator. `cdf`
+    comes from selection_cdf of the same archive. Guides are chosen with
+    one searchsorted, kernel widths are computed only for the guides
+    that were chosen, and all candidates are reflected in one call.
     """
-    guide = min(int(np.searchsorted(cdf, rng.random(), side="right")),
-                len(cdf) - 1)
-    s_g = solutions[guide]
-    return _reflect(s_g + widths[guide] * rng.standard_normal(s_g.shape[0]),
+    d = solutions.shape[1]
+    u, z = [], []
+    for rng in rngs:
+        u.append(rng.random())
+        z.append(rng.standard_normal(d))
+    guides = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    chosen, slot = np.unique(guides, return_inverse=True)
+    widths = kernel_widths(solutions, xi, bounds, chosen)[slot]
+    return _reflect(solutions[guides] + widths * np.array(z),
                     bounds[:, 0], bounds[:, 1])
 
 
@@ -162,10 +177,11 @@ def optimize(objective: Callable[[np.ndarray], float], dims: int,
     objective may return +inf to flag an invalid vector; NaN candidates
     are dropped. Raises NumericError if no initial point evaluates finite.
 
-    n_workers > 1 evaluates each iteration's candidates in a thread pool;
-    results are identical to the sequential run because candidates are
-    drawn from per-(iteration, ant) counter-based streams before any
-    evaluation starts.
+    n_workers > 1 evaluates each batch of candidates in one thread pool
+    that lives for the whole call; results are identical to the
+    sequential run because each iteration's candidates are drawn from
+    per-(iteration, ant) counter-based streams before any of them is
+    evaluated.
     """
     if config.bounds is None:
         raise ValueError("optimize: config.bounds must be set")
@@ -173,19 +189,24 @@ def optimize(objective: Callable[[np.ndarray], float], dims: int,
     if bounds.shape != (dims, 2):
         raise ValueError(f"optimize: expected {dims} bounds pairs, "
                          f"got shape {bounds.shape}")
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return _search(partial(pool.map, objective), bounds, config,
+                           initial_guesses)
+    return _search(partial(map, objective), bounds, config, initial_guesses)
+
+
+def _search(evaluate_all: Callable, bounds: np.ndarray, config: AcoConfig,
+            initial_guesses: Sequence[np.ndarray]) -> OptResult:
+    """optimize's archive search; `evaluate_all` maps the objective over
+    the rows of a batch."""
+    def evaluate(batch: np.ndarray) -> np.ndarray:
+        return np.fromiter(evaluate_all(batch), dtype=float, count=len(batch))
+
     k = config.archive_size
     lo, hi = bounds[:, 0], bounds[:, 1]
-
-    def evaluate(batch: np.ndarray) -> np.ndarray:
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                values = list(pool.map(objective, batch))
-        else:
-            values = [objective(v) for v in batch]
-        return np.asarray(values, dtype=float)
-
     init_rng = substream(config.seed, _INIT_STREAM)
-    solutions = lo + (hi - lo) * init_rng.random((k, dims))
+    solutions = lo + (hi - lo) * init_rng.random((k, len(bounds)))
     for i, guess in enumerate(initial_guesses[:k]):
         solutions[i] = np.clip(np.asarray(guess, dtype=float), lo, hi)
     objectives = evaluate(solutions)
@@ -202,12 +223,9 @@ def optimize(objective: Callable[[np.ndarray], float], dims: int,
     cdf = selection_cdf(archive.weights)
     history = np.empty(config.max_iter)
     for it in range(config.max_iter):
-        widths = kernel_widths(archive.solutions, config.xi, bounds)
-        candidates = np.array([
-            sample_candidate(archive.solutions, cdf, widths, bounds,
-                             substream(config.seed, _ANT_STREAM, it, ant))
-            for ant in range(config.n_ants)
-        ])
+        candidates = sample_candidates(
+            archive.solutions, cdf, config.xi, bounds,
+            substreams(config.seed, _ANT_STREAM, it, count=config.n_ants))
         archive = update_archive(archive, candidates, evaluate(candidates))
         evaluations += config.n_ants
         history[it] = archive.objectives[0]

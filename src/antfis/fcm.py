@@ -45,24 +45,39 @@ class FcmResult:
     objective_history: np.ndarray  # J after each completed iteration
 
 
-def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - centers[None, :, :]
-    return np.einsum("ncd,ncd->nc", diff, diff)
+def _sq_distances(Xt: np.ndarray, centers: np.ndarray, out: np.ndarray,
+                  buf: np.ndarray) -> np.ndarray:
+    """Squared distance of every row to every center into `out`: (c, n).
+
+    `Xt` is the (d, n) data; the sum runs feature by feature over
+    contiguous rows, using `buf` for each feature's squared difference.
+    """
+    np.subtract(Xt[0], centers[:, :1], out=out)
+    np.square(out, out=out)
+    for j in range(1, Xt.shape[0]):
+        np.subtract(Xt[j], centers[:, j:j + 1], out=buf)
+        np.square(buf, out=buf)
+        out += buf
+    return out
 
 
-def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
-    # Coincident (or near-coincident to overflow) point/center pairs make
-    # inv non-finite; those rows become a deterministic one-hot on the
-    # first nearest center, removing the division singularity.
+def _memberships_from_distances(d2: np.ndarray, m: float,
+                                out: np.ndarray) -> np.ndarray:
+    """Memberships (c, n) from squared distances, written into `out`."""
+    # A point on (or so near that 1/d2 overflows) a center makes its
+    # column's inverse distances non-summable; such columns become a
+    # deterministic one-hot on the first nearest center, removing the
+    # division singularity.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = d2 ** (-1.0 / (m - 1.0))
-        U = inv / inv.sum(axis=1, keepdims=True)
-    bad = ~np.isfinite(U).all(axis=1)
+        np.power(d2, -1.0 / (m - 1.0), out=out)
+        total = out.sum(axis=0)
+        out /= total
+    bad = ~np.isfinite(total) | (total == 0.0)
     if bad.any():
-        rows = np.flatnonzero(bad)
-        U[rows] = 0.0
-        U[rows, d2[rows].argmin(axis=1)] = 1.0
-    return U
+        cols = np.flatnonzero(bad)
+        out[:, cols] = 0.0
+        out[d2[:, cols].argmin(axis=0), cols] = 1.0
+    return out
 
 
 def fcm_cluster(data: np.ndarray, config: FcmConfig) -> FcmResult:
@@ -70,45 +85,52 @@ def fcm_cluster(data: np.ndarray, config: FcmConfig) -> FcmResult:
 
     Expects data roughly scaled to [0, 1]. Raises ValueError when there
     are fewer points than clusters or the data contains non-finite values.
+
+    The loop works in a clusters x rows layout: memberships, their m-th
+    powers W and squared distances are (c, n) arrays made once per call,
+    the data is read as (d, n) rows, and every reduction over the points
+    runs along contiguous rows. W is computed once per iteration and
+    serves both J and the next centers.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("fcm: data must be a 2-d (n, d) array")
     n, _ = X.shape
-    if n < config.c:
-        raise ValueError(f"fcm: need at least c={config.c} points, got {n}")
+    c = config.c
+    if n < c:
+        raise ValueError(f"fcm: need at least c={c} points, got {n}")
     if not np.isfinite(X).all():
         raise ValueError("fcm: data contains non-finite values")
 
     rng = np.random.default_rng(config.seed)
-    U = rng.random((n, config.c))
-    U /= U.sum(axis=1, keepdims=True)
+    U = np.ascontiguousarray(rng.random((n, c)).T)
+    U /= U.sum(axis=0)
 
     m = config.m
-    centers = np.empty((config.c, X.shape[1]))
-    centers_known = False
+    Xt = np.ascontiguousarray(X.T)
+    W = np.power(U, m)
+    d2 = np.empty_like(U)
+    buf = np.empty_like(U)
+    # An empty cluster keeps its previous center; on the first pass it
+    # takes the data mean.
+    centers = np.broadcast_to(X.mean(axis=0), (c, X.shape[1]))
     history = []
     prev_j = np.inf
-    iterations = 0
     for _ in range(config.max_iter):
-        W = U ** m
-        col = W.sum(axis=0)
-        new_centers = np.where(col[:, None] > 0.0,
-                               (W.T @ X) / np.maximum(col[:, None], 1e-300),
-                               centers if centers_known else X.mean(axis=0))
-        centers = new_centers
-        centers_known = True
-        d2 = _sq_distances(X, centers)
-        U = _memberships_from_distances(d2, m)
-        j = float(np.sum((U ** m) * d2))
+        col = W.sum(axis=1)[:, None]
+        centers = np.where(col > 0.0, (W @ X) / np.maximum(col, 1e-300),
+                           centers)
+        _sq_distances(Xt, centers, d2, buf)
+        _memberships_from_distances(d2, m, U)
+        np.power(U, m, out=W)
+        j = float(np.multiply(W, d2, out=buf).sum())
         history.append(j)
-        iterations += 1
         if prev_j - j < config.tol:
             break
         prev_j = j
 
-    return FcmResult(centers=centers, memberships=U, objective=history[-1],
-                     iterations=iterations,
+    return FcmResult(centers=centers, memberships=np.ascontiguousarray(U.T),
+                     objective=history[-1], iterations=len(history),
                      objective_history=np.array(history))
 
 
@@ -124,4 +146,6 @@ def fcm_objective(data: np.ndarray, centers: np.ndarray,
             or X.shape[1] != V.shape[1]:
         raise ValueError("fcm_objective: dimension mismatch between "
                          f"data {X.shape}, centers {V.shape}, memberships {U.shape}")
-    return float(np.sum((U ** m) * _sq_distances(X, V)))
+    d2 = np.empty((V.shape[0], X.shape[0]))
+    _sq_distances(np.ascontiguousarray(X.T), V, d2, np.empty_like(d2))
+    return float(np.sum((U.T ** m) * d2))

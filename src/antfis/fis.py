@@ -83,28 +83,30 @@ def row_basis(X) -> np.ndarray:
     return basis
 
 
-def log_firing_strengths(model: FisModel, basis: np.ndarray) -> np.ndarray:
+def log_firing_strengths(centers: np.ndarray, sigmas: np.ndarray,
+                         basis: np.ndarray) -> np.ndarray:
     """log w for every rule and row: (c, n), as one matrix product.
 
     With S = 1/sigma^2, log w_i = -0.5 sum_j ((x_j - c_ij)/s_ij)^2 expands
     to row i of P = [-S/2, C*S, -sum_j C^2*S / 2] times the basis column
     [x^2, x, 1] of each row.
     """
-    S = 1.0 / (model.sigmas * model.sigmas)
-    CS = model.centers * S
-    const = -0.5 * (CS * model.centers).sum(axis=1, keepdims=True)
+    S = 1.0 / (sigmas * sigmas)
+    CS = centers * S
+    const = -0.5 * (CS * centers).sum(axis=1, keepdims=True)
     P = np.concatenate([-0.5 * S, CS, const], axis=1)
     return P @ basis
 
 
-def normalized_firing(model: FisModel, basis: np.ndarray) -> np.ndarray:
+def normalized_firing(centers: np.ndarray, sigmas: np.ndarray,
+                      basis: np.ndarray) -> np.ndarray:
     """Normalized strengths w_i / sum_j w_j per sample: (c, n).
 
     Stable under underflow: the log-domain shift by each sample's maximum
     keeps the dominant rule's weight at exp(0) = 1, so the denominator
     never rounds to zero.
     """
-    w = log_firing_strengths(model, basis)
+    w = log_firing_strengths(centers, sigmas, basis)
     w -= w.max(axis=0)
     np.exp(w, out=w)
     total = w.sum(axis=0)
@@ -114,11 +116,12 @@ def normalized_firing(model: FisModel, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _regressors(model: FisModel, basis: np.ndarray) -> np.ndarray:
+def _regressors(centers: np.ndarray, sigmas: np.ndarray,
+                basis: np.ndarray) -> np.ndarray:
     """Transposed design matrix (c*(d+1), n); row i*(d+1)+j = wbar_i*(x,1)_j."""
-    wbar = normalized_firing(model, basis)
+    wbar = normalized_firing(centers, sigmas, basis)
     c, n = wbar.shape
-    Xa = basis[model.n_features:]
+    Xa = basis[centers.shape[1]:]
     return (wbar[:, None, :] * Xa[None]).reshape(c * Xa.shape[0], n)
 
 
@@ -131,7 +134,7 @@ def predict_batch(model: FisModel, X) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("predict: non-finite feature value")
     basis = row_basis(X)
-    w = normalized_firing(model, basis)
+    w = normalized_firing(model.centers, model.sigmas, basis)
     w *= model.coeffs @ basis[model.n_features:]  # rule outputs, (c, n)
     return w.sum(axis=0)
 
@@ -143,7 +146,7 @@ def design_matrix(model: FisModel, X: np.ndarray) -> np.ndarray:
     so design @ coeffs.ravel() equals the model prediction at X. The
     result is a transposed view of the rules x rows array.
     """
-    return _regressors(model, row_basis(X)).T
+    return _regressors(model.centers, model.sigmas, row_basis(X)).T
 
 
 def solve_consequents(A: np.ndarray, y: np.ndarray,
@@ -166,26 +169,30 @@ def solve_consequents(A: np.ndarray, y: np.ndarray,
     return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
-def fitness(model: FisModel, basis: np.ndarray, y: np.ndarray,
+def fitness(centers: np.ndarray, sigmas: np.ndarray, basis: np.ndarray,
+            y: np.ndarray,
             lam: float = DEFAULT_DAMPING) -> tuple[np.ndarray, float]:
     """Damped least-squares consequents under fixed premises, and their RMSE.
 
-    `basis` is row_basis of the rows y belongs to. Returns the (c, d+1)
-    consequents and the root-mean-square residual they leave. This is
-    the one fitness path: the optimizer's objective, the final refit,
-    fit_consequents and init_from_fcm all go through it.
+    `centers` and `sigmas` are (c, d) premise arrays and `basis` is
+    row_basis of the rows y belongs to. Returns the (c, d+1) consequents
+    and the root-mean-square residual they leave. This is the one fitness
+    path: the optimizer's objective, the final refit, fit_consequents and
+    init_from_fcm all go through it.
     """
-    At = _regressors(model, basis)
+    At = _regressors(centers, sigmas, basis)
     theta = solve_consequents(At.T, y, lam)
     resid = theta @ At - y
-    return (theta.reshape(model.n_rules, model.n_features + 1),
+    c, d = centers.shape
+    return (theta.reshape(c, d + 1),
             float(np.sqrt(np.mean(resid * resid))))
 
 
 def fit_consequents(model: FisModel, X: np.ndarray, y: np.ndarray,
                     lam: float = DEFAULT_DAMPING) -> FisModel:
     """Refit the affine consequents by damped least squares, premises fixed."""
-    coeffs, _ = fitness(model, row_basis(X), np.asarray(y, dtype=float), lam)
+    coeffs, _ = fitness(model.centers, model.sigmas, row_basis(X),
+                        np.asarray(y, dtype=float), lam)
     return replace(model, coeffs=coeffs)
 
 
@@ -226,6 +233,26 @@ def encode_premise(model: FisModel) -> np.ndarray:
     return packed.ravel()
 
 
+def premise_arrays(vector: np.ndarray, n_rules: int,
+                   n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, sigmas) of an encoded premise vector, each (c, d).
+
+    Sigmas are clamped to [SIGMA_FLOOR, SIGMA_CAP]. Raises ValueError on
+    a wrong length or non-finite parameters, as FisModel does, without
+    building a model: the optimizer's objective calls it per evaluation.
+    """
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape != (2 * n_rules * n_features,):
+        raise ValueError(f"fis: expected a premise vector of length "
+                         f"{2 * n_rules * n_features}, got {vector.shape}")
+    packed = vector.reshape(n_rules, n_features, 2)
+    centers = packed[:, :, 0].copy()
+    sigmas = np.clip(packed[:, :, 1], SIGMA_FLOOR, SIGMA_CAP)
+    if not (np.isfinite(centers).all() and np.isfinite(sigmas).all()):
+        raise ValueError("fis: parameters must be finite")
+    return centers, sigmas
+
+
 def decode_premise(vector: np.ndarray, template: FisModel) -> FisModel:
     """Rebuild a model from an encoded premise vector.
 
@@ -233,11 +260,6 @@ def decode_premise(vector: np.ndarray, template: FisModel) -> FisModel:
     and normalizer are carried over from the template. Inverse of
     encode_premise on the clamped domain.
     """
-    vector = np.asarray(vector, dtype=float)
-    c, d = template.n_rules, template.n_features
-    if vector.shape != (2 * c * d,):
-        raise ValueError(f"decode_premise: expected length {2 * c * d}, "
-                         f"got {vector.shape}")
-    packed = vector.reshape(c, d, 2)
-    sigmas = np.clip(packed[:, :, 1], SIGMA_FLOOR, SIGMA_CAP)
-    return replace(template, centers=packed[:, :, 0].copy(), sigmas=sigmas)
+    centers, sigmas = premise_arrays(vector, template.n_rules,
+                                     template.n_features)
+    return replace(template, centers=centers, sigmas=sigmas)

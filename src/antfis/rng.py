@@ -8,6 +8,8 @@ or in parallel.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -38,3 +40,25 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Counter-based generator addressed by (seed, path) coordinates."""
     key = np.array([seed & _MASK64, mix_seed(seed, *path)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def substreams(seed: int, *path: int,
+               count: int) -> Iterator[np.random.Generator]:
+    """substream(seed, *path, i) for i = 0 .. count-1, in turn.
+
+    One Philox generator is re-keyed for each i instead of building count
+    of them, which costs several times more. A yielded generator is
+    therefore only valid until the next one is requested: draw from it
+    before advancing the iterator.
+    """
+    prefix = mix_seed(seed, *path)
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed below
+    for i in range(count):
+        key = [seed & _MASK64, splitmix64(prefix ^ (i & _MASK64))]
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array(key, dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        yield rng

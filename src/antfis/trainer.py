@@ -3,7 +3,9 @@
 A run is: split -> fit scaler on the training share -> fuzzy c-means in
 the scaled feature space -> seed the rule base -> ant colony search over
 the encoded premise vector, refitting consequents at every fitness
-evaluation -> final refit and evaluation on both partitions.
+evaluation -> final refit and evaluation on both partitions. The search
+objective (premise_objective) works on premise arrays; a FisModel is
+built only for the seed rule base and the final best vector.
 
 Every stochastic stage draws from a child seed derived from the master
 seed via SplitMix64 mixing, so a (dataset, config) pair fully determines
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -103,21 +106,49 @@ def _premise_bounds(n_rules: int, n_features: int) -> tuple[tuple[float, float],
                  for i in range(2 * n_rules * n_features))
 
 
-def _report(model: fis.FisModel, data: DataSet) -> EvalReport:
+def premise_objective(template: fis.FisModel, X: np.ndarray, y: np.ndarray,
+                      lam: float) -> Callable[[np.ndarray], float]:
+    """The optimizer's objective: training RMSE of an encoded premise
+    vector, with consequents refit by damped least squares.
+
+    Each call unpacks the vector into premise arrays and scores them on
+    the one fitness path; no FisModel is built per evaluation.
+    """
+    basis = fis.row_basis(X)
+    c, d = template.n_rules, template.n_features
+
+    def objective(v: np.ndarray) -> float:
+        centers, sigmas = fis.premise_arrays(v, c, d)
+        return fis.fitness(centers, sigmas, basis, y, lam)[1]
+    return objective
+
+
+def _report(model: fis.FisModel, data: DataSet, caller: str,
+            rows: str) -> EvalReport:
     """Evaluate with the stored scaler; predictions are clamped to [0, 1]
-    at this reporting layer only."""
+    at this reporting layer only.
+
+    R is undefined when either side is constant; the DataError names
+    that side, the caller and the rows (`rows`) it was evaluated on.
+    """
     Xn = model.normalizer.transform(data.features())
     preds = np.clip(fis.predict_batch(model, Xn), 0.0, 1.0)
-    return eval_metrics(preds, data.targets())
+    targets = data.targets()
+    for side, values in (("targets", targets),
+                         ("clamped predictions", preds)):
+        if values.min() == values.max():
+            raise DataError(f"{caller}: the {side} on the {rows} are all "
+                            "equal (zero-variance), so R is undefined")
+    return eval_metrics(preds, targets)
 
 
 def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedModel:
     """Run the full pipeline on `data` and return the trained model.
 
-    The optimizer minimizes training RMSE of the decoded model, with
-    consequents refit by damped least squares. The rule base seeded from
-    clustering joins the initial archive so the search starts no worse
-    than the clustering baseline.
+    The optimizer minimizes premise_objective: training RMSE of the
+    premise vector, with consequents refit by damped least squares. The
+    rule base seeded from clustering joins the initial archive so the
+    search starts no worse than the clustering baseline.
     """
     if data.feature_stage != config.stage:
         raise ValueError(f"train: data stage {data.feature_stage.n_features} "
@@ -145,12 +176,7 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
                                  lam=config.lam)
 
     bounds = _premise_bounds(config.n_rules, config.stage.n_features)
-    basis = fis.row_basis(Xtr)
-
-    def objective(v: np.ndarray) -> float:
-        return fis.fitness(fis.decode_premise(v, template), basis, ytr,
-                           config.lam)[1]
-
+    objective = premise_objective(template, Xtr, ytr, config.lam)
     aco_cfg = replace(config.aco, seed=mix_seed(config.seed, _ACO_STREAM),
                       bounds=bounds)
     result = optimize(objective, len(bounds), aco_cfg,
@@ -160,8 +186,10 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
         fis.decode_premise(result.best_vector, template), Xtr, ytr, config.lam)
 
     return TrainedModel(fis=best, config=config,
-                        train_report=_report(best, train_ds),
-                        test_report=_report(best, test_ds),
+                        train_report=_report(best, train_ds, "train",
+                                             "training share"),
+                        test_report=_report(best, test_ds, "train",
+                                            "test share"),
                         convergence=result.history)
 
 
@@ -183,7 +211,7 @@ def evaluate(model: TrainedModel, data: DataSet) -> EvalReport:
         raise ValueError(f"evaluate: data stage {data.feature_stage.n_features} "
                          f"!= model stage {model.config.stage.n_features}")
     _require_rows(data, "evaluate")
-    return _report(model.fis, data)
+    return _report(model.fis, data, "evaluate", "--data rows")
 
 
 def predict_points(model: TrainedModel, points) -> np.ndarray:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antfis.aco import (AcoConfig, OptResult, SolutionArchive, kernel_widths,
-                        optimize, rank_weights, sample_candidate,
-                        selection_cdf, update_archive)
+from antfis.aco import (_ANT_STREAM, _INIT_STREAM, AcoConfig, OptResult,
+                        SolutionArchive, kernel_widths, optimize,
+                        rank_weights, sample_candidates, selection_cdf,
+                        update_archive)
 from antfis.errors import NumericError
-from antfis.rng import mix_seed, substream
+from antfis.rng import mix_seed, substream, substreams
 
 
 def make_archive(solutions, objectives, q=0.1):
@@ -22,10 +23,10 @@ def make_archive(solutions, objectives, q=0.1):
 
 
 def draw(archive, xi, bounds, rng):
-    """One candidate, with the per-iteration CDF and widths built here."""
-    return sample_candidate(archive.solutions, selection_cdf(archive.weights),
-                            kernel_widths(archive.solutions, xi, bounds),
-                            bounds, rng)
+    """One candidate: the only row of a one-ant draw block."""
+    return sample_candidates(archive.solutions,
+                             selection_cdf(archive.weights), xi, bounds,
+                             [rng])[0]
 
 
 def sphere(x):
@@ -119,6 +120,42 @@ class TestSampleCandidate:
             assert np.array_equal(widths[g], sd)
 
 
+    @given(seed=st.integers(0, 10_000), k=st.integers(2, 30),
+           d=st.integers(1, 40), g=st.integers(1, 40),
+           xi=st.floats(0.01, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_chosen_guide_widths_match_kernel_widths(self, seed, k, d, g, xi):
+        # the sampler computes widths only for the guides its ants chose;
+        # each row must carry the bits of that guide's full-archive row
+        rng = np.random.default_rng(seed)
+        sols = rng.uniform(-3.0, 3.0, (k, d))
+        sols[rng.random((k, d)) < 0.2] = 0.5
+        bounds = np.column_stack([np.full(d, -3.0), np.full(d, 3.0)])
+        guides = np.unique(rng.integers(0, k, g))
+        assert np.array_equal(kernel_widths(sols, xi, bounds, guides),
+                              kernel_widths(sols, xi, bounds)[guides])
+
+    @given(seed=st.integers(0, 10_000), it=st.integers(0, 500),
+           n_ants=st.integers(1, 30), d=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_row_a_is_ant_a(self, seed, it, n_ants, d):
+        # row a is the one-ant draw from the a-th generator: its guide
+        # uniform picks the guide, its normals scale that guide's widths
+        rng = np.random.default_rng(seed)
+        k = 7
+        arch = make_archive(rng.uniform(-1.0, 1.0, (k, d)), rng.random(k))
+        bounds = np.array([[-1.0, 1.0]] * d)
+        cdf = selection_cdf(arch.weights)
+        got = sample_candidates(arch.solutions, cdf, 0.85, bounds,
+                                substreams(seed, _ANT_STREAM, it,
+                                           count=n_ants))
+        assert got.shape == (n_ants, d)
+        for a in range(n_ants):
+            ant = substream(seed, _ANT_STREAM, it, a)
+            np.testing.assert_array_equal(got[a], draw(arch, 0.85, bounds,
+                                                       ant))
+
+
 class TestUpdateArchive:
     def test_all_worse_leaves_archive_unchanged(self):
         arch = make_archive(np.arange(8.0)[:, None], np.arange(8.0))
@@ -198,6 +235,46 @@ class TestOptimize:
         b = optimize(sphere, 4, self.config(4, max_iter=30), n_workers=8)
         np.testing.assert_array_equal(a.best_vector, b.best_vector)
         np.testing.assert_array_equal(a.history, b.history)
+
+    def test_ant_draws_addressed_by_seed_iteration_ant(self):
+        # replaying the archive from the recorded evaluations, ant a of
+        # iteration it draws from the stream (seed, it, a) alone
+        cfg = self.config(3, max_iter=6, n_ants=5, archive_size=8)
+        seen = []
+
+        def recording(v):
+            seen.append(v.copy())
+            return sphere(v)
+
+        optimize(recording, 3, cfg)
+        bounds = np.asarray(cfg.bounds)
+        k, n = cfg.archive_size, cfg.n_ants
+        init = substream(cfg.seed, _INIT_STREAM).random((k, 3))
+        np.testing.assert_array_equal(seen[:k], -1.0 + 2.0 * init)
+        arch = make_archive(seen[:k], [sphere(v) for v in seen[:k]], cfg.q)
+        cdf = selection_cdf(arch.weights)
+        for it in range(cfg.max_iter):
+            ants = [substream(cfg.seed, _ANT_STREAM, it, a) for a in range(n)]
+            want = sample_candidates(arch.solutions, cdf, cfg.xi, bounds,
+                                     ants)
+            np.testing.assert_array_equal(seen[k + it * n:k + (it + 1) * n],
+                                          want)
+            arch = update_archive(arch, want, [sphere(v) for v in want])
+
+    def test_one_thread_pool_per_call(self, monkeypatch):
+        import antfis.aco as aco_module
+        pools = []
+
+        class CountingPool(aco_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(aco_module, "ThreadPoolExecutor", CountingPool)
+        optimize(sphere, 4, self.config(4, max_iter=12), n_workers=2)
+        assert len(pools) == 1
+        optimize(sphere, 4, self.config(4, max_iter=12), n_workers=1)
+        assert len(pools) == 1
 
     def test_elitism_best_ever_retained(self):
         seen = []
@@ -280,3 +357,19 @@ class TestRngHelpers:
         c = substream(7, 3, 5).random(5)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @given(seed=st.integers(0, 2**64 - 1), it=st.integers(0, 10**6),
+           count=st.integers(0, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_substreams_are_the_substreams(self, seed, it, count):
+        # the re-keyed generator draws what a fresh substream draws,
+        # whatever the previous key left in its buffer
+        drawn = 0
+        for i, rng in enumerate(substreams(seed, 1, it, count=count)):
+            want = substream(seed, 1, it, i)
+            assert rng.random() == want.random()
+            np.testing.assert_array_equal(rng.standard_normal(7),
+                                          want.standard_normal(7))
+            rng.integers(0, 2**31, dtype=np.uint32)  # leave a half word
+            drawn += 1
+        assert drawn == count

@@ -153,6 +153,18 @@ class TestEval:
         assert code == 2
         assert "--data" in err
 
+    def test_constant_targets_exit_2_naming_side(self, capsys, tmp_path,
+                                                 data_csv, model_file):
+        lines = data_csv.read_text().splitlines()
+        flat = tmp_path / "flat.csv"
+        flat.write_text("\n".join([lines[0]] + [
+            line.rpartition(",")[0] + ",0.08" for line in lines[1:]]) + "\n")
+        code, _, err = invoke(capsys, "eval", "--model", str(model_file),
+                              "--data", str(flat))
+        assert code == 2
+        assert "targets on the --data rows" in err
+        assert "eval_metrics" not in err
+
     def test_corrupt_model(self, capsys, tmp_path, data_csv):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a model\n")

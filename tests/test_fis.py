@@ -31,7 +31,8 @@ def make_model(centers, sigmas, coeffs):
 
 def firing_strengths(m, x):
     """Raw rule activations at one point, from a 1-row batch log-firing."""
-    return np.exp(log_firing_strengths(m, row_basis([x])))[:, 0]
+    return np.exp(log_firing_strengths(m.centers, m.sigmas,
+                                       row_basis([x])))[:, 0]
 
 
 def predict(m, x):
@@ -105,7 +106,8 @@ class TestPredict:
         m = make_model([[0.0], [1.0]], [[SIGMA_FLOOR], [SIGMA_FLOOR]],
                        [[0.0, 1.0], [0.0, 2.0]])
         x = 0.4
-        logw = log_firing_strengths(m, row_basis([[x]]))[:, 0]
+        logw = log_firing_strengths(m.centers, m.sigmas,
+                                    row_basis([[x]]))[:, 0]
         assert np.exp(logw - logw.max()).max() == 1.0
         assert firing_strengths(m, [x]).max() == 0.0  # raw strengths underflow
         assert predict(m, [x]) == pytest.approx(1.0, abs=1e-9)
@@ -370,7 +372,7 @@ class TestMatrixProductParity:
     @settings(max_examples=150, deadline=None)
     def test_log_firing(self, case):
         m, X = case
-        got = log_firing_strengths(m, row_basis(X)).T
+        got = log_firing_strengths(m.centers, m.sigmas, row_basis(X)).T
         want = oracle_log_firing(m, X)
         assert (np.abs(got - want) <= log_firing_tolerance(m, X)).all()
 
@@ -390,7 +392,7 @@ class TestMatrixProductParity:
     def test_objective_rmse(self, case):
         m, X = case
         y = np.sin(3.0 * X[:, 0]) + X[:, -1] ** 2
-        _, rmse = fitness(m, row_basis(X), y, 1e-6)
+        _, rmse = fitness(m.centers, m.sigmas, row_basis(X), y, 1e-6)
         assert abs(rmse - oracle_rmse(m, X, y, 1e-6)) <= 1e-9
 
     @given(case=premises_and_rows())
@@ -400,7 +402,7 @@ class TestMatrixProductParity:
         # refit model's RMSE through the prediction path
         m, X = case
         y = np.cos(2.0 * X[:, -1])
-        coeffs, rmse = fitness(m, row_basis(X), y)
+        coeffs, rmse = fitness(m.centers, m.sigmas, row_basis(X), y)
         refit = fit_consequents(m, X, y)
         np.testing.assert_array_equal(coeffs, refit.coeffs)
         resid = predict_batch(refit, X) - y

@@ -2,15 +2,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antfis.aco import AcoConfig
 from antfis.dataset import DataSet, FeatureStage, Normalizer
 from antfis.errors import AntfisError, DataError
 from antfis.fcm import FcmConfig
-from antfis.fis import FisModel, predict_batch
+from antfis.fis import (SIGMA_CAP, SIGMA_FLOOR, FisModel, decode_premise,
+                        fitness, predict_batch, row_basis)
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
-from antfis.trainer import (TrainConfig, evaluate, load_model, predict_points,
-                            save_model, sweep, train, training_partitions)
+from antfis.trainer import (CENTER_BOUNDS, SIGMA_BOUNDS, TrainConfig,
+                            evaluate, load_model, predict_points,
+                            premise_objective, save_model, sweep, train,
+                            training_partitions)
 
 
 def quick_config(stage, seed=3, n_rules=3, iters=5, ants=6):
@@ -151,6 +156,52 @@ class TestTrain:
         assert evaluate(small_model, test_ds) == small_model.test_report
 
 
+class TestPremiseObjective:
+    @staticmethod
+    def case(seed, c=3, d=2, n=40):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d))
+        y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
+        template = FisModel(
+            centers=rng.random((c, d)), sigmas=0.1 + 0.5 * rng.random((c, d)),
+            coeffs=np.zeros((c, d + 1)), stage=FeatureStage.XY2,
+            normalizer=Normalizer(("x", "y"), np.zeros(2), np.ones(2)))
+        packed = np.empty((c, d, 2))
+        packed[:, :, 0] = rng.uniform(*CENTER_BOUNDS, (c, d))
+        packed[:, :, 1] = rng.uniform(*SIGMA_BOUNDS, (c, d))
+        return X, y, template, packed
+
+    @given(seed=st.integers(0, 10_000),
+           clamp=st.sampled_from([None, "floor", "cap"]))
+    @settings(max_examples=60, deadline=None)
+    def test_rmse_equals_fitness_of_decoded_model(self, seed, clamp):
+        X, y, template, packed = self.case(seed)
+        if clamp == "floor":
+            packed[0, :, 1] = [0.0, SIGMA_FLOOR / 2]
+            packed[2, 1, 1] = -1.0
+        elif clamp == "cap":
+            packed[1, :, 1] = [SIGMA_CAP * 3, np.inf]
+        v = packed.ravel()
+        m = decode_premise(v, template)
+        assert premise_objective(template, X, y, 1e-6)(v) == fitness(
+            m.centers, m.sigmas, row_basis(X), y, 1e-6)[1]
+
+    def test_non_finite_vector_raises(self):
+        X, y, template, packed = self.case(0)
+        objective = premise_objective(template, X, y, 1e-6)
+        for bad in (np.nan, np.inf):
+            v = packed.ravel().copy()
+            v[2] = bad  # a center
+            with pytest.raises(ValueError, match="finite"):
+                objective(v)
+            with pytest.raises(ValueError, match="finite"):
+                decode_premise(v, template)
+        v = packed.ravel().copy()
+        v[1] = np.nan  # a sigma
+        with pytest.raises(ValueError, match="finite"):
+            objective(v)
+
+
 class TestEvaluate:
     def test_full_data_count(self, small_data, small_model):
         rep = evaluate(small_model, small_data)
@@ -161,6 +212,28 @@ class TestEvaluate:
                      np.full(3, 0.08), FeatureStage.XYZPV5)
         with pytest.raises(DataError, match="zero-variance"):
             evaluate(small_model, ds)
+
+    @pytest.mark.parametrize("constant, side", [
+        ("features", "clamped predictions"), ("targets", "targets")])
+    def test_zero_variance_names_side_and_rows(self, small_data, small_model,
+                                               constant, side):
+        X, y = small_data.X[:20].copy(), small_data.y[:20].copy()
+        if constant == "features":
+            X[:] = X[0]
+        else:
+            y[:] = 0.08
+        ds = DataSet(X, y, FeatureStage.XYZPV5)
+        with pytest.raises(DataError, match="zero-variance") as info:
+            evaluate(small_model, ds)
+        assert f"the {side} on the --data rows" in str(info.value)
+        assert "eval_metrics" not in str(info.value)
+
+    def test_constant_training_targets_name_the_share(self, small_data):
+        data = DataSet(small_data.X, np.full(len(small_data), 0.08),
+                       small_data.feature_stage)
+        with pytest.raises(DataError, match="zero-variance") as info:
+            train(data, quick_config(FeatureStage.XYZPV5, iters=2))
+        assert "targets on the training share" in str(info.value)
 
     def test_stage_mismatch(self, small_data, small_model):
         with pytest.raises(ValueError, match="stage"):
