@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .aco import AcoConfig
 from .dataset import (FeatureStage, load_dataset, read_csv_table,
-                      write_dataset_csv)
+                      write_csv_table, write_dataset_csv)
 from .errors import AntfisError, DataError, NumericError
 from .fcm import FcmConfig
 from .synthfield import PlumeParams, ReactorGeometry, generate_dataset
@@ -216,20 +216,10 @@ def _cmd_predict(args) -> int:
     stage = model.config.stage
     points = read_csv_table(args.points, stage.feature_names, "points")
     preds = predict_points(model, points)
-    with Path(args.out).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(stage.feature_names + ("prediction",)) + "\n")
-        for row, pred in zip(points, preds):
-            fh.write(",".join(repr(float(v)) for v in row)
-                     + f",{repr(float(pred))}\n")
+    write_csv_table(args.out, stage.feature_names + ("prediction",),
+                    [*points.T, preds])
     print(f"wrote {len(preds)} predictions to {args.out}")
     return 0
-
-
-def _write_scatter(path: Path, targets, preds) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("target,prediction\n")
-        for t, p in zip(targets, preds):
-            fh.write(f"{repr(float(t))},{repr(float(p))}\n")
 
 
 def _cmd_report(args) -> int:
@@ -239,13 +229,12 @@ def _cmd_report(args) -> int:
     prefix = Path(args.out_prefix)
     for name, part in (("train", train_ds), ("test", test_ds)):
         preds = predict_points(model, part.features())
-        _write_scatter(prefix.parent / f"{prefix.name}_scatter_{name}.csv",
-                       part.targets(), preds)
-    conv_path = prefix.parent / f"{prefix.name}_convergence.csv"
-    with conv_path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("iteration,best_rmse\n")
-        for i, v in enumerate(model.convergence, start=1):
-            fh.write(f"{i},{repr(float(v))}\n")
+        write_csv_table(prefix.parent / f"{prefix.name}_scatter_{name}.csv",
+                        ("target", "prediction"), [part.targets(), preds])
+    write_csv_table(prefix.parent / f"{prefix.name}_convergence.csv",
+                    ("iteration", "best_rmse"),
+                    [range(1, len(model.convergence) + 1),
+                     model.convergence])
     print(f"wrote scatter and convergence files with prefix {args.out_prefix}")
     return 0
 

@@ -8,8 +8,9 @@ columns; the volume fraction is always the regression target.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -137,53 +138,137 @@ class Normalizer:
         return (X - self.mins) / (self.maxs - self.mins)
 
 
+# numpy's parser strips these ASCII separators around a number as it
+# strips spaces; float() rejects them, and so does the grammar.
+_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_BLOCK_ROWS = 8192
+
+
 def read_csv_table(path: str | Path, header: tuple[str, ...],
                    rows: str) -> np.ndarray:
     """Parse a CSV with exactly `header` into an (m, len(header)) array.
 
-    Blank lines are skipped. Raises DataError on a missing or empty file,
-    a header mismatch, and, with the offending line number, a row of the
-    wrong width, a cell that is not a float, a non-finite cell, or (when
-    the last column is the volume fraction) a target outside [0, 1]. A
-    file without data rows is reported as holding no `rows`.
+    The grammar is plain comma-separated numbers without quoting; line
+    ends may be \\n, \\r\\n or \\r, and empty lines are skipped. numpy's
+    C parser (np.loadtxt) reads the rows. Raises DataError on a missing or
+    empty file, a header mismatch, and, with the offending line number, a
+    row of the wrong width, a cell that is not a float, a non-finite cell,
+    or (when the last column is the volume fraction) a target outside
+    [0, 1]. A file without data rows is reported as holding no `rows`.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
-    values, lines = [], []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader, None)
-            if got is None:
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            got = fh.readline()
+            if not got:
                 raise DataError(f"{path}: empty file, expected header "
                                 f"{','.join(header)}")
-            if tuple(h.strip() for h in got) != header:
+            got = got.rstrip("\n")
+            if tuple(h.strip() for h in got.split(",")) != header:
                 raise DataError(f"{path}: header must be exactly "
-                                f"{','.join(header)}, got {','.join(got)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}, line {lineno}: expected "
-                                    f"{len(header)} columns, got {len(row)}")
-                try:
-                    values.append([float(cell) for cell in row])
-                except ValueError as exc:
-                    raise DataError(f"{path}, line {lineno}: {exc}") from None
-                lines.append(lineno)
-        except csv.Error as exc:
-            raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-    if not values:
-        raise DataError(f"{path}: no {rows}")
-    table = np.array(values, dtype=float)
-    bad = (_first_invalid_row(table[:, :-1], table[:, -1])
-           if header[-1] == TARGET_NAME else _first_invalid_row(table))
-    if bad is not None:
-        raise DataError(f"{path}, line {lines[bad[0]]}: {bad[1]}")
+                                f"{','.join(header)}, got {got}")
+            try:
+                with warnings.catch_warnings():
+                    # a file without data rows is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(fh, delimiter=",", comments=None,
+                                       ndmin=2)
+            except ValueError as exc:
+                raise _grammar_error(path, header, str(exc)) from None
+        if len(table) == 0:
+            raise DataError(f"{path}: no {rows}")
+        if table.shape[1] != len(header):
+            raise _grammar_error(path, header, f"expected {len(header)} "
+                                 f"columns, got {table.shape[1]}")
+        if _holds_separator(path):
+            raise _grammar_error(path, header, "ASCII separator character "
+                                 "(\\x1c-\\x1f) in the file")
+        bad = (_first_invalid_row(table[:, :-1], table[:, -1])
+               if header[-1] == TARGET_NAME else _first_invalid_row(table))
+        if bad is not None:
+            lineno, _ = next(itertools.islice(_data_lines(path), bad[0],
+                                             None))
+            raise DataError(f"{path}, line {lineno}: {bad[1]}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     return table
+
+
+def _data_lines(path: Path):
+    """(line number, text) of each line after the header that np.loadtxt
+    reads as a row: every line but the empty ones."""
+    with path.open("r", encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line
+
+
+def _cell_fault(cell: str) -> str | None:
+    """Why `cell` is not a number of the grammar, or None if it is one.
+
+    The grammar is what both float() and np.loadtxt accept: float()
+    also takes digit-group underscores and non-ASCII digits.
+    """
+    try:
+        float(cell)
+    except ValueError as exc:
+        return str(exc)
+    if "_" in cell or not cell.strip().isascii():
+        return f"could not convert string to float: {cell!r}"
+    return None
+
+
+def _grammar_error(path: Path, header: tuple[str, ...],
+                   reason: str) -> DataError:
+    """A DataError naming the first data line of the wrong width or with a
+    cell that is not a number; `reason` alone if no line is at fault.
+
+    Runs only once a read has failed: numpy's messages count rows in
+    their own ways, so the line is found by a plain pass.
+    """
+    for lineno, line in _data_lines(path):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            return DataError(f"{path}, line {lineno}: expected "
+                             f"{len(header)} columns, got {len(cells)}")
+        for cell in cells:
+            fault = _cell_fault(cell)
+            if fault is not None:
+                return DataError(f"{path}, line {lineno}: {fault}")
+    return DataError(f"{path}: {reason}")
+
+
+def _holds_separator(path: Path) -> bool:
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if any(sep in chunk for sep in _SEPARATOR_BYTES):
+                return True
+    return False
+
+
+def write_csv_table(path: str | Path, header: tuple[str, ...],
+                    columns) -> None:
+    """Write equal-length columns under `header` as a CSV, one value per
+    cell at repr precision (ints as ints, floats as repr(float)).
+
+    Rows go out in blocks of _BLOCK_ROWS, each formatted by one %-format
+    call, so no more than one block's values are Python objects at once.
+    """
+    columns = [np.asarray(col) for col in columns]
+    m, n = len(columns), len(columns[0])
+    line = ",".join(["%r"] * m) + "\n"
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            cells = [None] * ((stop - start) * m)
+            for j, col in enumerate(columns):
+                cells[j::m] = col[start:stop].tolist()
+            fh.write(line * (stop - start) % tuple(cells))
 
 
 def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:
@@ -197,11 +282,7 @@ def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:
 
 def write_dataset_csv(data: DataSet, path: str | Path) -> None:
     """Write the canonical CSV (full six-column schema, repr-precision floats)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for row in np.column_stack([data.X, data.y]).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    write_csv_table(path, CSV_HEADER, [*data.X.T, data.y])
 
 
 def split(data: DataSet, p: float, seed: int) -> tuple[DataSet, DataSet]:

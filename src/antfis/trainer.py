@@ -23,7 +23,8 @@ import numpy as np
 from . import fis
 from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
-                      apply_normalizer, eval_metrics, fit_normalizer, split)
+                      apply_normalizer, eval_metrics, fit_normalizer, split,
+                      write_csv_table)
 from .errors import AntfisError, DataError
 from .fcm import FcmConfig, fcm_cluster
 from .rng import mix_seed
@@ -264,12 +265,11 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
 
 
 def write_sweep_csv(report: SweepReport, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("stage,n_ants,train_r,test_r\n")
-        for c in report.cells:
-            fh.write(f"{c.stage.n_features},{c.n_ants},"
-                     f"{repr(float(c.train_r))},{repr(float(c.test_r))}\n")
+    cells = report.cells
+    write_csv_table(path, ("stage", "n_ants", "train_r", "test_r"),
+                    [[c.stage.n_features for c in cells],
+                     [c.n_ants for c in cells],
+                     [c.train_r for c in cells], [c.test_r for c in cells]])
 
 
 # --- model file: versioned plain-text container ---------------------------

@@ -1,13 +1,20 @@
+import csv
+import gc
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_parsers_fuzz import csv_texts
 
-from antfis.dataset import (CSV_HEADER, DataSet, FeatureStage,
+from antfis import dataset
+from antfis.dataset import (CSV_HEADER, TARGET_NAME, DataSet, FeatureStage,
                             apply_normalizer, eval_metrics, fit_normalizer,
-                            load_dataset, split, write_dataset_csv)
+                            load_dataset, read_csv_table, split,
+                            write_csv_table, write_dataset_csv)
 from antfis.errors import DataError
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 
@@ -130,10 +137,11 @@ class TestLoadDataset:
             load_dataset(path, FeatureStage.XYZPV5)
 
     def test_oversized_field_names_row(self, tmp_path):
+        # no field-size limit: 200k digits parse, to inf
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_HEADER) + "\n0,0,1,1e5,0.1,0.5\n"
                         + "1" * 200_000 + ",0,1,1e5,0.1,0.5\n")
-        with pytest.raises(DataError, match="line 3: field larger"):
+        with pytest.raises(DataError, match="line 3: non-finite value"):
             load_dataset(path, FeatureStage.XYZPV5)
 
     def test_writes_repr_precision_rows(self, tmp_path):
@@ -149,6 +157,228 @@ class TestLoadDataset:
         path.write_text(",".join(CSV_HEADER) + "\n0,0,1\n")
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path, FeatureStage.XYZPV5)
+
+
+def reference_read(path, header):
+    """The csv-module parser the numpy reader replaced, as an oracle:
+    csv.reader rows, float() per cell, then the finiteness and
+    volume-fraction checks. Returns the table or raises DataError."""
+    values = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader, None)
+            if got is None or tuple(h.strip() for h in got) != header:
+                raise DataError("header")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError("width")
+                try:
+                    values.append([float(cell) for cell in row])
+                except ValueError:
+                    raise DataError("cell") from None
+        except (csv.Error, UnicodeDecodeError):
+            raise DataError("csv") from None
+    if not values:
+        raise DataError("no rows")
+    table = np.array(values, dtype=float)
+    ok = np.isfinite(table).all()
+    if header[-1] == TARGET_NAME:
+        ok = ok and bool(((table[:, -1] >= 0) & (table[:, -1] <= 1)).all())
+    if not ok:
+        raise DataError("invalid")
+    return table
+
+
+def spell(value, fmt, plus, pad):
+    text = fmt % value
+    if text.startswith("0."):
+        text = text[1:]
+    elif text.startswith("-0."):
+        text = "-" + text[2:]
+    if plus and not text.startswith("-"):
+        text = "+" + text
+    return pad + text + pad
+
+
+@st.composite
+def valid_tables(draw, header):
+    """The CSV text of a valid table: mixed float spellings, blank lines
+    and one kind of line end."""
+    k = len(header)
+    feature = st.floats(allow_nan=False, allow_infinity=False)
+    target = (st.one_of(st.floats(0.0, 1.0), st.just(-0.0),
+                        st.just(5e-324)) if header[-1] == TARGET_NAME
+              else feature)
+    n = draw(st.integers(1, 6))
+    table = np.array([[draw(feature) for _ in range(k - 1)] + [draw(target)]
+                      for _ in range(n)], dtype=float)
+    how = st.tuples(st.sampled_from(["%r", "%.17g", "%.5e", "%.17G"]),
+                    st.booleans(), st.sampled_from(["", " ", "\t"]))
+    nl = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(header)]
+    for row in table.tolist():
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(",".join(spell(v, *draw(how)) for v in row))
+    return nl.join(lines) + draw(st.sampled_from(["", nl, nl + nl]))
+
+
+NARROWED_CELLS = st.sampled_from(
+    ["1_0", '"1.5"', "\x1c1", "2\x1f", "١", " 3.5", "\xa02", "+.5",
+     "-0.0", "1e400", "0.25", "5e-324"])
+
+
+@st.composite
+def odd_csv_texts(draw, header):
+    """The right header, then rows that mix plain numbers with cells that
+    float() and np.loadtxt read differently."""
+    rows = draw(st.lists(st.lists(NARROWED_CELLS, min_size=len(header) - 1,
+                                  max_size=len(header) + 1), max_size=4))
+    nl = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return nl.join([",".join(header)] + [",".join(r) for r in rows]) + nl
+
+
+HEADERS = [CSV_HEADER, FeatureStage.X1.feature_names,
+           FeatureStage.XYZ3.feature_names]
+ORACLE = settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReadCsvTable:
+    @pytest.mark.parametrize("header", HEADERS)
+    @ORACLE
+    @given(data=st.data())
+    def test_valid_tables_load_bit_identical(self, tmp_path, header, data):
+        path = tmp_path / "valid.csv"
+        path.write_text(data.draw(valid_tables(header)), encoding="utf-8",
+                        newline="")
+        got = read_csv_table(path, header, "rows")
+        ref = reference_read(path, header)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("header", HEADERS)
+    @ORACLE
+    @given(data=st.data())
+    def test_accepts_no_more_than_the_csv_parser(self, tmp_path, header,
+                                                  data):
+        text = data.draw(st.one_of(csv_texts(header), odd_csv_texts(header)))
+        path = tmp_path / "odd.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            got = read_csv_table(path, header, "rows")
+        except DataError:
+            return
+        ref = reference_read(path, header)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("line, message", [
+        ("0,0,1,oops,0.1,0.5", "could not convert string to float: 'oops'"),
+        ("0,0,1", "expected 6 columns, got 3"),
+        ("0,0,1,1e5,0.1,1.2", f"{TARGET_NAME} 1.2 outside \\[0, 1\\]"),
+        ("0,0,1,1e5,nan,0.5", "non-finite value"),
+        ("   ", "expected 6 columns, got 1"),
+    ])
+    @pytest.mark.parametrize("nl", ["\n", "\r\n", "\r"])
+    def test_fault_after_blank_lines_names_its_line(self, tmp_path, line,
+                                                     message, nl):
+        path = tmp_path / "bad.csv"
+        path.write_text(nl.join([",".join(CSV_HEADER), "0,0,1,1e5,0.1,0.5",
+                                 "", "", line, "0,0,1,1e5,0.1,0.5"]) + nl,
+                        encoding="utf-8", newline="")
+        with pytest.raises(DataError, match=f"bad.csv, line 5: {message}"):
+            read_csv_table(path, CSV_HEADER, "samples")
+
+    def test_line_of_spaces_in_points_names_its_line(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x\n0.5\n   \n0.25\n")
+        with pytest.raises(DataError, match="line 3: could not convert "
+                                            "string to float: '   '"):
+            read_csv_table(path, ("x",), "points")
+
+    @pytest.mark.parametrize("cell", ['"1.5"', "1_0", "١", "\x1c1"])
+    def test_narrowed_grammar(self, tmp_path, cell):
+        # The csv-module parser took a quoted cell, digit-group underscores
+        # and non-ASCII digits; numpy's parser takes \x1c-\x1f as spaces.
+        # The grammar is both parsers' common ground.
+        path = tmp_path / "points.csv"
+        path.write_text(f"x\n0.5\n{cell}\n", encoding="utf-8")
+        if cell != "\x1c1":
+            assert reference_read(path, ("x",)).shape == (2, 1)
+        with pytest.raises(DataError, match=r"line 3: could not convert "):
+            read_csv_table(path, ("x",), "points")
+
+    def test_separator_in_header_only_names_the_file(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x\x1c\n0.5\n")
+        with pytest.raises(DataError, match=r"points.csv: ASCII separator"):
+            read_csv_table(path, ("x",), "points")
+
+    def test_first_row_of_wrong_width_names_its_line(self, tmp_path):
+        # every row of the same wrong width: np.loadtxt itself succeeds
+        path = tmp_path / "points.csv"
+        path.write_text("x,y\n\n1,2,3\n4,5,6\n")
+        with pytest.raises(DataError, match="line 3: expected 2 columns, "
+                                            "got 3"):
+            read_csv_table(path, ("x", "y"), "points")
+
+    def test_load_peak_memory_near_the_table(self, tmp_path):
+        data = generate_dataset(ReactorGeometry(), PlumeParams(), 20_000,
+                                seed=3)
+        path = tmp_path / "nodes.csv"
+        write_dataset_csv(data, path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path, FeatureStage.XYZPV5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (loaded.X.nbytes + loaded.y.nbytes)
+
+
+class TestWriteCsvTable:
+    def reference_write(self, path, header, columns):
+        """The per-row writer the block writer replaced."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(repr(v) for v in row) + "\n")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(0, 12), m=st.integers(1, 4), seed=st.integers(0, 99))
+    def test_same_bytes_as_per_row_writer(self, tmp_path, monkeypatch, n, m,
+                                          seed):
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 5)
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.1, -0.0, 1 / 3, 1e16, 1e-5, 5e-324, 1e300,
+                         np.inf, np.nan, 2.0, -7.25e-310])
+        floats = [rng.choice(pool, n) * rng.choice([1.0, rng.random()])
+                  for _ in range(m)]
+        ints = rng.integers(-5, 10**6, n)
+        header = tuple(f"c{j}" for j in range(m + 1))
+        write_csv_table(tmp_path / "new.csv", header, [ints, *floats])
+        self.reference_write(tmp_path / "old.csv", header,
+                             [ints.tolist()] + [f.tolist() for f in floats])
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    def test_write_peak_memory_within_a_block(self, tmp_path):
+        data = generate_dataset(ReactorGeometry(), PlumeParams(), 20_000,
+                                seed=3)
+        # one block of 8192 rows as the writer holds it: Python floats
+        block = 8192 * 6 * (sys.getsizeof(0.0) + 8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_dataset_csv(data, tmp_path / "nodes.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block
 
 
 class TestSplit:
