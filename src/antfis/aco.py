@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, UsageError
 from .rng import substream, substreams
 
 logger = logging.getLogger(__name__)
@@ -48,21 +48,22 @@ class AcoConfig:
     bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.n_ants < 1:
-            raise ValueError(f"aco: n_ants must be >= 1, got {self.n_ants}")
-        if self.archive_size < 2:
-            raise ValueError(f"aco: archive_size must be >= 2, "
+        if not self.n_ants >= 1:
+            raise UsageError(f"aco: n_ants (--ants) must be >= 1, got {self.n_ants}")
+        if not self.archive_size >= 2:
+            raise UsageError(f"aco: archive_size (--archive-size) must be >= 2, "
                              f"got {self.archive_size}")
-        if self.q <= 0.0:
-            raise ValueError(f"aco: q must be > 0, got {self.q}")
+        if not 0.0 < self.q < np.inf:
+            raise UsageError(f"aco: q (--q) must be in (0, inf), got {self.q}")
         if not 0.0 < self.xi <= 1.0:
-            raise ValueError(f"aco: xi must be in (0, 1], got {self.xi}")
-        if self.max_iter < 1:
-            raise ValueError(f"aco: max_iter must be >= 1, got {self.max_iter}")
+            raise UsageError(f"aco: xi (--xi) must be in (0, 1], got {self.xi}")
+        if not self.max_iter >= 1:
+            raise UsageError(f"aco: max_iter (--iters) must be >= 1, "
+                             f"got {self.max_iter}")
         if self.bounds is not None:
             for lo, hi in self.bounds:
-                if not lo < hi:
-                    raise ValueError(f"aco: bounds require lo < hi, "
+                if not -np.inf < lo < hi < np.inf:
+                    raise ValueError(f"aco: bounds require finite lo < hi, "
                                      f"got ({lo}, {hi})")
 
 
@@ -87,11 +88,15 @@ def rank_weights(k: int, q: float) -> np.ndarray:
     w_l = exp(-(l-1)^2 / (2 q^2 k^2)) / (q k sqrt(2 pi)); consumers
     normalize when forming selection probabilities.
     """
-    if k < 2 or q <= 0.0:
-        raise ValueError("rank_weights: need k >= 2 and q > 0")
+    if k < 2 or not 0.0 < q < np.inf:
+        raise ValueError("rank_weights: need k >= 2 and finite q > 0")
     ranks = np.arange(k, dtype=float)
-    return np.exp(-ranks ** 2 / (2.0 * q ** 2 * k ** 2)) \
-        / (q * k * np.sqrt(2.0 * np.pi))
+    with np.errstate(all="ignore"):  # a huge q squares to inf, not an error
+        w = np.exp(-ranks ** 2 / (2.0 * np.float64(q) ** 2 * k ** 2)) \
+            / (q * k * np.sqrt(2.0 * np.pi))
+    if not (w[0] > 0.0 and np.isfinite(w).all()):
+        raise UsageError(f"aco: q (--q) {q} gives undefined rank weights for {k} ranks")
+    return w
 
 
 def _reflect(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -181,8 +186,10 @@ def optimize(objective: Callable[[np.ndarray], float], dims: int,
     that lives for the whole call; results are identical to the
     sequential run because each iteration's candidates are drawn from
     per-(iteration, ant) counter-based streams before any of them is
-    evaluated.
+    evaluated. n_workers < 1 raises UsageError.
     """
+    if not n_workers >= 1:
+        raise UsageError(f"aco: n_workers (--threads) must be >= 1, got {n_workers}")
     if config.bounds is None:
         raise ValueError("optimize: config.bounds must be set")
     bounds = np.asarray(config.bounds, dtype=float)

@@ -1,31 +1,28 @@
 """Command-line surface: data generation, training, evaluation, sweeping,
 prediction, and plot-data emission.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-All randomness flows from explicit --seed flags; identical flags produce
-byte-identical output files.
+Exit codes: 0 success, else the raised error type's exit_code (errors.py):
+1 a flag out of range, named in the message; 2 bad data or an OSError; 3 a
+numerical failure. Any other exception is a bug and shows a traceback. All
+randomness flows from explicit --seed flags; same flags, same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 from . import __version__
 from .aco import AcoConfig
-from .dataset import (FeatureStage, load_dataset, read_csv_table,
-                      write_csv_table, write_dataset_csv)
-from .errors import AntfisError, DataError, NumericError
-from .fcm import FcmConfig
+from .dataset import (FeatureStage, load_dataset, number_fault,
+                      read_csv_table, write_csv_table, write_dataset_csv)
+from .errors import AntfisError, DataError, UsageError
 from .synthfield import PlumeParams, ReactorGeometry, generate_dataset
 from .trainer import (TrainConfig, evaluate, load_model, predict_points,
                       save_model, sweep, train, training_partitions,
                       write_sweep_csv)
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,10 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_params_file(path: str) -> dict[str, float]:
     values = {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"params file not found: {path}")
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -132,11 +127,9 @@ def _read_params_file(path: str) -> dict[str, float]:
         if not sep or key not in _GEOM_KEYS + _PLUME_KEYS:
             raise DataError(f"{path}, line {lineno}: expected <name>=<value> "
                             f"with a known parameter, got {raw!r}")
-        try:
-            values[key] = float(value.strip())
-        except ValueError:
-            raise DataError(f"{path}, line {lineno}: bad number {value!r}") \
-                from None
+        if number_fault(value) is not None:
+            raise DataError(f"{path}, line {lineno}: bad number {value!r}")
+        values[key] = float(value)
     return values
 
 
@@ -159,7 +152,6 @@ def _cmd_gen_data(args) -> int:
 def _train_config(args, stage: FeatureStage, ants: int) -> TrainConfig:
     return TrainConfig(
         stage=stage, p=args.p, n_rules=args.rules,
-        fcm=FcmConfig(c=args.rules),
         aco=AcoConfig(n_ants=ants, archive_size=args.archive_size,
                       q=args.q, xi=args.xi, max_iter=args.iters),
         seed=args.seed)
@@ -185,24 +177,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _parse_ints(text: str, flag: str) -> list[int]:
+    if not re.fullmatch(r"\s*\d{1,9}\s*(,\s*\d{1,9}\s*)*", text):
+        raise UsageError(f"bad {flag} value {text!r}")
+    return [int(v) for v in text.split(",")]
+
+
 def _parse_stages(text: str) -> list[FeatureStage]:
-    try:
-        if "-" in text:
-            lo, hi = text.split("-")
-            ks = range(int(lo), int(hi) + 1)
-        else:
-            ks = [int(v) for v in text.split(",")]
-        return [FeatureStage.from_arity(k) for k in ks]
-    except ValueError as exc:
-        raise UsageError(f"bad --stages value {text!r}: {exc}") from None
+    m = re.fullmatch(r"\s*(\d{1,9})\s*-\s*(\d{1,9})\s*", text)
+    ks = range(int(m[1]), int(m[2]) + 1) if m else _parse_ints(text, "--stages")
+    return [FeatureStage.from_arity(k) for k in ks]
 
 
 def _cmd_sweep(args) -> int:
     stages = _parse_stages(args.stages)
-    try:
-        ants = [int(v) for v in args.ants.split(",")]
-    except ValueError:
-        raise UsageError(f"bad --ants value {args.ants!r}") from None
+    ants = _parse_ints(args.ants, "--ants")
     data = load_dataset(args.data, FeatureStage.XYZPV5)
     base = _train_config(args, FeatureStage.XYZPV5, ants[0])
     report = sweep(data, stages, ants, base, n_workers=args.threads)
@@ -256,25 +245,9 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    except UsageError as exc:
+    except (AntfisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AntfisError as exc:
-        code = 2 if isinstance(exc.__cause__, (DataError, OSError)) else 3
-        print(f"error: {exc}", file=sys.stderr)
-        return code
+        return exc.exit_code if isinstance(exc, AntfisError) else 2
 
 
 def main(argv=None) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 
 FEATURE_NAMES = ("x", "y", "z", "pressure", "air_superficial_velocity")
 TARGET_NAME = "air_volume_fraction"
@@ -46,7 +46,7 @@ class FeatureStage(Enum):
         for stage in cls:
             if stage.value == k:
                 return stage
-        raise ValueError(f"feature stage must be 1..5, got {k}")
+        raise UsageError(f"feature stage (--stage, --stages) must be 1..5, got {k}")
 
 
 def _first_invalid_row(X: np.ndarray, y: np.ndarray | None = None,
@@ -134,8 +134,13 @@ class Normalizer:
     maxs: np.ndarray
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return (X - self.mins) / (self.maxs - self.mins)
+        """Scaled copy of X; DataError if a value overflows on scaling."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            Xn = np.asarray(X, dtype=float) - self.mins
+            Xn /= self.maxs - self.mins
+        if not np.isfinite(Xn).all():
+            raise DataError("scaling: a feature value overflows when scaled")
+        return Xn
 
 
 # numpy's parser strips these ASCII separators around a number as it
@@ -207,7 +212,7 @@ def _data_lines(path: Path):
                 yield lineno, line
 
 
-def _cell_fault(cell: str) -> str | None:
+def number_fault(cell: str) -> str | None:
     """Why `cell` is not a number of the grammar, or None if it is one.
 
     The grammar is what both float() and np.loadtxt accept: float()
@@ -236,7 +241,7 @@ def _grammar_error(path: Path, header: tuple[str, ...],
             return DataError(f"{path}, line {lineno}: expected "
                              f"{len(header)} columns, got {len(cells)}")
         for cell in cells:
-            fault = _cell_fault(cell)
+            fault = number_fault(cell)
             if fault is not None:
                 return DataError(f"{path}, line {lineno}: {fault}")
     return DataError(f"{path}: {reason}")

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
+
 
 @dataclass(frozen=True)
 class FcmConfig:
@@ -26,14 +28,15 @@ class FcmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c < 2:
-            raise ValueError(f"fcm: cluster count c must be >= 2, got {self.c}")
-        if self.m <= 1.0:
-            raise ValueError(f"fcm: fuzziness exponent m must be > 1, got {self.m}")
-        if self.tol <= 0.0:
-            raise ValueError(f"fcm: tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"fcm: max_iter must be >= 1, got {self.max_iter}")
+        if not self.c >= 2:
+            raise UsageError(f"fcm: cluster count c (--rules) must be >= 2, "
+                             f"got {self.c}")
+        if not 1.0 < self.m < np.inf:
+            raise UsageError(f"fcm: fuzzifier m must be in (1, inf), got {self.m}")
+        if not 0.0 < self.tol < np.inf:
+            raise UsageError(f"fcm: tol must be in (0, inf), got {self.tol}")
+        if not self.max_iter >= 1:
+            raise UsageError(f"fcm: max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataSet, FeatureStage
+from .errors import UsageError
 
 RAMP_LENGTH = 0.1  # m over which the plume switches on above the sparger
 
@@ -27,10 +28,11 @@ class ReactorGeometry:
     sparger_height: float = 0.5
 
     def __post_init__(self):
-        if not self.height > self.sparger_height >= 0.0:
-            raise ValueError("geometry requires height > sparger_height >= 0")
-        if self.diameter <= 0.0:
-            raise ValueError("geometry requires diameter > 0")
+        if not math.inf > self.height > self.sparger_height >= 0.0:
+            raise UsageError("geometry requires finite height (--height) > "
+                             "sparger_height (--sparger-height) >= 0")
+        if not 0.0 < self.diameter < math.inf:
+            raise UsageError("geometry requires finite diameter (--diameter) > 0")
 
     @property
     def radius(self) -> float:
@@ -55,10 +57,15 @@ class PlumeParams:
     noise_sd: float = 0.005   # additive Gaussian noise on the target
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise UsageError(f"{name} (--{name.replace('_', '-')}) must be "
+                                 f"finite, got {value}")
         if not 0.0 < self.alpha_max < 1.0:
-            raise ValueError("alpha_max must be in (0, 1)")
+            raise UsageError("alpha_max (--alpha-max) must be in (0, 1)")
         if self.sigma0 <= 0.0 or self.spread < 0.0 or self.noise_sd < 0.0:
-            raise ValueError("sigma0 > 0, spread >= 0, noise_sd >= 0 required")
+            raise UsageError("sigma0 (--sigma0) > 0, spread (--spread) >= 0, "
+                             "noise_sd (--noise-sd) >= 0 required")
 
 
 def _check_inside(x, y, z, geom: ReactorGeometry) -> None:
@@ -140,8 +147,8 @@ def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
     [0, 1]. Row order equals sampling order; identical (geom, params, n,
     seed) reproduce identical datasets.
     """
-    if n < 1:
-        raise ValueError(f"generate_dataset: n must be >= 1, got {n}")
+    if not n >= 1:
+        raise UsageError(f"generate_dataset: n (--n) must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     u = rng.random((n, 3))
     eps = rng.standard_normal(n)

@@ -25,7 +25,7 @@ from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
                       apply_normalizer, eval_metrics, fit_normalizer, split,
                       write_csv_table)
-from .errors import AntfisError, DataError
+from .errors import AntfisError, DataError, UsageError
 from .fcm import FcmConfig, fcm_cluster
 from .rng import mix_seed
 
@@ -58,8 +58,13 @@ class TrainConfig:
     split_seed: int | None = None
 
     def __post_init__(self):
-        if self.n_rules < 2:
-            raise ValueError(f"train: n_rules must be >= 2, got {self.n_rules}")
+        if not 0.0 < self.p < 1.0:
+            raise UsageError(f"train: p must be in (0, 1), got {self.p} (--p)")
+        if not self.n_rules >= 2:
+            raise UsageError(f"train: n_rules (--rules) must be >= 2, "
+                             f"got {self.n_rules}")
+        if not 0.0 <= self.lam < np.inf:
+            raise UsageError(f"train: damping lam must be in [0, inf), got {self.lam}")
 
     def effective_split_seed(self) -> int:
         if self.split_seed is not None:
@@ -91,12 +96,6 @@ class SweepReport:
     cells: tuple[SweepCell, ...]
     stages: tuple[FeatureStage, ...]
     ant_counts: tuple[int, ...]
-
-    def cell(self, stage: FeatureStage, n_ants: int) -> SweepCell:
-        for c in self.cells:
-            if c.stage == stage and c.n_ants == n_ants:
-                return c
-        raise KeyError(f"no sweep cell (stage {stage.n_features}, ants {n_ants})")
 
     def best_test_r(self, stage: FeatureStage) -> float:
         return max(c.test_r for c in self.cells if c.stage == stage)
@@ -241,7 +240,7 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
     stages = tuple(sorted(set(stages), key=lambda s: s.n_features))
     ant_counts = tuple(sorted(set(int(a) for a in ant_counts)))
     if not stages or not ant_counts:
-        raise ValueError("sweep: need at least one stage and one ant count")
+        raise UsageError("sweep: need a stage (--stages) and an ant count (--ants)")
     if max(s.n_features for s in stages) > data.feature_stage.n_features:
         raise ValueError("sweep: dataset stage arity below requested stages")
     shared_split = base.effective_split_seed()
@@ -254,8 +253,8 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
                              aco=replace(base.aco, n_ants=ants))
             try:
                 model = train(data.with_stage(stage), config, n_workers)
-            except Exception as exc:
-                raise AntfisError(
+            except AntfisError as exc:
+                raise type(exc)(
                     f"sweep cell (stage {stage.n_features}, ants {ants}) "
                     f"failed: {exc}") from exc
             cells.append(SweepCell(stage=stage, n_ants=ants,
@@ -416,8 +415,6 @@ def load_model(path: str | Path) -> TrainedModel:
                                        mae=float(rep_s["mae"]),
                                        n=int(rep_s["n"]))
         convergence = _floats(sections["convergence"]["rmse"])
-    except DataError:
-        raise
     except (KeyError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: invalid model file ({exc})") from exc
     return TrainedModel(fis=model, config=config,

@@ -9,7 +9,7 @@ from antfis.aco import (_ANT_STREAM, _INIT_STREAM, AcoConfig, OptResult,
                         SolutionArchive, kernel_widths, optimize,
                         rank_weights, sample_candidates, selection_cdf,
                         update_archive)
-from antfis.errors import NumericError
+from antfis.errors import NumericError, UsageError
 from antfis.rng import mix_seed, substream, substreams
 
 
@@ -55,6 +55,17 @@ class TestRankWeights:
             rank_weights(1, 0.1)
         with pytest.raises(ValueError):
             rank_weights(5, 0.0)
+
+    def test_extreme_q(self):
+        # q k so large that q k sqrt(2 pi) overflows (all weights 0), or so
+        # small that 2 q^2 k^2 underflows (0/0 at rank 1): both would make
+        # an all-NaN selection CDF, so both are usage errors naming --q
+        for q in (1e308, 1e-300, 5e-324):
+            with pytest.raises(UsageError, match="--q"):
+                rank_weights(25, q)
+        # q^2 overflows a Python float here; the weights are just uniform
+        w = rank_weights(25, 1e200)
+        assert np.isfinite(w).all() and (w == w[0]).all() and w[0] > 0.0
 
 
 class TestSampleCandidate:
@@ -314,6 +325,12 @@ class TestOptimize:
                        initial_guesses=(guess,))
         assert res.best_objective == 0.0
         np.testing.assert_array_equal(res.best_vector, guess)
+
+    def test_worker_count_below_one_rejected(self):
+        for n_workers in (0, -3):
+            with pytest.raises(UsageError, match="--threads"):
+                optimize(sphere, 2, self.config(2, max_iter=1),
+                         n_workers=n_workers)
 
     def test_bounds_required(self):
         with pytest.raises(ValueError, match="bounds"):

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from antfis import cli, trainer
 from antfis.cli import run
 from antfis.dataset import CSV_HEADER, FeatureStage, load_dataset
+from antfis.errors import NumericError
 from antfis.trainer import load_model
 
 
@@ -327,3 +329,106 @@ class TestUsage:
                               str(tmp_path / "m.txt"))
         assert code == 2
         assert "header" in err
+
+
+# (argv, flag): each is a usage error (exit 1) whose message names the flag.
+FLAG_FAULTS = [
+    (["train", "--rules", "1"], "--rules"),
+    (["train", "--p", "1.5"], "--p"),
+    (["train", "--p", "nan"], "--p"),
+    (["train", "--q", "nan"], "--q"),
+    (["train", "--q", "inf"], "--q"),
+    (["train", "--q", "1e308"], "--q"),
+    (["train", "--xi=-inf"], "--xi"),
+    (["train", "--threads", "0"], "--threads"),
+    (["train", "--threads=-3"], "--threads"),
+    (["train", "--ants", "0"], "--ants"),
+    (["train", "--iters", "0"], "--iters"),
+    (["train", "--archive-size", "1"], "--archive-size"),
+    (["sweep", "--stages", "3-1"], "--stages"),
+    (["sweep", "--stages", "1-9"], "--stages"),
+    (["sweep", "--ants", "4,x"], "--ants"),
+    (["sweep", "--threads", "0"], "--threads"),
+    (["gen-data", "--n", "0"], "--n"),
+    (["gen-data", "--noise-sd", "nan"], "--noise-sd"),
+    (["gen-data", "--height", "inf"], "--height"),
+    (["gen-data", "--g=-inf"], "--g"),
+    (["gen-data", "--sparger-height", "3"], "--sparger-height"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, flag", FLAG_FAULTS,
+                             ids=[" ".join(a) for a, _ in FLAG_FAULTS])
+    def test_flag_fault_exits_1_naming_flag(self, capsys, data_csv, tmp_path,
+                                            argv, flag):
+        cmd, *fault = argv
+        base = ["--out", str(tmp_path / "out")]
+        if cmd != "gen-data":
+            base += ["--data", str(data_csv), "--iters", "2", "--ants", "3",
+                     "--rules", "3"]
+        code, _, err = invoke(capsys, cmd, *base, *fault)
+        assert code == 1
+        assert flag in err
+
+    def test_model_file_with_bad_p_exits_2(self, capsys, tmp_path, data_csv,
+                                           model_file):
+        bad = tmp_path / "bad-p.txt"
+        text = model_file.read_text()
+        assert "\np = 0.7\n" in text
+        bad.write_text(text.replace("\np = 0.7\n", "\np = 1.5\n"))
+        code, _, err = invoke(capsys, "report", "--model", str(bad),
+                              "--data", str(data_csv), "--out-prefix",
+                              str(tmp_path / "rep"))
+        assert code == 2
+        assert "p must be in" in err
+
+    def test_sweep_cell_data_error_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "tiny.csv"
+        assert run(["gen-data", "--n", "8", "--seed", "3",
+                    "--out", str(data)]) == 0
+        code, _, err = invoke(capsys, "sweep", "--data", str(data),
+                              "--stages", "1", "--ants", "4", "--iters", "2",
+                              "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "sweep cell (stage 1, ants 4) failed" in err
+
+    def test_sweep_cell_numeric_error_exits_3(self, capsys, data_csv,
+                                              tmp_path, monkeypatch):
+        def fail(data, config, n_workers=1):
+            raise NumericError("fis: all rule premises degenerate")
+        monkeypatch.setattr(trainer, "train", fail)
+        code, _, err = invoke(capsys, "sweep", "--data", str(data_csv),
+                              "--stages", "1", "--ants", "4",
+                              "--out", str(tmp_path / "s.csv"))
+        assert code == 3
+        assert "sweep cell (stage 1, ants 4) failed: fis" in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, data_csv,
+                                                       model_file,
+                                                       monkeypatch):
+        def fault(model, data):
+            raise ValueError("internal fault")
+        monkeypatch.setattr(cli, "evaluate", fault)
+        with pytest.raises(ValueError, match="internal fault"):
+            run(["eval", "--model", str(model_file), "--data", str(data_csv)])
+
+    def test_feature_overflowing_the_scaler_exits_2(self, capsys, tmp_path,
+                                                    model_file):
+        big = tmp_path / "big.csv"
+        big.write_text(",".join(CSV_HEADER) + "\n0,0,1,1e5,0.1,0.05\n"
+                       "1e308,0,1,1e5,0.1,0.05\n")
+        code, _, err = invoke(capsys, "eval", "--model", str(model_file),
+                              "--data", str(big))
+        assert code == 2
+        assert "overflows" in err
+
+    def test_params_file_faults_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "params.txt"
+        bad.write_bytes(b"noise_sd = 0.\xff\n")
+        for params in (bad, tmp_path / "missing.txt"):
+            code, _, err = invoke(capsys, "gen-data", "--n", "10", "--out",
+                                  str(tmp_path / "d.csv"), "--params",
+                                  str(params))
+            assert code == 2
+            assert str(params) in err

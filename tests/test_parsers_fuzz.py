@@ -1,11 +1,15 @@
-"""Fuzz the three file parsers: node CSV, points CSV and model file.
+"""Fuzz the three file parsers (node CSV, points CSV, model file) and the
+numeric flags of `train`.
 
 Whatever text or bytes a file holds, a parser either returns or raises
 DataError, and the command line maps every such failure to exit 2.
+Whatever values the flags take, `train` exits 0, 1, 2 or 3 and never
+raises, and a usage error (exit 1) names a flag.
 """
 
 import contextlib
 import io
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,8 +17,9 @@ from hypothesis import strategies as st
 
 from antfis.cli import run
 from antfis.dataset import (CSV_HEADER, FeatureStage, load_dataset,
-                            read_csv_table)
+                            read_csv_table, write_dataset_csv)
 from antfis.errors import DataError
+from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 from antfis.trainer import load_model
 
 # A valid stage-1 model file, the base the model fuzzer mutates.
@@ -142,9 +147,15 @@ def parses(parse, path) -> bool:
 
 
 def cli_code(*argv) -> int:
+    return cli_run(*argv)[0]
+
+
+def cli_run(*argv) -> tuple[int, str]:
+    """Exit code and stderr of one command."""
+    err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return run([str(a) for a in argv])
+            contextlib.redirect_stderr(err):
+        return run([str(a) for a in argv]), err.getvalue()
 
 
 @FUZZ
@@ -193,3 +204,49 @@ def test_model_file_every_value_replaced(files):
             code = cli_code("eval", "--model", path, "--data",
                             files / "nodes.csv")
             assert code in ((0, 2, 3) if ok else (2,)), (key, value, code)
+
+
+# Flag values: signs, zero, NaN, infinities, extremes and ordinary values,
+# as text, plus any float hypothesis draws. The counts whose cost grows
+# with their value (--ants, --archive-size, --iters, --threads) stay small:
+# no check rejects a large one, so a huge draw would only run long.
+ODD_FLOATS = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "-0.0", "-0.5", "-1",
+                     "5e-324", "1e-300", "1e-160", "0.05", "0.1", "0.5",
+                     "0.85", "0.999", "1", "1.5", "1e200", "1e308",
+                     "1.7976931348623157e308", "-1e308", "1e400"]),
+    st.floats().map(repr))
+TRAIN_FLAGS = {
+    "--p": ODD_FLOATS,
+    "--q": ODD_FLOATS,
+    "--xi": ODD_FLOATS,
+    "--rules": st.one_of(st.integers(-3, 12),
+                         st.sampled_from([10 ** 6, 10 ** 30])),
+    "--archive-size": st.integers(-3, 30),
+    "--ants": st.integers(-3, 8),
+    "--threads": st.integers(-3, 4),  # never ask for many threads
+}
+
+
+@pytest.fixture(scope="module")
+def train_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flags") / "nodes.csv"
+    write_dataset_csv(generate_dataset(ReactorGeometry(), PlumeParams(), 60,
+                                       seed=11), path)
+    return path
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=st.fixed_dictionaries({"--iters": st.integers(-3, 2)},
+                                   optional=TRAIN_FLAGS))
+def test_train_flags(train_csv, tmp_path_factory, flags):
+    out = tmp_path_factory.getbasetemp() / "flag-fuzz-model.txt"
+    code, err = cli_run("train", "--data", train_csv, "--out", out,
+                        *(f"{flag}={value}" for flag, value in flags.items()))
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert any(flag in err for flag in flags), err
+    if any(not math.isfinite(float(value)) for flag, value in flags.items()
+           if flag in ("--p", "--q", "--xi")):
+        assert code != 0

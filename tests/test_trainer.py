@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antfis import trainer
 from antfis.aco import AcoConfig
 from antfis.dataset import DataSet, FeatureStage, Normalizer
-from antfis.errors import AntfisError, DataError
+from antfis.errors import DataError, NumericError, UsageError
 from antfis.fcm import FcmConfig
 from antfis.fis import (SIGMA_CAP, SIGMA_FLOOR, FisModel, decode_premise,
                         fitness, predict_batch, row_basis)
@@ -302,8 +303,26 @@ class TestSweep:
     def test_cell_failure_names_cell(self):
         tiny = generate_dataset(ReactorGeometry(), PlumeParams(), 8, seed=1)
         base = quick_config(FeatureStage.XYZPV5, n_rules=10)
-        with pytest.raises(AntfisError, match=r"stage 1, ants 4"):
+        with pytest.raises(DataError, match=r"stage 1, ants 4"):
             sweep(tiny, [FeatureStage.X1], [4], base)
+
+    def test_cell_failure_keeps_error_type(self, small_data, monkeypatch):
+        def fail(data, config, n_workers=1):
+            raise NumericError("fis: all rule premises degenerate")
+        monkeypatch.setattr(trainer, "train", fail)
+        with pytest.raises(NumericError, match=r"stage 1, ants 4\) failed: "
+                                                r"fis: all") as info:
+            sweep(small_data, [FeatureStage.X1], [4],
+                  quick_config(FeatureStage.XYZPV5))
+        assert type(info.value.__cause__) is NumericError
+
+    def test_internal_fault_not_wrapped(self, small_data, monkeypatch):
+        def fail(data, config, n_workers=1):
+            raise ValueError("internal fault")
+        monkeypatch.setattr(trainer, "train", fail)
+        with pytest.raises(ValueError, match="^internal fault$"):
+            sweep(small_data, [FeatureStage.X1], [4],
+                  quick_config(FeatureStage.XYZPV5))
 
     def test_empty_grid_rejected(self, small_data):
         with pytest.raises(ValueError):
@@ -317,6 +336,15 @@ class TestSweep:
 
 
 class TestModelFile:
+    def test_out_of_range_p_is_data_error(self, small_model, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        text = path.read_text()
+        assert "\np = 0.7\n" in text
+        path.write_text(text.replace("\np = 0.7\n", "\np = 1.5\n"))
+        with pytest.raises(DataError, match="p must be in"):
+            load_model(path)
+
     def test_round_trip_byte_identical(self, small_model, tmp_path):
         p1 = tmp_path / "m1.txt"
         p2 = tmp_path / "m2.txt"
@@ -379,6 +407,11 @@ class TestTrainConfig:
     def test_rule_count_invariant(self):
         with pytest.raises(ValueError):
             TrainConfig(stage=FeatureStage.X1, n_rules=1)
+
+    def test_train_fraction_range(self):
+        for p in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(UsageError, match="p must be in"):
+                TrainConfig(stage=FeatureStage.X1, p=p)
 
     def test_defaults(self):
         cfg = TrainConfig(stage=FeatureStage.XYZPV5)
