@@ -12,17 +12,15 @@ Every ant draws its guide uniform and kernel normals from its own
 counter-based stream addressed by (seed, iteration, ant); the draws of
 one iteration's ants are gathered into one block, row a for ant a, and
 turned into candidates with array operations. Kernel widths are computed
-only for the archive members chosen as guides. All candidates are drawn
-before any is evaluated, so the trajectory is reproducible no matter how
-fitness evaluations are parallelized.
+only for the archive members chosen as guides. All candidates of an
+iteration are drawn before any is evaluated, and they are evaluated in
+ant order.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -172,8 +170,7 @@ def update_archive(archive: SolutionArchive, candidates: np.ndarray,
 
 def optimize(objective: Callable[[np.ndarray], float], dims: int,
              config: AcoConfig,
-             initial_guesses: Sequence[np.ndarray] = (),
-             n_workers: int = 1) -> OptResult:
+             initial_guesses: Sequence[np.ndarray] = ()) -> OptResult:
     """Minimize `objective` over the configured box.
 
     The archive starts from k uniform seeded samples (optionally with
@@ -181,34 +178,16 @@ def optimize(objective: Callable[[np.ndarray], float], dims: int,
     runs exactly max_iter iterations of sample / evaluate / merge. The
     objective may return +inf to flag an invalid vector; NaN candidates
     are dropped. Raises NumericError if no initial point evaluates finite.
-
-    n_workers > 1 evaluates each batch of candidates in one thread pool
-    that lives for the whole call; results are identical to the
-    sequential run because each iteration's candidates are drawn from
-    per-(iteration, ant) counter-based streams before any of them is
-    evaluated. n_workers < 1 raises UsageError.
     """
-    if not n_workers >= 1:
-        raise UsageError(f"aco: n_workers (--threads) must be >= 1, got {n_workers}")
     if config.bounds is None:
         raise ValueError("optimize: config.bounds must be set")
     bounds = np.asarray(config.bounds, dtype=float)
     if bounds.shape != (dims, 2):
         raise ValueError(f"optimize: expected {dims} bounds pairs, "
                          f"got shape {bounds.shape}")
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return _search(partial(pool.map, objective), bounds, config,
-                           initial_guesses)
-    return _search(partial(map, objective), bounds, config, initial_guesses)
 
-
-def _search(evaluate_all: Callable, bounds: np.ndarray, config: AcoConfig,
-            initial_guesses: Sequence[np.ndarray]) -> OptResult:
-    """optimize's archive search; `evaluate_all` maps the objective over
-    the rows of a batch."""
     def evaluate(batch: np.ndarray) -> np.ndarray:
-        return np.fromiter(evaluate_all(batch), dtype=float, count=len(batch))
+        return np.fromiter(map(objective, batch), dtype=float, count=len(batch))
 
     k = config.archive_size
     lo, hi = bounds[:, 0], bounds[:, 1]

@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=7,
                        help="master seed (default 7)")
         p.add_argument("--threads", type=int, default=1,
-                       help="fitness evaluation workers; does not affect "
-                            "results (default 1)")
+                       help="accepted for compatibility; must be >= 1 and "
+                            "has no effect on results or speed (default 1)")
 
     tr = sub.add_parser("train", help="train a model on a node table")
     tr.add_argument("--data", required=True, help="input CSV path")
@@ -150,6 +150,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _train_config(args, stage: FeatureStage, ants: int) -> TrainConfig:
+    if not args.threads >= 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     return TrainConfig(
         stage=stage, p=args.p, n_rules=args.rules,
         aco=AcoConfig(n_ants=ants, archive_size=args.archive_size,
@@ -160,8 +162,7 @@ def _train_config(args, stage: FeatureStage, ants: int) -> TrainConfig:
 def _cmd_train(args) -> int:
     stage = FeatureStage.from_arity(args.stage)
     data = load_dataset(args.data, stage)
-    model = train(data, _train_config(args, stage, args.ants),
-                  n_workers=args.threads)
+    model = train(data, _train_config(args, stage, args.ants))
     save_model(model, args.out)
     print(f"train_R={model.train_report.pearson_r:.6f} "
           f"test_R={model.test_report.pearson_r:.6f}")
@@ -194,7 +195,7 @@ def _cmd_sweep(args) -> int:
     ants = _parse_ints(args.ants, "--ants")
     data = load_dataset(args.data, FeatureStage.XYZPV5)
     base = _train_config(args, FeatureStage.XYZPV5, ants[0])
-    report = sweep(data, stages, ants, base, n_workers=args.threads)
+    report = sweep(data, stages, ants, base)
     write_sweep_csv(report, args.out)
     print(f"wrote {len(report.cells)} sweep cells to {args.out}")
     return 0

@@ -136,19 +136,3 @@ def fcm_cluster(data: np.ndarray, config: FcmConfig) -> FcmResult:
                      objective=history[-1], iterations=len(history),
                      objective_history=np.array(history))
 
-
-def fcm_objective(data: np.ndarray, centers: np.ndarray,
-                  memberships: np.ndarray, m: float) -> float:
-    """J = sum_i sum_k u_ik^m ||x_k - v_i||^2 for the given partition."""
-    X = np.asarray(data, dtype=float)
-    V = np.asarray(centers, dtype=float)
-    U = np.asarray(memberships, dtype=float)
-    if X.ndim != 2 or V.ndim != 2 or U.ndim != 2:
-        raise ValueError("fcm_objective: data, centers, memberships must be 2-d")
-    if X.shape[0] != U.shape[0] or V.shape[0] != U.shape[1] \
-            or X.shape[1] != V.shape[1]:
-        raise ValueError("fcm_objective: dimension mismatch between "
-                         f"data {X.shape}, centers {V.shape}, memberships {U.shape}")
-    d2 = np.empty((V.shape[0], X.shape[0]))
-    _sq_distances(np.ascontiguousarray(X.T), V, d2, np.empty_like(d2))
-    return float(np.sum((U.T ** m) * d2))

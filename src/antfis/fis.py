@@ -139,16 +139,6 @@ def predict_batch(model: FisModel, X) -> np.ndarray:
     return w.sum(axis=0)
 
 
-def design_matrix(model: FisModel, X: np.ndarray) -> np.ndarray:
-    """Least-squares regressors for the consequents: (n, c*(d+1)).
-
-    Row k holds, rule by rule, the normalized strength times (features, 1),
-    so design @ coeffs.ravel() equals the model prediction at X. The
-    result is a transposed view of the rules x rows array.
-    """
-    return _regressors(model.centers, model.sigmas, row_basis(X)).T
-
-
 def solve_consequents(A: np.ndarray, y: np.ndarray,
                       lam: float = DEFAULT_DAMPING) -> np.ndarray:
     """Solve min ||A t - y||^2 + lam ||t||^2 for the stacked coefficients.

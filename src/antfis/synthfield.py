@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataSet, FeatureStage
-from .errors import UsageError
+from .errors import DataError, UsageError
 
 RAMP_LENGTH = 0.1  # m over which the plume switches on above the sparger
 
@@ -145,7 +145,8 @@ def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
     Polar sampling with radius R*sqrt(U) gives the area-correct radial
     density. The target is holdup plus seeded Gaussian noise, clamped to
     [0, 1]. Row order equals sampling order; identical (geom, params, n,
-    seed) reproduce identical datasets.
+    seed) reproduce identical datasets. Every parameter is finite, so only
+    the pressure can overflow; that raises UsageError naming its flags.
     """
     if not n >= 1:
         raise UsageError(f"generate_dataset: n (--n) must be >= 1, got {n}")
@@ -161,5 +162,10 @@ def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
     velocity = _velocity(x, y, z, geom, params)
     alpha = np.clip(_holdup(x, y, z, geom, params) + params.noise_sd * eps,
                     0.0, 1.0)
-    return DataSet(np.column_stack([x, y, z, pressure, velocity]), alpha,
-                   stage)
+    try:
+        return DataSet(np.column_stack([x, y, z, pressure, velocity]), alpha,
+                       stage)
+    except DataError as exc:
+        raise UsageError(f"generate_dataset: the parameters give a non-finite "
+                         f"pressure ({exc}); lower --p-atm, --rho-liquid, --g, "
+                         f"--height, --sigma0 or --spread") from exc

@@ -9,7 +9,7 @@ built only for the seed rule base and the final best vector.
 
 Every stochastic stage draws from a child seed derived from the master
 seed via SplitMix64 mixing, so a (dataset, config) pair fully determines
-the trained model, including under parallel fitness evaluation.
+the trained model.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     The optimizer minimizes premise_objective: training RMSE of the
     premise vector, with consequents refit by damped least squares. The
     rule base seeded from clustering joins the initial archive so the
-    search starts no worse than the clustering baseline.
+    search starts no worse than the clustering baseline. `n_workers` is
+    accepted and ignored: fitness evaluations run in one thread.
     """
     if data.feature_stage != config.stage:
         raise ValueError(f"train: data stage {data.feature_stage.n_features} "
@@ -180,8 +181,7 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     aco_cfg = replace(config.aco, seed=mix_seed(config.seed, _ACO_STREAM),
                       bounds=bounds)
     result = optimize(objective, len(bounds), aco_cfg,
-                      initial_guesses=(fis.encode_premise(template),),
-                      n_workers=n_workers)
+                      initial_guesses=(fis.encode_premise(template),))
     best = fis.fit_consequents(
         fis.decode_premise(result.best_vector, template), Xtr, ytr, config.lam)
 
@@ -236,6 +236,7 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
     Each cell's seed derives from (master seed, stage arity, ant count)
     via the SplitMix64 mixer, so cells are independent yet reproducible.
     `data` must carry all features needed by the largest stage.
+    `n_workers` is accepted and ignored, as in train.
     """
     stages = tuple(sorted(set(stages), key=lambda s: s.n_features))
     ant_counts = tuple(sorted(set(int(a) for a in ant_counts)))
@@ -252,7 +253,7 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
                              split_seed=shared_split,
                              aco=replace(base.aco, n_ants=ants))
             try:
-                model = train(data.with_stage(stage), config, n_workers)
+                model = train(data.with_stage(stage), config)
             except AntfisError as exc:
                 raise type(exc)(
                     f"sweep cell (stage {stage.n_features}, ants {ants}) "

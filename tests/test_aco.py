@@ -241,12 +241,6 @@ class TestOptimize:
         assert a.best_objective == b.best_objective
         np.testing.assert_array_equal(a.history, b.history)
 
-    def test_parallel_matches_sequential(self):
-        a = optimize(sphere, 4, self.config(4, max_iter=30), n_workers=1)
-        b = optimize(sphere, 4, self.config(4, max_iter=30), n_workers=8)
-        np.testing.assert_array_equal(a.best_vector, b.best_vector)
-        np.testing.assert_array_equal(a.history, b.history)
-
     def test_ant_draws_addressed_by_seed_iteration_ant(self):
         # replaying the archive from the recorded evaluations, ant a of
         # iteration it draws from the stream (seed, it, a) alone
@@ -271,21 +265,6 @@ class TestOptimize:
             np.testing.assert_array_equal(seen[k + it * n:k + (it + 1) * n],
                                           want)
             arch = update_archive(arch, want, [sphere(v) for v in want])
-
-    def test_one_thread_pool_per_call(self, monkeypatch):
-        import antfis.aco as aco_module
-        pools = []
-
-        class CountingPool(aco_module.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(aco_module, "ThreadPoolExecutor", CountingPool)
-        optimize(sphere, 4, self.config(4, max_iter=12), n_workers=2)
-        assert len(pools) == 1
-        optimize(sphere, 4, self.config(4, max_iter=12), n_workers=1)
-        assert len(pools) == 1
 
     def test_elitism_best_ever_retained(self):
         seen = []
@@ -325,12 +304,6 @@ class TestOptimize:
                        initial_guesses=(guess,))
         assert res.best_objective == 0.0
         np.testing.assert_array_equal(res.best_vector, guess)
-
-    def test_worker_count_below_one_rejected(self):
-        for n_workers in (0, -3):
-            with pytest.raises(UsageError, match="--threads"):
-                optimize(sphere, 2, self.config(2, max_iter=1),
-                         n_workers=n_workers)
 
     def test_bounds_required(self):
         with pytest.raises(ValueError, match="bounds"):

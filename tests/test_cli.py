@@ -354,6 +354,7 @@ FLAG_FAULTS = [
     (["gen-data", "--height", "inf"], "--height"),
     (["gen-data", "--g=-inf"], "--g"),
     (["gen-data", "--sparger-height", "3"], "--sparger-height"),
+    (["gen-data", "--rho-liquid", "1e308"], "--rho-liquid"),
 ]
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antfis.fcm import FcmConfig, fcm_cluster, fcm_objective
+from antfis.fcm import FcmConfig, fcm_cluster
 
 
 def two_clouds(n_per=100, sep=0.5, sd=0.05, seed=0):
@@ -181,33 +181,15 @@ class TestFcmCluster:
 
 
 class TestFcmObjective:
-    def test_one_hot_at_exact_centers(self):
-        X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        V = X.copy()
-        U = np.eye(2)
-        assert fcm_objective(X, V, U, 2.0) == 0.0
-
-    def test_single_point_unit_distance(self):
-        X = np.array([[1.0, 0.0]])
-        V = np.array([[0.0, 0.0]])
-        U = np.array([[1.0]])
-        assert fcm_objective(X, V, U, 2.0) == pytest.approx(1.0)
-
-    @given(seed=st.integers(0, 500))
+    @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 7))
     @settings(max_examples=25, deadline=None)
-    def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.random((12, 3))
-        V = rng.random((4, 3))
-        U = rng.random((12, 4))
-        U /= U.sum(axis=1, keepdims=True)
-        assert fcm_objective(X, V, U, 2.0) == pytest.approx(
-            brute_force_objective(X, V, U, 2.0), rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            fcm_objective(np.zeros((5, 2)), np.zeros((3, 2)), np.zeros((5, 4)),
-                          2.0)
+    def test_matches_brute_force(self, seed, c):
+        # the reported J is the objective of the returned partition
+        X = np.random.default_rng(seed).random((30, 3))
+        res = fcm_cluster(X, FcmConfig(c=c, seed=seed))
+        assert res.objective == pytest.approx(
+            brute_force_objective(X, res.centers, res.memberships, 2.0),
+            rel=1e-12)
 
 
 class TestFcmConfig:

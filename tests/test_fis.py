@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from antfis.dataset import FeatureStage, Normalizer
 from antfis.fcm import FcmConfig, fcm_cluster
 from antfis.fis import (SIGMA_CAP, SIGMA_FLOOR, FisModel, decode_premise,
-                        design_matrix, encode_premise, fit_consequents,
-                        fitness, init_from_fcm, log_firing_strengths,
-                        predict_batch, row_basis, solve_consequents)
+                        encode_premise, fit_consequents, fitness,
+                        init_from_fcm, log_firing_strengths, predict_batch,
+                        row_basis, solve_consequents)
 from antfis.trainer import CENTER_BOUNDS, SIGMA_BOUNDS
 
 
@@ -250,13 +250,16 @@ class TestFitConsequents:
         np.testing.assert_allclose(pred, y, atol=1e-8)
 
     def test_design_matrix_reproduces_prediction(self):
+        # targets the model fits exactly: the undamped refit recovers its
+        # consequents with zero residual
         rng = np.random.default_rng(6)
         m = make_model(rng.random((3, 2)), 0.2 + rng.random((3, 2)),
                        rng.standard_normal((3, 3)))
         X = rng.random((20, 2))
-        A = design_matrix(m, X)
-        np.testing.assert_allclose(A @ m.coeffs.ravel(), predict_batch(m, X),
-                                   rtol=1e-12)
+        coeffs, rmse = fitness(m.centers, m.sigmas, row_basis(X),
+                               predict_batch(m, X), 0.0)
+        assert rmse <= 1e-12
+        np.testing.assert_allclose(coeffs, m.coeffs, rtol=0, atol=1e-10)
 
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError):
