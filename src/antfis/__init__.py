@@ -3,8 +3,8 @@ tuned by a continuous-domain ant colony optimizer."""
 
 from .aco import AcoConfig, OptResult, optimize
 from .dataset import (CSV_HEADER, DataSet, EvalReport, FeatureStage,
-                      Normalizer, apply_normalizer, eval_metrics,
-                      fit_normalizer, load_dataset, split, write_dataset_csv)
+                      Normalizer, eval_metrics, fit_normalizer, load_dataset,
+                      split, write_dataset_csv)
 from .errors import AntfisError, DataError, NumericError, UsageError
 from .fcm import FcmConfig, FcmResult, fcm_cluster
 from .fis import (FisModel, decode_premise, encode_premise, fit_consequents,

@@ -42,8 +42,6 @@ class AcoConfig:
     q: float = 0.1          # locality: small q concentrates on top ranks
     xi: float = 0.85        # kernel width factor; smaller converges faster
     max_iter: int = 100
-    seed: int = 0
-    bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if not self.n_ants >= 1:
@@ -58,11 +56,7 @@ class AcoConfig:
         if not self.max_iter >= 1:
             raise UsageError(f"aco: max_iter (--iters) must be >= 1, "
                              f"got {self.max_iter}")
-        if self.bounds is not None:
-            for lo, hi in self.bounds:
-                if not -np.inf < lo < hi < np.inf:
-                    raise ValueError(f"aco: bounds require finite lo < hi, "
-                                     f"got ({lo}, {hi})")
+        rank_weights(self.archive_size, self.q)
 
 
 @dataclass(frozen=True)
@@ -168,30 +162,31 @@ def update_archive(archive: SolutionArchive, candidates: np.ndarray,
                            weights=archive.weights)
 
 
-def optimize(objective: Callable[[np.ndarray], float], dims: int,
-             config: AcoConfig,
+def optimize(objective: Callable[[np.ndarray], float],
+             bounds: Sequence[tuple[float, float]],
+             config: AcoConfig = AcoConfig(), seed: int = 0,
              initial_guesses: Sequence[np.ndarray] = ()) -> OptResult:
-    """Minimize `objective` over the configured box.
+    """Minimize `objective` over the box of (lo, hi) pairs in `bounds`.
 
-    The archive starts from k uniform seeded samples (optionally with
+    The archive starts from k uniform samples drawn from `seed` (with any
     `initial_guesses` replacing the first few, clipped into bounds), then
     runs exactly max_iter iterations of sample / evaluate / merge. The
     objective may return +inf to flag an invalid vector; NaN candidates
     are dropped. Raises NumericError if no initial point evaluates finite.
     """
-    if config.bounds is None:
-        raise ValueError("optimize: config.bounds must be set")
-    bounds = np.asarray(config.bounds, dtype=float)
-    if bounds.shape != (dims, 2):
-        raise ValueError(f"optimize: expected {dims} bounds pairs, "
-                         f"got shape {bounds.shape}")
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.ndim != 2 or bounds.shape[1] != 2 \
+            or not np.isfinite(bounds).all() \
+            or not (bounds[:, 0] < bounds[:, 1]).all():
+        raise ValueError(f"optimize: bounds must be finite (lo, hi) pairs "
+                         f"with lo < hi, got {bounds.tolist()}")
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
         return np.fromiter(map(objective, batch), dtype=float, count=len(batch))
 
     k = config.archive_size
     lo, hi = bounds[:, 0], bounds[:, 1]
-    init_rng = substream(config.seed, _INIT_STREAM)
+    init_rng = substream(seed, _INIT_STREAM)
     solutions = lo + (hi - lo) * init_rng.random((k, len(bounds)))
     for i, guess in enumerate(initial_guesses[:k]):
         solutions[i] = np.clip(np.asarray(guess, dtype=float), lo, hi)
@@ -211,7 +206,7 @@ def optimize(objective: Callable[[np.ndarray], float], dims: int,
     for it in range(config.max_iter):
         candidates = sample_candidates(
             archive.solutions, cdf, config.xi, bounds,
-            substreams(config.seed, _ANT_STREAM, it, count=config.n_ants))
+            substreams(seed, _ANT_STREAM, it, count=config.n_ants))
         archive = update_archive(archive, candidates, evaluate(candidates))
         evaluations += config.n_ants
         history[it] = archive.objectives[0]

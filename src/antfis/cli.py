@@ -161,8 +161,8 @@ def _train_config(args, stage: FeatureStage, ants: int) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     stage = FeatureStage.from_arity(args.stage)
-    data = load_dataset(args.data, stage)
-    model = train(data, _train_config(args, stage, args.ants))
+    config = _train_config(args, stage, args.ants)
+    model = train(load_dataset(args.data, stage), config)
     save_model(model, args.out)
     print(f"train_R={model.train_report.pearson_r:.6f} "
           f"test_R={model.test_report.pearson_r:.6f}")
@@ -187,15 +187,17 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 def _parse_stages(text: str) -> list[FeatureStage]:
     m = re.fullmatch(r"\s*(\d{1,9})\s*-\s*(\d{1,9})\s*", text)
     ks = range(int(m[1]), int(m[2]) + 1) if m else _parse_ints(text, "--stages")
+    if not ks:
+        raise UsageError(f"bad --stages range {text!r}: it holds no stage")
     return [FeatureStage.from_arity(k) for k in ks]
 
 
 def _cmd_sweep(args) -> int:
     stages = _parse_stages(args.stages)
     ants = _parse_ints(args.ants, "--ants")
-    data = load_dataset(args.data, FeatureStage.XYZPV5)
-    base = _train_config(args, FeatureStage.XYZPV5, ants[0])
-    report = sweep(data, stages, ants, base)
+    base = _train_config(args, FeatureStage.XYZPV5, min(ants))
+    report = sweep(load_dataset(args.data, FeatureStage.XYZPV5), stages,
+                   ants, base)
     write_sweep_csv(report, args.out)
     print(f"wrote {len(report.cells)} sweep cells to {args.out}")
     return 0

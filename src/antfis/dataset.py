@@ -68,8 +68,8 @@ class DataSet:
     """Reactor nodes as columns, plus the feature stage they are consumed at.
 
     X holds all five feature columns (n, 5) and y the volume fractions
-    (n,). Both are read-only copies of the arrays passed in; every value
-    must be finite and every volume fraction in [0, 1].
+    (n,), both read-only. The constructor copies the arrays passed in and
+    checks that every value is finite and every fraction in [0, 1].
     """
 
     X: np.ndarray
@@ -108,7 +108,18 @@ class DataSet:
         return self.y
 
     def with_stage(self, stage: FeatureStage) -> "DataSet":
-        return DataSet(self.X, self.y, stage)
+        return _adopt(self.X, self.y, stage)
+
+
+def _adopt(X: np.ndarray, y: np.ndarray, stage: FeatureStage) -> DataSet:
+    """A DataSet over checked arrays that no one writes to afterwards:
+    unlike DataSet(...), it makes them read-only but neither copies nor
+    checks them."""
+    X.flags.writeable = False
+    y.flags.writeable = False
+    data = object.__new__(DataSet)
+    vars(data).update(X=X, y=y, feature_stage=stage)
+    return data
 
 
 @dataclass(frozen=True)
@@ -279,10 +290,11 @@ def write_csv_table(path: str | Path, header: tuple[str, ...],
 def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:
     """Read the canonical CSV into a DataSet carrying `stage`.
 
-    Raises DataError as read_csv_table does.
+    Raises DataError as read_csv_table does; the rows it has checked are
+    not copied or checked again: X and y are columns of its table.
     """
     table = read_csv_table(path, CSV_HEADER, "samples")
-    return DataSet(table[:, :-1], table[:, -1], stage)
+    return _adopt(table[:, :-1], table[:, -1], stage)
 
 
 def write_dataset_csv(data: DataSet, path: str | Path) -> None:
@@ -305,8 +317,8 @@ def split(data: DataSet, p: float, seed: int) -> tuple[DataSet, DataSet]:
     order = np.random.default_rng(seed).permutation(n)
     train, test = order[:n_train], order[n_train:]
     stage = data.feature_stage
-    return (DataSet(data.X[train], data.y[train], stage),
-            DataSet(data.X[test], data.y[test], stage))
+    return (_adopt(data.X[train], data.y[train], stage),
+            _adopt(data.X[test], data.y[test], stage))
 
 
 def fit_normalizer(train: DataSet) -> Normalizer:
@@ -326,21 +338,6 @@ def fit_normalizer(train: DataSet) -> Normalizer:
             raise DataError(f"fit_normalizer: feature '{name}' is constant "
                             f"({mins[j]!r}); cannot scale")
     return Normalizer(names, mins, maxs)
-
-
-def apply_normalizer(norm: Normalizer, data: DataSet) -> DataSet:
-    """Return a copy of `data` with the staged feature columns scaled.
-
-    Non-staged fields and the target are untouched; values outside the
-    fitted range map outside [0, 1] and are not clipped.
-    """
-    d = data.feature_stage.n_features
-    if len(norm.feature_names) != d:
-        raise ValueError("apply_normalizer: normalizer arity "
-                         f"{len(norm.feature_names)} != stage arity {d}")
-    X = data.X.copy()
-    X[:, :d] = norm.transform(data.features())
-    return DataSet(X, data.y, data.feature_stage)
 
 
 def eval_metrics(pred, target) -> EvalReport:

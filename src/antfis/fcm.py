@@ -21,16 +21,11 @@ from .errors import UsageError
 
 @dataclass(frozen=True)
 class FcmConfig:
-    c: int
     m: float = 2.0
     tol: float = 1e-5
     max_iter: int = 200
-    seed: int = 0
 
     def __post_init__(self):
-        if not self.c >= 2:
-            raise UsageError(f"fcm: cluster count c (--rules) must be >= 2, "
-                             f"got {self.c}")
         if not 1.0 < self.m < np.inf:
             raise UsageError(f"fcm: fuzzifier m must be in (1, inf), got {self.m}")
         if not 0.0 < self.tol < np.inf:
@@ -83,11 +78,14 @@ def _memberships_from_distances(d2: np.ndarray, m: float,
     return out
 
 
-def fcm_cluster(data: np.ndarray, config: FcmConfig) -> FcmResult:
-    """Cluster row vectors of `data` into config.c fuzzy groups.
+def fcm_cluster(data: np.ndarray, c: int, config: FcmConfig = FcmConfig(),
+                seed: int = 0) -> FcmResult:
+    """Cluster row vectors of `data` into c fuzzy groups, starting from
+    memberships drawn from `seed`.
 
-    Expects data roughly scaled to [0, 1]. Raises ValueError when there
-    are fewer points than clusters or the data contains non-finite values.
+    Expects data roughly scaled to [0, 1]. Raises UsageError when c < 2,
+    ValueError when there are fewer points than clusters or the data
+    contains non-finite values.
 
     The loop works in a clusters x rows layout: memberships, their m-th
     powers W and squared distances are (c, n) arrays made once per call,
@@ -99,13 +97,15 @@ def fcm_cluster(data: np.ndarray, config: FcmConfig) -> FcmResult:
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("fcm: data must be a 2-d (n, d) array")
     n, _ = X.shape
-    c = config.c
+    if not c >= 2:
+        raise UsageError(f"fcm: cluster count c (--rules) must be >= 2, "
+                         f"got {c}")
     if n < c:
         raise ValueError(f"fcm: need at least c={c} points, got {n}")
     if not np.isfinite(X).all():
         raise ValueError("fcm: data contains non-finite values")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     U = np.ascontiguousarray(rng.random((n, c)).T)
     U /= U.sum(axis=0)
 

@@ -31,8 +31,9 @@ class ReactorGeometry:
         if not math.inf > self.height > self.sparger_height >= 0.0:
             raise UsageError("geometry requires finite height (--height) > "
                              "sparger_height (--sparger-height) >= 0")
-        if not 0.0 < self.diameter < math.inf:
-            raise UsageError("geometry requires finite diameter (--diameter) > 0")
+        if not 0.0 < self.radius * self.radius < math.inf:
+            raise UsageError("geometry requires diameter (--diameter) > 0 "
+                             "whose squared radius is finite")
 
     @property
     def radius(self) -> float:

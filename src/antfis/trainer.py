@@ -14,7 +14,7 @@ the trained model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -23,8 +23,7 @@ import numpy as np
 from . import fis
 from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
-                      apply_normalizer, eval_metrics, fit_normalizer, split,
-                      write_csv_table)
+                      eval_metrics, fit_normalizer, split, write_csv_table)
 from .errors import AntfisError, DataError, UsageError
 from .fcm import FcmConfig, fcm_cluster
 from .rng import mix_seed
@@ -49,8 +48,8 @@ class TrainConfig:
     stage: FeatureStage
     p: float = 0.70
     n_rules: int = 10
-    fcm: FcmConfig = field(default_factory=lambda: FcmConfig(c=10))
-    aco: AcoConfig = field(default_factory=AcoConfig)
+    fcm: FcmConfig = FcmConfig()
+    aco: AcoConfig = AcoConfig()
     seed: int = 7
     lam: float = fis.DEFAULT_DAMPING
     # Sweeps pin one partition for every cell so stage/ant comparisons are
@@ -166,21 +165,18 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
         raise DataError(f"train: the test share holds {len(test_ds)} of "
                         f"{len(data)} rows, need at least 2; lower --p")
     norm = fit_normalizer(train_ds)
-    norm_train = apply_normalizer(norm, train_ds)
-    Xtr = norm_train.features()
-    ytr = norm_train.targets()
+    Xtr = norm.transform(train_ds.features())
+    ytr = train_ds.targets()
 
-    fcm_cfg = replace(config.fcm, c=config.n_rules,
-                      seed=mix_seed(config.seed, _FCM_STREAM))
-    clustering = fcm_cluster(Xtr, fcm_cfg)
+    clustering = fcm_cluster(Xtr, config.n_rules, config.fcm,
+                             seed=mix_seed(config.seed, _FCM_STREAM))
     template = fis.init_from_fcm(clustering, Xtr, ytr, config.stage, norm,
                                  lam=config.lam)
 
-    bounds = _premise_bounds(config.n_rules, config.stage.n_features)
     objective = premise_objective(template, Xtr, ytr, config.lam)
-    aco_cfg = replace(config.aco, seed=mix_seed(config.seed, _ACO_STREAM),
-                      bounds=bounds)
-    result = optimize(objective, len(bounds), aco_cfg,
+    result = optimize(objective,
+                      _premise_bounds(config.n_rules, config.stage.n_features),
+                      config.aco, seed=mix_seed(config.seed, _ACO_STREAM),
                       initial_guesses=(fis.encode_premise(template),))
     best = fis.fit_consequents(
         fis.decode_premise(result.best_vector, template), Xtr, ytr, config.lam)
@@ -376,7 +372,7 @@ def load_model(path: str | Path) -> TrainedModel:
             stage=stage,
             p=float(cfg_s["p"]),
             n_rules=n_rules,
-            fcm=FcmConfig(c=n_rules, m=float(cfg_s["fcm.m"]),
+            fcm=FcmConfig(m=float(cfg_s["fcm.m"]),
                           tol=float(cfg_s["fcm.tol"]),
                           max_iter=int(cfg_s["fcm.max_iter"])),
             aco=AcoConfig(n_ants=int(cfg_s["aco.n_ants"]),

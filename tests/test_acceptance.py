@@ -17,7 +17,7 @@ import pytest
 
 from antfis.aco import AcoConfig, optimize
 from antfis.dataset import FeatureStage, Normalizer, load_dataset
-from antfis.fcm import FcmConfig, fcm_cluster
+from antfis.fcm import fcm_cluster
 from antfis.fis import FisModel, fit_consequents, predict_batch
 from antfis.synthfield import (PlumeParams, ReactorGeometry, generate_dataset,
                                holdup_at, pressure_at, velocity_at)
@@ -146,12 +146,11 @@ def test_criterion_5_optimizer_sanity():
             return float(np.sum(v * v))
 
         bounds = tuple((-1.0, 1.0) for _ in range(5))
-        res = optimize(sphere, 5, AcoConfig(n_ants=20, max_iter=100, seed=7,
-                                            bounds=bounds))
+        config = AcoConfig(n_ants=20, max_iter=100)
+        res = optimize(sphere, bounds, config, seed=7)
         assert res.best_objective < 1e-3, res.best_objective
         for seed in range(50):
-            run = optimize(sphere, 5, AcoConfig(n_ants=20, max_iter=100,
-                                                seed=seed, bounds=bounds))
+            run = optimize(sphere, bounds, config, seed=seed)
             assert all(a >= b for a, b in
                        zip(run.history, run.history[1:])), seed
     print(f"  sphere best = {res.best_objective:.2e}", flush=True)
@@ -165,7 +164,7 @@ def test_criterion_6_fcm_oracle():
         a = rng.normal([0.3, 0.5], sd, size=(100, 2))
         b = rng.normal([0.5, 0.5], sd, size=(100, 2))  # 10 sd apart
         X = np.vstack([a, b])
-        res = fcm_cluster(X, FcmConfig(c=2, seed=1))
+        res = fcm_cluster(X, 2, seed=1)
         means = np.array([a.mean(axis=0), b.mean(axis=0)])
         centers = res.centers[np.argsort(res.centers[:, 0])]
         err = np.abs(centers - means[np.argsort(means[:, 0])]).max()

@@ -212,31 +212,35 @@ class TestUpdateArchive:
         np.testing.assert_array_equal(out.solutions, pool_sol[order])
 
 
+def box(dims, lo=-1.0, hi=1.0):
+    return tuple((lo, hi) for _ in range(dims))
+
+
 class TestOptimize:
-    def config(self, dims, **kw):
-        defaults = dict(n_ants=20, archive_size=25, max_iter=100, seed=7,
-                        bounds=tuple((-1.0, 1.0) for _ in range(dims)))
+    def config(self, **kw):
+        defaults = dict(n_ants=20, archive_size=25, max_iter=100)
         defaults.update(kw)
         return AcoConfig(**defaults)
 
     def test_sphere_converges(self):
-        res = optimize(sphere, 5, self.config(5))
+        res = optimize(sphere, box(5), self.config(), seed=7)
         assert res.best_objective < 1e-3
         assert res.evaluations == 25 + 20 * 100
 
     def test_history_non_increasing(self):
-        res = optimize(sphere, 5, self.config(5))
+        res = optimize(sphere, box(5), self.config(), seed=7)
         assert all(a >= b for a, b in zip(res.history, res.history[1:]))
         assert len(res.history) == 100
 
     def test_constant_objective_flat_history(self):
-        res = optimize(lambda v: 3.25, 3, self.config(3, max_iter=20))
+        res = optimize(lambda v: 3.25, box(3), self.config(max_iter=20),
+                       seed=7)
         assert res.best_objective == 3.25
         assert (res.history == 3.25).all()
 
     def test_seed_determinism(self):
-        a = optimize(sphere, 4, self.config(4, max_iter=30))
-        b = optimize(sphere, 4, self.config(4, max_iter=30))
+        a = optimize(sphere, box(4), self.config(max_iter=30), seed=7)
+        b = optimize(sphere, box(4), self.config(max_iter=30), seed=7)
         np.testing.assert_array_equal(a.best_vector, b.best_vector)
         assert a.best_objective == b.best_objective
         np.testing.assert_array_equal(a.history, b.history)
@@ -244,22 +248,23 @@ class TestOptimize:
     def test_ant_draws_addressed_by_seed_iteration_ant(self):
         # replaying the archive from the recorded evaluations, ant a of
         # iteration it draws from the stream (seed, it, a) alone
-        cfg = self.config(3, max_iter=6, n_ants=5, archive_size=8)
+        cfg = self.config(max_iter=6, n_ants=5, archive_size=8)
+        seed = 7
         seen = []
 
         def recording(v):
             seen.append(v.copy())
             return sphere(v)
 
-        optimize(recording, 3, cfg)
-        bounds = np.asarray(cfg.bounds)
+        optimize(recording, box(3), cfg, seed=seed)
+        bounds = np.asarray(box(3))
         k, n = cfg.archive_size, cfg.n_ants
-        init = substream(cfg.seed, _INIT_STREAM).random((k, 3))
+        init = substream(seed, _INIT_STREAM).random((k, 3))
         np.testing.assert_array_equal(seen[:k], -1.0 + 2.0 * init)
         arch = make_archive(seen[:k], [sphere(v) for v in seen[:k]], cfg.q)
         cdf = selection_cdf(arch.weights)
         for it in range(cfg.max_iter):
-            ants = [substream(cfg.seed, _ANT_STREAM, it, a) for a in range(n)]
+            ants = [substream(seed, _ANT_STREAM, it, a) for a in range(n)]
             want = sample_candidates(arch.solutions, cdf, cfg.xi, bounds,
                                      ants)
             np.testing.assert_array_equal(seen[k + it * n:k + (it + 1) * n],
@@ -274,7 +279,7 @@ class TestOptimize:
             seen.append(val)
             return val
 
-        res = optimize(recording, 3, self.config(3, max_iter=40))
+        res = optimize(recording, box(3), self.config(max_iter=40), seed=7)
         assert res.best_objective == min(seen)
 
     def test_all_candidates_in_bounds(self):
@@ -284,36 +289,40 @@ class TestOptimize:
             assert (v >= lo).all() and (v <= hi).all()
             return sphere(v)
 
-        optimize(checking, 4, self.config(
-            4, max_iter=20, bounds=tuple((lo, hi) for _ in range(4))))
+        optimize(checking, box(4, lo, hi), self.config(max_iter=20), seed=7)
 
     def test_invalid_objective_everywhere(self):
         with pytest.raises(NumericError, match="invalid"):
-            optimize(lambda v: float("inf"), 2, self.config(2, max_iter=5))
+            optimize(lambda v: float("inf"), box(2), self.config(max_iter=5),
+                     seed=7)
 
     def test_partial_inf_is_tolerated(self):
         def partial(v):
             return sphere(v) if v[0] > 0 else float("inf")
 
-        res = optimize(partial, 2, self.config(2, max_iter=30))
+        res = optimize(partial, box(2), self.config(max_iter=30), seed=7)
         assert np.isfinite(res.best_objective)
 
     def test_initial_guess_joins_archive(self):
         guess = np.zeros(4)
-        res = optimize(sphere, 4, self.config(4, max_iter=1),
+        res = optimize(sphere, box(4), self.config(max_iter=1), seed=7,
                        initial_guesses=(guess,))
         assert res.best_objective == 0.0
         np.testing.assert_array_equal(res.best_vector, guess)
 
-    def test_bounds_required(self):
-        with pytest.raises(ValueError, match="bounds"):
-            optimize(sphere, 3, AcoConfig(bounds=None))
+    def test_bounds_checked(self):
+        for bounds in ((), ((1.0, 1.0),), ((0.0, 1.0), (2.0, -2.0)),
+                       ((0.0, np.inf),), ((np.nan, 1.0),), (0.0, 1.0),
+                       ((0.0, 1.0, 2.0),)):
+            with pytest.raises(ValueError, match="optimize: bounds"):
+                optimize(sphere, bounds)
 
     def test_history_property_many_seeds(self):
         # broad determinism/monotonicity property across 50 seeds
         for seed in range(50):
-            res = optimize(sphere, 3, self.config(3, max_iter=15, seed=seed,
-                                                  n_ants=8, archive_size=10))
+            res = optimize(sphere, box(3), self.config(max_iter=15, n_ants=8,
+                                                       archive_size=10),
+                           seed=seed)
             assert all(a >= b for a, b in zip(res.history, res.history[1:]))
 
 
@@ -331,8 +340,8 @@ class TestAcoConfig:
             AcoConfig(xi=1.5)
         with pytest.raises(ValueError):
             AcoConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            AcoConfig(bounds=((1.0, 1.0),))
+        with pytest.raises(UsageError, match="--q"):
+            AcoConfig(q=1e308)
 
 
 class TestRngHelpers:

@@ -355,7 +355,10 @@ FLAG_FAULTS = [
     (["gen-data", "--g=-inf"], "--g"),
     (["gen-data", "--sparger-height", "3"], "--sparger-height"),
     (["gen-data", "--rho-liquid", "1e308"], "--rho-liquid"),
+    (["gen-data", "--diameter", "1e308"], "--diameter"),
 ]
+CONFIG_FAULTS = [case for case in FLAG_FAULTS
+                 if case[0][0] in ("train", "sweep")]
 
 
 class TestExitCodes:
@@ -369,6 +372,17 @@ class TestExitCodes:
             base += ["--data", str(data_csv), "--iters", "2", "--ants", "3",
                      "--rules", "3"]
         code, _, err = invoke(capsys, cmd, *base, *fault)
+        assert code == 1
+        assert flag in err
+
+    @pytest.mark.parametrize("argv, flag", CONFIG_FAULTS,
+                             ids=[" ".join(a) for a, _ in CONFIG_FAULTS])
+    def test_flag_fault_reported_before_data_is_read(self, capsys, tmp_path,
+                                                     argv, flag):
+        cmd, *fault = argv
+        code, _, err = invoke(capsys, cmd, "--data",
+                              str(tmp_path / "missing.csv"), "--out",
+                              str(tmp_path / "out"), *fault)
         assert code == 1
         assert flag in err
 

@@ -12,9 +12,9 @@ from test_parsers_fuzz import csv_texts
 
 from antfis import dataset
 from antfis.dataset import (CSV_HEADER, TARGET_NAME, DataSet, FeatureStage,
-                            apply_normalizer, eval_metrics, fit_normalizer,
-                            load_dataset, read_csv_table, split,
-                            write_csv_table, write_dataset_csv)
+                            eval_metrics, fit_normalizer, load_dataset,
+                            read_csv_table, split, write_csv_table,
+                            write_dataset_csv)
 from antfis.errors import DataError
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 
@@ -90,6 +90,23 @@ class TestLoadDataset:
         assert len(loaded) == 1500
         np.testing.assert_array_equal(loaded.X, data.X)
         np.testing.assert_array_equal(loaded.targets(), data.targets())
+
+    @pytest.mark.parametrize("stage", list(FeatureStage))
+    def test_with_stage_and_split_share_checked_arrays(self, tmp_path, stage):
+        data = generate_dataset(ReactorGeometry(), PlumeParams(), 50, seed=3)
+        path = tmp_path / "nodes.csv"
+        write_dataset_csv(data, path)
+        loaded = load_dataset(path, FeatureStage.XYZPV5)
+        assert np.may_share_memory(loaded.X, loaded.y)  # columns of one table
+        staged = loaded.with_stage(stage)
+        assert staged.feature_stage is stage
+        assert np.shares_memory(loaded.X, staged.X)
+        assert np.shares_memory(loaded.y, staged.y)
+        for part in (staged, *split(staged, 0.7, seed=1)):
+            assert part.feature_stage is stage
+            for array in (part.X, part.y):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -336,7 +353,9 @@ class TestReadCsvTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * (loaded.X.nbytes + loaded.y.nbytes)
+        # the reader has checked every row, so the DataSet keeps the
+        # table's columns: no second copy and no second check
+        assert peak <= 1.5 * (loaded.X.nbytes + loaded.y.nbytes)
 
 
 class TestWriteCsvTable:
@@ -425,8 +444,7 @@ class TestNormalizer:
         data = make_dataset([(0.5, 0, 1, 1e5, 0.1, 0.1),
                              (2.6, 1, 2, 2e5, 0.2, 0.2)])
         norm = fit_normalizer(data)
-        out = apply_normalizer(norm, data)
-        X = out.features()
+        X = norm.transform(data.features())
         np.testing.assert_allclose(X[:, 0], [0.0, 1.0])
 
     def test_linear_map(self):
@@ -434,7 +452,7 @@ class TestNormalizer:
                              (2, 1, 2, 2e5, 0.2, 0.2),
                              (3, 2, 3, 3e5, 0.3, 0.3)])
         norm = fit_normalizer(data)
-        X = apply_normalizer(norm, data).features()
+        X = norm.transform(data.features())
         np.testing.assert_allclose(X[:, 0], [0.0, 0.5, 1.0])
 
     def test_out_of_range_not_clipped(self):
@@ -443,7 +461,7 @@ class TestNormalizer:
                               (3, 1, 2, 2e5, 0.2, 0.2)])
         norm = fit_normalizer(train)
         test = make_dataset([(3.5, 0.5, 1.5, 1.5e5, 0.15, 0.15)])
-        X = apply_normalizer(norm, test).features()
+        X = norm.transform(test.features())
         assert X[0, 0] == pytest.approx(1.25, abs=1e-12)
 
     def test_constant_feature_named(self):
@@ -455,7 +473,7 @@ class TestNormalizer:
     def test_fit_range_maps_into_unit_interval(self):
         data = generate_dataset(ReactorGeometry(), PlumeParams(), 200, seed=3)
         norm = fit_normalizer(data)
-        X = apply_normalizer(norm, data).features()
+        X = norm.transform(data.features())
         assert X.min() >= -1e-12 and X.max() <= 1 + 1e-12
 
 

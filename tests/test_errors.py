@@ -26,7 +26,7 @@ def test_usage_error_is_a_value_error():
 
 
 # Each config class with the arguments it needs besides defaults.
-CONFIGS = ((AcoConfig, {}), (FcmConfig, {"c": 2}),
+CONFIGS = ((AcoConfig, {}), (FcmConfig, {}),
            (TrainConfig, {"stage": FeatureStage.X1}),
            (ReactorGeometry, {}), (PlumeParams, {}))
 FLOAT_FIELDS = [(cls, base, f.name) for cls, base in CONFIGS

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antfis.errors import UsageError
 from antfis.fcm import FcmConfig, fcm_cluster
 
 
@@ -28,7 +29,7 @@ def reference_fcm(X, U0, config):
     X = np.asarray(X, dtype=float)
     U = U0 / U0.sum(axis=1, keepdims=True)
     m = config.m
-    centers = np.empty((config.c, X.shape[1]))
+    centers = np.empty((U0.shape[1], X.shape[1]))
     centers_known = False
     history = []
     prev_j = np.inf
@@ -60,7 +61,7 @@ def reference_fcm(X, U0, config):
 class TestFcmCluster:
     def test_separated_clouds_recover_means(self):
         X = two_clouds()
-        res = fcm_cluster(X, FcmConfig(c=2, seed=1))
+        res = fcm_cluster(X, 2, seed=1)
         means = np.array([X[:100].mean(axis=0), X[100:].mean(axis=0)])
         # match clusters to clouds by nearest center
         order = np.argsort(res.centers[:, 0])
@@ -76,7 +77,7 @@ class TestFcmCluster:
 
     def test_identical_points_no_nan(self):
         X = np.ones((20, 3)) * 0.4
-        res = fcm_cluster(X, FcmConfig(c=2, seed=5))
+        res = fcm_cluster(X, 2, seed=5)
         assert np.isfinite(res.centers).all()
         assert np.isfinite(res.memberships).all()
         assert np.isfinite(res.objective)
@@ -84,8 +85,8 @@ class TestFcmCluster:
 
     def test_bitwise_determinism(self):
         X = two_clouds(seed=3)
-        a = fcm_cluster(X, FcmConfig(c=3, seed=9))
-        b = fcm_cluster(X, FcmConfig(c=3, seed=9))
+        a = fcm_cluster(X, 3, seed=9)
+        b = fcm_cluster(X, 3, seed=9)
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.memberships, b.memberships)
         assert a.objective == b.objective
@@ -93,25 +94,25 @@ class TestFcmCluster:
 
     def test_objective_monotone_per_iteration(self):
         X = two_clouds(seed=4)
-        res = fcm_cluster(X, FcmConfig(c=4, seed=2))
+        res = fcm_cluster(X, 4, seed=2)
         h = res.objective_history
         assert all(h[i] - h[i + 1] >= -1e-12 for i in range(len(h) - 1))
         assert res.objective == h[-1]
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least"):
-            fcm_cluster(np.zeros((2, 2)), FcmConfig(c=3))
+            fcm_cluster(np.zeros((2, 2)), 3)
 
     def test_nan_rejected(self):
         X = np.ones((10, 2))
         X[3, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            fcm_cluster(X, FcmConfig(c=2))
+            fcm_cluster(X, 2)
 
     def test_centers_inside_bounding_box(self):
         rng = np.random.default_rng(8)
         X = rng.random((80, 3))
-        res = fcm_cluster(X, FcmConfig(c=5, seed=6))
+        res = fcm_cluster(X, 5, seed=6)
         assert (res.centers >= X.min(axis=0) - 1e-12).all()
         assert (res.centers <= X.max(axis=0) + 1e-12).all()
 
@@ -120,7 +121,7 @@ class TestFcmCluster:
     def test_membership_rows_sum_to_one(self, seed, c):
         rng = np.random.default_rng(seed)
         X = rng.random((30, 2))
-        res = fcm_cluster(X, FcmConfig(c=c, seed=seed))
+        res = fcm_cluster(X, c, seed=seed)
         np.testing.assert_allclose(res.memberships.sum(axis=1), 1.0, atol=1e-9)
         assert (res.memberships >= 0.0).all()
         assert (res.memberships <= 1.0 + 1e-12).all()
@@ -129,9 +130,9 @@ class TestFcmCluster:
         X = two_clouds(seed=12)
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(X))
-        res = fcm_cluster(X, FcmConfig(c=2, seed=1, tol=1e-12, max_iter=500))
-        res_p = fcm_cluster(X[perm], FcmConfig(c=2, seed=1, tol=1e-12,
-                                               max_iter=500))
+        config = FcmConfig(tol=1e-12, max_iter=500)
+        res = fcm_cluster(X, 2, config, seed=1)
+        res_p = fcm_cluster(X[perm], 2, config, seed=1)
         # centers equal as a set (up to relabeling)
         order = np.argsort(res.centers[:, 0])
         order_p = np.argsort(res_p.centers[:, 0])
@@ -154,10 +155,10 @@ class TestFcmCluster:
         elif layout == "coincident":
             X[:] = 0.0  # every point on every center: d2 == 0 exactly
         n = len(X)
-        config = FcmConfig(c=c, seed=seed)
+        config = FcmConfig()
         U0 = np.random.default_rng(seed).random((n, c))  # fcm_cluster's draws
         centers, U, history = reference_fcm(X, U0, config)
-        res = fcm_cluster(X, config)
+        res = fcm_cluster(X, c, config, seed=seed)
         assert res.iterations == len(history)
         assert res.memberships.shape == U.shape
         # The layouts sum in different orders, and near a split of two
@@ -186,7 +187,7 @@ class TestFcmObjective:
     def test_matches_brute_force(self, seed, c):
         # the reported J is the objective of the returned partition
         X = np.random.default_rng(seed).random((30, 3))
-        res = fcm_cluster(X, FcmConfig(c=c, seed=seed))
+        res = fcm_cluster(X, c, seed=seed)
         assert res.objective == pytest.approx(
             brute_force_objective(X, res.centers, res.memberships, 2.0),
             rel=1e-12)
@@ -194,11 +195,11 @@ class TestFcmObjective:
 
 class TestFcmConfig:
     def test_invariants(self):
+        with pytest.raises(UsageError, match="--rules"):
+            fcm_cluster(np.zeros((4, 2)), 1)
         with pytest.raises(ValueError):
-            FcmConfig(c=1)
+            FcmConfig(m=1.0)
         with pytest.raises(ValueError):
-            FcmConfig(c=2, m=1.0)
+            FcmConfig(tol=0.0)
         with pytest.raises(ValueError):
-            FcmConfig(c=2, tol=0.0)
-        with pytest.raises(ValueError):
-            FcmConfig(c=2, max_iter=0)
+            FcmConfig(max_iter=0)

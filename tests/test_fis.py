@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from antfis.dataset import FeatureStage, Normalizer
-from antfis.fcm import FcmConfig, fcm_cluster
+from antfis.fcm import fcm_cluster
 from antfis.fis import (SIGMA_CAP, SIGMA_FLOOR, FisModel, decode_premise,
                         encode_premise, fit_consequents, fitness,
                         init_from_fcm, log_firing_strengths, predict_batch,
@@ -152,7 +152,7 @@ class TestInitFromFcm:
         b = rng.normal([0.8, 0.8], 0.03, size=(80, 2))
         X = np.vstack([a, b])
         y = X @ np.array([0.1, 0.2]) + 0.05
-        res = fcm_cluster(X, FcmConfig(c=2, seed=4))
+        res = fcm_cluster(X, 2, seed=4)
         model = init_from_fcm(res, X, y, FeatureStage.XY2, unit_normalizer(2))
         np.testing.assert_allclose(np.sort(model.centers[:, 0]),
                                    np.sort(res.centers[:, 0]), atol=1e-12)
@@ -161,7 +161,7 @@ class TestInitFromFcm:
     def test_constant_feature_floors_sigma(self):
         X = np.column_stack([np.linspace(0, 1, 40), np.full(40, 0.5)])
         y = X[:, 0]
-        res = fcm_cluster(X, FcmConfig(c=2, seed=1))
+        res = fcm_cluster(X, 2, seed=1)
         model = init_from_fcm(res, X, y, FeatureStage.XY2, unit_normalizer(2))
         np.testing.assert_allclose(model.sigmas[:, 1], SIGMA_FLOOR)
 
@@ -169,7 +169,7 @@ class TestInitFromFcm:
         rng = np.random.default_rng(3)
         X = rng.random((100, 2))
         y = X @ np.array([0.3, -0.2]) + 0.4
-        res = fcm_cluster(X, FcmConfig(c=3, seed=2))
+        res = fcm_cluster(X, 3, seed=2)
         model = init_from_fcm(res, X, y, FeatureStage.XY2, unit_normalizer(2))
         pred = predict_batch(model, X)
         assert np.sqrt(np.mean((pred - y) ** 2)) < 1e-4

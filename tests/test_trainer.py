@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from antfis.trainer import (CENTER_BOUNDS, SIGMA_BOUNDS, TrainConfig,
 
 def quick_config(stage, seed=3, n_rules=3, iters=5, ants=6):
     return TrainConfig(stage=stage, n_rules=n_rules,
-                       fcm=FcmConfig(c=n_rules),
                        aco=AcoConfig(n_ants=ants, archive_size=10,
                                      max_iter=iters),
                        seed=seed)
@@ -104,8 +103,7 @@ class TestTrain:
         y = predict_batch(planted, X)
         cols = np.column_stack([X, np.tile([1.0, 1e5, 0.1], (n, 1))])
         data = DataSet(cols, y, FeatureStage.XY2)
-        config = TrainConfig(stage=FeatureStage.XY2, n_rules=2,
-                             fcm=FcmConfig(c=2), seed=3)
+        config = TrainConfig(stage=FeatureStage.XY2, n_rules=2, seed=3)
         model = train(data, config)
         assert model.test_report.rmse < 1e-3
 
@@ -365,6 +363,18 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.convergence,
                                       small_model.convergence)
         assert loaded.config == small_model.config
+
+    def test_every_config_field_is_saved(self, small_model, tmp_path):
+        # a field the model file leaves out is a setting that a saved
+        # model forgets, or one that never took effect
+        want = {f.name for f in fields(TrainConfig)} - {"fcm", "aco"}
+        want |= {f"aco.{f.name}" for f in fields(AcoConfig)}
+        want |= {f"fcm.{f.name}" for f in fields(FcmConfig)}
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        section = path.read_text().split("[config]\n")[1].split("\n\n")[0]
+        saved = {line.partition(" = ")[0] for line in section.splitlines()}
+        assert want <= saved, sorted(want - saved)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
