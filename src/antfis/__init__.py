@@ -7,8 +7,8 @@ from .dataset import (CSV_HEADER, DataSet, EvalReport, FeatureStage,
                       split, write_dataset_csv)
 from .errors import AntfisError, DataError, NumericError, UsageError
 from .fcm import FcmConfig, FcmResult, fcm_cluster
-from .fis import (FisModel, decode_premise, encode_premise, fit_consequents,
-                  init_from_fcm, predict_batch)
+from .fis import (FisModel, encode_premise, fit_consequents, init_from_fcm,
+                  predict_batch)
 from .synthfield import (PlumeParams, ReactorGeometry, generate_dataset,
                          holdup_at, pressure_at, velocity_at)
 from .trainer import (SweepReport, TrainConfig, TrainedModel, evaluate,

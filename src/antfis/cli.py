@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -30,9 +31,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_GEOM_KEYS = ("height", "diameter", "sparger_height")
-_PLUME_KEYS = ("alpha_max", "sigma0", "spread", "u_max", "rho_liquid", "g",
-               "p_atm", "noise_sd")
+_GEOM_KEYS = tuple(f.name for f in fields(ReactorGeometry))
+_PLUME_KEYS = tuple(f.name for f in fields(PlumeParams))
 
 
 def build_parser() -> argparse.ArgumentParser:

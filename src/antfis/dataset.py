@@ -158,6 +158,8 @@ class Normalizer:
 # strips spaces; float() rejects them, and so does the grammar.
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _BLOCK_ROWS = 8192
+# Rows per block of load_dataset's in-place move; numpy buffers overlaps.
+_COMPACT_ROWS = 1024
 
 
 def read_csv_table(path: str | Path, header: tuple[str, ...],
@@ -290,11 +292,19 @@ def write_csv_table(path: str | Path, header: tuple[str, ...],
 def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:
     """Read the canonical CSV into a DataSet carrying `stage`.
 
-    Raises DataError as read_csv_table does; the rows it has checked are
-    not copied or checked again: X and y are columns of its table.
+    Raises DataError as read_csv_table does; its checked rows are not
+    checked again. The feature columns move to the front of the table's
+    buffer, y behind them: X is contiguous, a stage-5 features() a view.
     """
     table = read_csv_table(path, CSV_HEADER, "samples")
-    return _adopt(table[:, :-1], table[:, -1], stage)
+    n, d = len(table), len(FEATURE_NAMES)
+    y = table[:, d].copy()
+    flat = table.reshape(-1)
+    X = flat[:n * d].reshape(n, d)
+    for start in range(0, n, _COMPACT_ROWS):
+        X[start:start + _COMPACT_ROWS] = table[start:start + _COMPACT_ROWS, :d]
+    flat[n * d:] = y
+    return _adopt(X, flat[n * d:], stage)
 
 
 def write_dataset_csv(data: DataSet, path: str | Path) -> None:

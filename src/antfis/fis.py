@@ -7,7 +7,9 @@ mixture stays defined even when every raw strength underflows.
 
 Premise parameters live on a flat vector (rule-major, feature-minor,
 (center, sigma) pairs) so an external optimizer can tune them while the
-consequents are refit by damped least squares.
+consequents are refit by damped least squares. Only this module knows
+that layout: encode_premise, its inverse premise_arrays, and the search
+box premise_bounds. Training builds a FisModel only for the best vector.
 
 Batch arrays use a rules x rows layout: every per-rule quantity is a
 (c, n) array whose rows run over the n samples. Log-firing is one matrix
@@ -31,6 +33,10 @@ from .errors import NumericError
 SIGMA_FLOOR = 1e-3
 SIGMA_CAP = 1.0
 DEFAULT_DAMPING = 1e-6
+# Search box for premise parameters in normalized feature space: centers
+# may sit somewhat outside [0, 1]; sigma's lower edge avoids needle rules.
+CENTER_BOUNDS = (-0.25, 1.25)
+SIGMA_BOUNDS = (0.02, SIGMA_CAP)
 
 
 @dataclass(frozen=True)
@@ -167,8 +173,8 @@ def fitness(centers: np.ndarray, sigmas: np.ndarray, basis: np.ndarray,
     `centers` and `sigmas` are (c, d) premise arrays and `basis` is
     row_basis of the rows y belongs to. Returns the (c, d+1) consequents
     and the root-mean-square residual they leave. This is the one fitness
-    path: the optimizer's objective, the final refit, fit_consequents and
-    init_from_fcm all go through it.
+    path: the optimizer's objective, fit_consequents and training's final
+    refit, for the one FisModel it builds, all go through it.
     """
     At = _regressors(centers, sigmas, basis)
     theta = solve_consequents(At.T, y, lam)
@@ -186,15 +192,12 @@ def fit_consequents(model: FisModel, X: np.ndarray, y: np.ndarray,
     return replace(model, coeffs=coeffs)
 
 
-def init_from_fcm(fcm_result, X: np.ndarray, y: np.ndarray,
-                  stage: FeatureStage, normalizer: Normalizer,
-                  lam: float = DEFAULT_DAMPING) -> FisModel:
-    """Seed one rule per cluster from a fuzzy c-means partition.
+def init_from_fcm(fcm_result, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seed premises, one rule per cluster, from a fuzzy c-means partition.
 
-    Premise centers are the cluster centers; each sigma is the
-    membership-weighted standard deviation of its feature about the
-    center, floored at SIGMA_FLOOR. Consequents start at zero and are
-    then fit by least squares.
+    Returns (centers, sigmas), each (c, d): the cluster centers, and per
+    feature the membership-weighted standard deviation about the center,
+    clipped to [SIGMA_FLOOR, SIGMA_CAP].
     """
     X = np.asarray(X, dtype=float)
     centers = np.asarray(fcm_result.centers, dtype=float)
@@ -202,25 +205,21 @@ def init_from_fcm(fcm_result, X: np.ndarray, y: np.ndarray,
     c, d = centers.shape
     if X.shape != (U.shape[0], d) or U.shape[1] != c:
         raise ValueError("init_from_fcm: clustering does not match the data")
-    if d != stage.n_features:
-        raise ValueError(f"init_from_fcm: cluster arity {d} != stage arity "
-                         f"{stage.n_features}")
     diff2 = (X[:, None, :] - centers[None, :, :]) ** 2
     wsum = U.sum(axis=0)
     var = np.einsum("nc,ncd->cd", U, diff2) / np.maximum(wsum[:, None], 1e-300)
-    sigmas = np.clip(np.sqrt(var), SIGMA_FLOOR, SIGMA_CAP)
-    model = FisModel(centers=centers, sigmas=sigmas,
-                     coeffs=np.zeros((c, d + 1)), stage=stage,
-                     normalizer=normalizer)
-    return fit_consequents(model, X, y, lam)
+    return centers, np.clip(np.sqrt(var), SIGMA_FLOOR, SIGMA_CAP)
 
 
-def encode_premise(model: FisModel) -> np.ndarray:
-    """Flatten premise parameters: rule-major, feature-minor, (center, sigma)."""
-    packed = np.empty((model.n_rules, model.n_features, 2))
-    packed[:, :, 0] = model.centers
-    packed[:, :, 1] = model.sigmas
-    return packed.ravel()
+def encode_premise(centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Flatten (c, d) premise arrays: rule-major, feature-minor,
+    (center, sigma) pairs. premise_arrays is the inverse."""
+    return np.stack([centers, sigmas], axis=-1).ravel()
+
+
+def premise_bounds(n_rules: int, n_features: int) -> tuple[tuple[float, float], ...]:
+    """Search box of an encoded premise vector, one (low, high) per entry."""
+    return (CENTER_BOUNDS, SIGMA_BOUNDS) * (n_rules * n_features)
 
 
 def premise_arrays(vector: np.ndarray, n_rules: int,
@@ -241,15 +240,3 @@ def premise_arrays(vector: np.ndarray, n_rules: int,
     if not (np.isfinite(centers).all() and np.isfinite(sigmas).all()):
         raise ValueError("fis: parameters must be finite")
     return centers, sigmas
-
-
-def decode_premise(vector: np.ndarray, template: FisModel) -> FisModel:
-    """Rebuild a model from an encoded premise vector.
-
-    Sigmas are clamped to [SIGMA_FLOOR, SIGMA_CAP]; consequents, stage,
-    and normalizer are carried over from the template. Inverse of
-    encode_premise on the clamped domain.
-    """
-    centers, sigmas = premise_arrays(vector, template.n_rules,
-                                     template.n_features)
-    return replace(template, centers=centers, sigmas=sigmas)

@@ -1,11 +1,11 @@
 """End-to-end training pipeline, staged-input sweep, and model persistence.
 
 A run is: split -> fit scaler on the training share -> fuzzy c-means in
-the scaled feature space -> seed the rule base -> ant colony search over
-the encoded premise vector, refitting consequents at every fitness
-evaluation -> final refit and evaluation on both partitions. The search
-objective (premise_objective) works on premise arrays; a FisModel is
-built only for the seed rule base and the final best vector.
+the scaled feature space -> seed the rule premises -> ant colony search
+over the encoded premise vector, refitting consequents at every fitness
+evaluation -> final refit and evaluation on both partitions. The run
+works on premise arrays and one row basis of the training features; a
+FisModel is built only for the best vector.
 
 Every stochastic stage draws from a child seed derived from the master
 seed via SplitMix64 mixing, so a (dataset, config) pair fully determines
@@ -31,11 +31,6 @@ from .rng import mix_seed
 _SPLIT_STREAM = 1
 _FCM_STREAM = 2
 _ACO_STREAM = 3
-
-# Search box for premise parameters in normalized feature space: centers
-# may sit somewhat outside [0, 1]; sigma's lower edge avoids needle rules.
-CENTER_BOUNDS = (-0.25, 1.25)
-SIGMA_BOUNDS = (0.02, fis.SIGMA_CAP)
 
 MODEL_MAGIC = "antfis-model v2"
 # v1 files also hold the switch of a since-removed mode that tuned the
@@ -100,24 +95,19 @@ class SweepReport:
         return max(c.test_r for c in self.cells if c.stage == stage)
 
 
-def _premise_bounds(n_rules: int, n_features: int) -> tuple[tuple[float, float], ...]:
-    return tuple((CENTER_BOUNDS, SIGMA_BOUNDS)[i % 2]
-                 for i in range(2 * n_rules * n_features))
-
-
-def premise_objective(template: fis.FisModel, X: np.ndarray, y: np.ndarray,
+def premise_objective(basis: np.ndarray, y: np.ndarray, n_rules: int,
                       lam: float) -> Callable[[np.ndarray], float]:
     """The optimizer's objective: training RMSE of an encoded premise
     vector, with consequents refit by damped least squares.
 
-    Each call unpacks the vector into premise arrays and scores them on
-    the one fitness path; no FisModel is built per evaluation.
+    `basis` is fis.row_basis of the training features. Each call unpacks
+    the vector into premise arrays and scores them on the one fitness
+    path; no FisModel is built per evaluation.
     """
-    basis = fis.row_basis(X)
-    c, d = template.n_rules, template.n_features
+    d = (basis.shape[0] - 1) // 2
 
     def objective(v: np.ndarray) -> float:
-        centers, sigmas = fis.premise_arrays(v, c, d)
+        centers, sigmas = fis.premise_arrays(v, n_rules, d)
         return fis.fitness(centers, sigmas, basis, y, lam)[1]
     return objective
 
@@ -146,7 +136,7 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
 
     The optimizer minimizes premise_objective: training RMSE of the
     premise vector, with consequents refit by damped least squares. The
-    rule base seeded from clustering joins the initial archive so the
+    premises seeded from clustering join the initial archive so the
     search starts no worse than the clustering baseline. `n_workers` is
     accepted and ignored: fitness evaluations run in one thread.
     """
@@ -170,16 +160,17 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
 
     clustering = fcm_cluster(Xtr, config.n_rules, config.fcm,
                              seed=mix_seed(config.seed, _FCM_STREAM))
-    template = fis.init_from_fcm(clustering, Xtr, ytr, config.stage, norm,
-                                 lam=config.lam)
-
-    objective = premise_objective(template, Xtr, ytr, config.lam)
-    result = optimize(objective,
-                      _premise_bounds(config.n_rules, config.stage.n_features),
-                      config.aco, seed=mix_seed(config.seed, _ACO_STREAM),
-                      initial_guesses=(fis.encode_premise(template),))
-    best = fis.fit_consequents(
-        fis.decode_premise(result.best_vector, template), Xtr, ytr, config.lam)
+    seed_premises = fis.init_from_fcm(clustering, Xtr)
+    basis = fis.row_basis(Xtr)
+    c, d = config.n_rules, config.stage.n_features
+    result = optimize(premise_objective(basis, ytr, c, config.lam),
+                      fis.premise_bounds(c, d), config.aco,
+                      seed=mix_seed(config.seed, _ACO_STREAM),
+                      initial_guesses=(fis.encode_premise(*seed_premises),))
+    centers, sigmas = fis.premise_arrays(result.best_vector, c, d)
+    coeffs, _ = fis.fitness(centers, sigmas, basis, ytr, config.lam)
+    best = fis.FisModel(centers=centers, sigmas=sigmas, coeffs=coeffs,
+                        stage=config.stage, normalizer=norm)
 
     return TrainedModel(fis=best, config=config,
                         train_report=_report(best, train_ds, "train",

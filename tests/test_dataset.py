@@ -91,13 +91,22 @@ class TestLoadDataset:
         np.testing.assert_array_equal(loaded.X, data.X)
         np.testing.assert_array_equal(loaded.targets(), data.targets())
 
+    def test_stage5_features_is_a_view(self, tmp_path):
+        data = generate_dataset(ReactorGeometry(), PlumeParams(), 2100, seed=3)
+        path = tmp_path / "nodes.csv"
+        write_dataset_csv(data, path)
+        loaded = load_dataset(path, FeatureStage.XYZPV5)
+        assert np.shares_memory(loaded.features(), loaded.X)
+        np.testing.assert_array_equal(loaded.features(), data.X)
+        np.testing.assert_array_equal(loaded.y, data.y)
+
     @pytest.mark.parametrize("stage", list(FeatureStage))
     def test_with_stage_and_split_share_checked_arrays(self, tmp_path, stage):
         data = generate_dataset(ReactorGeometry(), PlumeParams(), 50, seed=3)
         path = tmp_path / "nodes.csv"
         write_dataset_csv(data, path)
         loaded = load_dataset(path, FeatureStage.XYZPV5)
-        assert np.may_share_memory(loaded.X, loaded.y)  # columns of one table
+        assert loaded.X.base is loaded.y.base  # slices of one table
         staged = loaded.with_stage(stage)
         assert staged.feature_stage is stage
         assert np.shares_memory(loaded.X, staged.X)

@@ -8,11 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from antfis.dataset import FeatureStage, Normalizer
 from antfis.fcm import fcm_cluster
-from antfis.fis import (SIGMA_CAP, SIGMA_FLOOR, FisModel, decode_premise,
-                        encode_premise, fit_consequents, fitness,
+from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
+                        FisModel, encode_premise, fit_consequents, fitness,
                         init_from_fcm, log_firing_strengths, predict_batch,
-                        row_basis, solve_consequents)
-from antfis.trainer import CENTER_BOUNDS, SIGMA_BOUNDS
+                        premise_arrays, premise_bounds, row_basis,
+                        solve_consequents)
 
 
 def unit_normalizer(d):
@@ -151,28 +151,25 @@ class TestInitFromFcm:
         a = rng.normal([0.2, 0.2], 0.03, size=(80, 2))
         b = rng.normal([0.8, 0.8], 0.03, size=(80, 2))
         X = np.vstack([a, b])
-        y = X @ np.array([0.1, 0.2]) + 0.05
         res = fcm_cluster(X, 2, seed=4)
-        model = init_from_fcm(res, X, y, FeatureStage.XY2, unit_normalizer(2))
-        np.testing.assert_allclose(np.sort(model.centers[:, 0]),
+        centers, sigmas = init_from_fcm(res, X)
+        np.testing.assert_allclose(np.sort(centers[:, 0]),
                                    np.sort(res.centers[:, 0]), atol=1e-12)
-        assert (model.sigmas >= SIGMA_FLOOR).all()
+        assert (sigmas >= SIGMA_FLOOR).all()
 
     def test_constant_feature_floors_sigma(self):
         X = np.column_stack([np.linspace(0, 1, 40), np.full(40, 0.5)])
-        y = X[:, 0]
         res = fcm_cluster(X, 2, seed=1)
-        model = init_from_fcm(res, X, y, FeatureStage.XY2, unit_normalizer(2))
-        np.testing.assert_allclose(model.sigmas[:, 1], SIGMA_FLOOR)
+        _, sigmas = init_from_fcm(res, X)
+        np.testing.assert_allclose(sigmas[:, 1], SIGMA_FLOOR)
 
     def test_consequents_are_fit(self):
         rng = np.random.default_rng(3)
         X = rng.random((100, 2))
         y = X @ np.array([0.3, -0.2]) + 0.4
         res = fcm_cluster(X, 3, seed=2)
-        model = init_from_fcm(res, X, y, FeatureStage.XY2, unit_normalizer(2))
-        pred = predict_batch(model, X)
-        assert np.sqrt(np.mean((pred - y) ** 2)) < 1e-4
+        centers, sigmas = init_from_fcm(res, X)
+        assert fitness(centers, sigmas, row_basis(X), y)[1] < 1e-4
 
 
 class TestFitConsequents:
@@ -272,36 +269,41 @@ class TestEncodeDecode:
         m = make_model(rng.random((3, 2)),
                        SIGMA_FLOOR + rng.random((3, 2)) * 0.5,
                        rng.standard_normal((3, 3)))
-        v = encode_premise(m)
-        back = decode_premise(v, m)
-        np.testing.assert_array_equal(back.centers, m.centers)
-        np.testing.assert_array_equal(back.sigmas, m.sigmas)
-        np.testing.assert_array_equal(back.coeffs, m.coeffs)
+        v = encode_premise(m.centers, m.sigmas)
+        centers, sigmas = premise_arrays(v, 3, 2)
+        np.testing.assert_array_equal(centers, m.centers)
+        np.testing.assert_array_equal(sigmas, m.sigmas)
 
     def test_vector_layout_rule_major(self):
         m = make_model([[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]],
                        np.zeros((2, 3)))
         np.testing.assert_array_equal(
-            encode_premise(m), [0.1, 0.5, 0.2, 0.6, 0.3, 0.7, 0.4, 0.8])
+            encode_premise(m.centers, m.sigmas),
+            [0.1, 0.5, 0.2, 0.6, 0.3, 0.7, 0.4, 0.8])
 
     def test_sigma_clamped_on_decode(self):
-        m = make_model([[0.5]], [[0.3]], [[0.0, 0.0]])
-        low = decode_premise(np.array([0.5, 0.0]), m)
-        assert low.sigmas[0, 0] == SIGMA_FLOOR
-        high = decode_premise(np.array([0.5, 5.0]), m)
-        assert high.sigmas[0, 0] == SIGMA_CAP
+        _, low = premise_arrays(np.array([0.5, 0.0]), 1, 1)
+        assert low[0, 0] == SIGMA_FLOOR
+        _, high = premise_arrays(np.array([0.5, 5.0]), 1, 1)
+        assert high[0, 0] == SIGMA_CAP
 
     def test_length_check(self):
         m = make_model([[0.5, 0.5], [0.2, 0.2]], [[0.3, 0.3], [0.3, 0.3]],
                        np.zeros((2, 3)))
-        assert encode_premise(m).shape == (8,)
+        assert encode_premise(m.centers, m.sigmas).shape == (8,)
         with pytest.raises(ValueError):
-            decode_premise(np.zeros(7), m)
+            premise_arrays(np.zeros(7), 2, 2)
 
     def test_c2_d3_length_12(self):
         m = make_model(np.full((2, 3), 0.5), np.full((2, 3), 0.3),
                        np.zeros((2, 4)))
-        assert encode_premise(m).shape == (12,)
+        assert encode_premise(m.centers, m.sigmas).shape == (12,)
+
+    def test_bounds_follow_the_layout(self):
+        bounds = premise_bounds(2, 3)
+        assert len(bounds) == 12
+        assert bounds[0::2] == (CENTER_BOUNDS,) * 6
+        assert bounds[1::2] == (SIGMA_BOUNDS,) * 6
 
 
 class TestModelValidation:

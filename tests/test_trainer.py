@@ -9,14 +9,16 @@ from antfis import trainer
 from antfis.aco import AcoConfig
 from antfis.dataset import DataSet, FeatureStage, Normalizer
 from antfis.errors import DataError, NumericError, UsageError
-from antfis.fcm import FcmConfig
-from antfis.fis import (SIGMA_CAP, SIGMA_FLOOR, FisModel, decode_premise,
-                        fitness, predict_batch, row_basis)
+from antfis.fcm import FcmConfig, fcm_cluster
+from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
+                        FisModel, encode_premise, fitness, init_from_fcm,
+                        predict_batch, premise_arrays, premise_bounds,
+                        row_basis)
+from antfis.rng import mix_seed
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
-from antfis.trainer import (CENTER_BOUNDS, SIGMA_BOUNDS, TrainConfig,
-                            evaluate, load_model, predict_points,
-                            premise_objective, save_model, sweep, train,
-                            training_partitions)
+from antfis.trainer import (TrainConfig, evaluate, load_model,
+                            predict_points, premise_objective, save_model,
+                            sweep, train, training_partitions)
 
 
 def quick_config(stage, seed=3, n_rules=3, iters=5, ants=6):
@@ -130,6 +132,43 @@ class TestTrain:
         np.testing.assert_array_equal(small_model.fis.coeffs, b.fis.coeffs)
         np.testing.assert_array_equal(small_model.convergence, b.convergence)
 
+    @staticmethod
+    def seed_objective(model, data):
+        """Training objective of the clustering seed, clipped into the box."""
+        config = model.config
+        train_ds, _ = training_partitions(model, data)
+        Xtr = model.fis.normalizer.transform(train_ds.features())
+        clustering = fcm_cluster(Xtr, config.n_rules, config.fcm,
+                                 seed=mix_seed(config.seed, trainer._FCM_STREAM))
+        bounds = np.array(premise_bounds(config.n_rules,
+                                         config.stage.n_features))
+        v = np.clip(encode_premise(*init_from_fcm(clustering, Xtr)),
+                    bounds[:, 0], bounds[:, 1])
+        return premise_objective(row_basis(Xtr), train_ds.targets(),
+                                 config.n_rules, config.lam)(v)
+
+    def test_search_starts_no_worse_than_the_clustering_seed(
+            self, small_data, small_model):
+        # the seeded premises join the initial archive, so the first
+        # best-so-far value is at most their objective
+        assert small_model.convergence[0] <= self.seed_objective(
+            small_model, small_data)
+
+    def test_seed_wins_on_separated_clusters(self):
+        # two tight blobs, each with its own affine target: the seed fits
+        # them almost exactly, and a random archive does not come close
+        rng = np.random.default_rng(2)
+        X = np.vstack([rng.normal([0.2, 0.2], 0.03, (100, 2)),
+                       rng.normal([0.8, 0.8], 0.03, (100, 2))])
+        y = np.where(X[:, 0] < 0.5, 0.2 + X[:, 0] - X[:, 1],
+                     1.4 - X[:, 0] - 0.5 * X[:, 1])
+        cols = np.column_stack([X, np.tile([1.0, 1e5, 0.1], (200, 1))])
+        data = DataSet(cols, y, FeatureStage.XY2)
+        model = train(data, quick_config(FeatureStage.XY2, n_rules=2, iters=1))
+        seeded = self.seed_objective(model, data)
+        assert seeded < 1e-5
+        assert model.convergence[0] <= seeded
+
     def test_objective_is_the_final_refit_rmse(self, small_data, small_model):
         # the last convergence value is objective(best vector); the model
         # is finalize(best vector): its unclamped training RMSE must agree
@@ -161,40 +200,36 @@ class TestPremiseObjective:
         rng = np.random.default_rng(seed)
         X = rng.random((n, d))
         y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2
-        template = FisModel(
-            centers=rng.random((c, d)), sigmas=0.1 + 0.5 * rng.random((c, d)),
-            coeffs=np.zeros((c, d + 1)), stage=FeatureStage.XY2,
-            normalizer=Normalizer(("x", "y"), np.zeros(2), np.ones(2)))
         packed = np.empty((c, d, 2))
         packed[:, :, 0] = rng.uniform(*CENTER_BOUNDS, (c, d))
         packed[:, :, 1] = rng.uniform(*SIGMA_BOUNDS, (c, d))
-        return X, y, template, packed
+        return X, y, packed
 
     @given(seed=st.integers(0, 10_000),
            clamp=st.sampled_from([None, "floor", "cap"]))
     @settings(max_examples=60, deadline=None)
     def test_rmse_equals_fitness_of_decoded_model(self, seed, clamp):
-        X, y, template, packed = self.case(seed)
+        X, y, packed = self.case(seed)
         if clamp == "floor":
             packed[0, :, 1] = [0.0, SIGMA_FLOOR / 2]
             packed[2, 1, 1] = -1.0
         elif clamp == "cap":
             packed[1, :, 1] = [SIGMA_CAP * 3, np.inf]
         v = packed.ravel()
-        m = decode_premise(v, template)
-        assert premise_objective(template, X, y, 1e-6)(v) == fitness(
-            m.centers, m.sigmas, row_basis(X), y, 1e-6)[1]
+        centers, sigmas = premise_arrays(v, 3, 2)
+        assert premise_objective(row_basis(X), y, 3, 1e-6)(v) == fitness(
+            centers, sigmas, row_basis(X), y, 1e-6)[1]
 
     def test_non_finite_vector_raises(self):
-        X, y, template, packed = self.case(0)
-        objective = premise_objective(template, X, y, 1e-6)
+        X, y, packed = self.case(0)
+        objective = premise_objective(row_basis(X), y, 3, 1e-6)
         for bad in (np.nan, np.inf):
             v = packed.ravel().copy()
             v[2] = bad  # a center
             with pytest.raises(ValueError, match="finite"):
                 objective(v)
             with pytest.raises(ValueError, match="finite"):
-                decode_premise(v, template)
+                premise_arrays(v, 3, 2)
         v = packed.ravel().copy()
         v[1] = np.nan  # a sigma
         with pytest.raises(ValueError, match="finite"):
