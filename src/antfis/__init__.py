@@ -6,9 +6,8 @@ from .dataset import (CSV_HEADER, DataSet, EvalReport, FeatureStage,
                       Normalizer, eval_metrics, fit_normalizer, load_dataset,
                       split, write_dataset_csv)
 from .errors import AntfisError, DataError, NumericError, UsageError
-from .fcm import FcmConfig, FcmResult, fcm_cluster
-from .fis import (FisModel, encode_premise, fit_consequents, init_from_fcm,
-                  predict_batch)
+from .fcm import FcmResult, fcm_cluster
+from .fis import FisModel, encode_premise, init_from_fcm, predict_batch
 from .synthfield import (PlumeParams, ReactorGeometry, generate_dataset,
                          holdup_at, pressure_at, velocity_at)
 from .trainer import (SweepReport, TrainConfig, TrainedModel, evaluate,

@@ -2,9 +2,10 @@
 prediction, and plot-data emission.
 
 Exit codes: 0 success, else the raised error type's exit_code (errors.py):
-1 a flag out of range, named in the message; 2 bad data or an OSError; 3 a
-numerical failure. Any other exception is a bug and shows a traceback. All
-randomness flows from explicit --seed flags; same flags, same bytes.
+1 a flag out of range, named in the message; 2 bad data, an OSError or a
+MemoryError; 3 a numerical failure. Any other exception is a bug and
+shows a traceback. All randomness flows from explicit --seed flags; same
+flags, same bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 _GEOM_KEYS = tuple(f.name for f in fields(ReactorGeometry))
 _PLUME_KEYS = tuple(f.name for f in fields(PlumeParams))
+# The train and sweep flags default to the config classes' own defaults.
+_DEFAULTS = TrainConfig(stage=FeatureStage.XYZPV5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,22 +58,23 @@ def build_parser() -> argparse.ArgumentParser:
                          dest=key, help=f"override {key}")
 
     def add_train_flags(p):
-        p.add_argument("--p", type=float, default=0.70,
-                       help="training share of the data (default 0.70, "
+        aco = _DEFAULTS.aco
+        p.add_argument("--p", type=float, default=_DEFAULTS.p,
+                       help="training share of the data (default "
+                            "%(default)s, canonical experiment value)")
+        p.add_argument("--iters", type=int, default=aco.max_iter,
+                       help="optimizer iterations (default %(default)s, "
                             "canonical experiment value)")
-        p.add_argument("--iters", type=int, default=100,
-                       help="optimizer iterations (default 100, canonical "
-                            "experiment value)")
-        p.add_argument("--rules", type=int, default=10,
-                       help="fuzzy rule count (default 10)")
-        p.add_argument("--archive-size", type=int, default=25,
-                       help="solution archive size (default 25)")
-        p.add_argument("--q", type=float, default=0.1,
-                       help="rank-weight locality (default 0.1)")
-        p.add_argument("--xi", type=float, default=0.85,
-                       help="kernel width factor (default 0.85)")
-        p.add_argument("--seed", type=int, default=7,
-                       help="master seed (default 7)")
+        p.add_argument("--rules", type=int, default=_DEFAULTS.n_rules,
+                       help="fuzzy rule count (default %(default)s)")
+        p.add_argument("--archive-size", type=int, default=aco.archive_size,
+                       help="solution archive size (default %(default)s)")
+        p.add_argument("--q", type=float, default=aco.q,
+                       help="rank-weight locality (default %(default)s)")
+        p.add_argument("--xi", type=float, default=aco.xi,
+                       help="kernel width factor (default %(default)s)")
+        p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+                       help="master seed (default %(default)s)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; must be >= 1 and "
                             "has no effect on results or speed (default 1)")
@@ -79,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True, help="input CSV path")
     tr.add_argument("--stage", type=int, default=5, choices=range(1, 6),
                     help="number of staged inputs, 1-5 (default 5)")
-    tr.add_argument("--ants", type=int, default=20,
-                    help="candidates sampled per iteration (default 20, "
-                         "canonical experiment value)")
+    tr.add_argument("--ants", type=int, default=_DEFAULTS.aco.n_ants,
+                    help="candidates sampled per iteration (default "
+                         "%(default)s, canonical experiment value)")
     tr.add_argument("--out", required=True, help="output model file")
     add_train_flags(tr)
 
@@ -251,6 +255,10 @@ def run(argv=None) -> int:
     except (AntfisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, AntfisError) else 2
+    except MemoryError as exc:  # a count flag too large for this machine
+        print(f"error: out of memory ({str(exc) or 'no detail'}); lower --n, "
+              "--archive-size, --ants or --rules", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> None:

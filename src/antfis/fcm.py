@@ -5,9 +5,11 @@ Alternates the classic updates
     v_i = sum_k u_ik^m x_k / sum_k u_ik^m
     u_ik = 1 / sum_j (||x_k - v_i|| / ||x_k - v_j||)^(2/(m-1))
 
-until the objective J = sum_i sum_k u_ik^m ||x_k - v_i||^2 stops
-decreasing. Membership matrices are initialized from seeded uniform
-draws and row-normalized, so runs are bitwise reproducible.
+with m = M, Bezdek's standard fuzzifier 2, until the objective
+J = sum_i sum_k u_ik^m ||x_k - v_i||^2 falls by less than TOL in one
+iteration, or for at most MAX_ITER iterations. Membership matrices are
+initialized from seeded uniform draws and row-normalized, so runs are
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -19,19 +21,9 @@ import numpy as np
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class FcmConfig:
-    m: float = 2.0
-    tol: float = 1e-5
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not 1.0 < self.m < np.inf:
-            raise UsageError(f"fcm: fuzzifier m must be in (1, inf), got {self.m}")
-        if not 0.0 < self.tol < np.inf:
-            raise UsageError(f"fcm: tol must be in (0, inf), got {self.tol}")
-        if not self.max_iter >= 1:
-            raise UsageError(f"fcm: max_iter must be >= 1, got {self.max_iter}")
+M = 2.0
+TOL = 1e-5
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -59,15 +51,14 @@ def _sq_distances(Xt: np.ndarray, centers: np.ndarray, out: np.ndarray,
     return out
 
 
-def _memberships_from_distances(d2: np.ndarray, m: float,
-                                out: np.ndarray) -> np.ndarray:
+def _memberships_from_distances(d2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Memberships (c, n) from squared distances, written into `out`."""
     # A point on (or so near that 1/d2 overflows) a center makes its
     # column's inverse distances non-summable; such columns become a
     # deterministic one-hot on the first nearest center, removing the
     # division singularity.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.power(d2, -1.0 / (m - 1.0), out=out)
+        np.power(d2, -1.0 / (M - 1.0), out=out)
         total = out.sum(axis=0)
         out /= total
     bad = ~np.isfinite(total) | (total == 0.0)
@@ -78,8 +69,7 @@ def _memberships_from_distances(d2: np.ndarray, m: float,
     return out
 
 
-def fcm_cluster(data: np.ndarray, c: int, config: FcmConfig = FcmConfig(),
-                seed: int = 0) -> FcmResult:
+def fcm_cluster(data: np.ndarray, c: int, seed: int = 0) -> FcmResult:
     """Cluster row vectors of `data` into c fuzzy groups, starting from
     memberships drawn from `seed`.
 
@@ -109,9 +99,8 @@ def fcm_cluster(data: np.ndarray, c: int, config: FcmConfig = FcmConfig(),
     U = np.ascontiguousarray(rng.random((n, c)).T)
     U /= U.sum(axis=0)
 
-    m = config.m
     Xt = np.ascontiguousarray(X.T)
-    W = np.power(U, m)
+    W = np.power(U, M)
     d2 = np.empty_like(U)
     buf = np.empty_like(U)
     # An empty cluster keeps its previous center; on the first pass it
@@ -119,16 +108,16 @@ def fcm_cluster(data: np.ndarray, c: int, config: FcmConfig = FcmConfig(),
     centers = np.broadcast_to(X.mean(axis=0), (c, X.shape[1]))
     history = []
     prev_j = np.inf
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         col = W.sum(axis=1)[:, None]
         centers = np.where(col > 0.0, (W @ X) / np.maximum(col, 1e-300),
                            centers)
         _sq_distances(Xt, centers, d2, buf)
-        _memberships_from_distances(d2, m, U)
-        np.power(U, m, out=W)
+        _memberships_from_distances(d2, U)
+        np.power(U, M, out=W)
         j = float(np.multiply(W, d2, out=buf).sum())
         history.append(j)
-        if prev_j - j < config.tol:
+        if prev_j - j < TOL:
             break
         prev_j = j
 

@@ -23,7 +23,7 @@ the consequents and scores them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ SIGMA_BOUNDS = (0.02, SIGMA_CAP)
 
 @dataclass(frozen=True)
 class FisModel:
-    """Immutable rule base; refits return new models."""
+    """Immutable rule base."""
 
     centers: np.ndarray   # (c, d) premise centers
     sigmas: np.ndarray    # (c, d) premise widths, >= SIGMA_FLOOR
@@ -173,8 +173,8 @@ def fitness(centers: np.ndarray, sigmas: np.ndarray, basis: np.ndarray,
     `centers` and `sigmas` are (c, d) premise arrays and `basis` is
     row_basis of the rows y belongs to. Returns the (c, d+1) consequents
     and the root-mean-square residual they leave. This is the one fitness
-    path: the optimizer's objective, fit_consequents and training's final
-    refit, for the one FisModel it builds, all go through it.
+    path: the optimizer's objective and training's final refit, for the
+    one FisModel it builds, both go through it.
     """
     At = _regressors(centers, sigmas, basis)
     theta = solve_consequents(At.T, y, lam)
@@ -182,14 +182,6 @@ def fitness(centers: np.ndarray, sigmas: np.ndarray, basis: np.ndarray,
     c, d = centers.shape
     return (theta.reshape(c, d + 1),
             float(np.sqrt(np.mean(resid * resid))))
-
-
-def fit_consequents(model: FisModel, X: np.ndarray, y: np.ndarray,
-                    lam: float = DEFAULT_DAMPING) -> FisModel:
-    """Refit the affine consequents by damped least squares, premises fixed."""
-    coeffs, _ = fitness(model.centers, model.sigmas, row_basis(X),
-                        np.asarray(y, dtype=float), lam)
-    return replace(model, coeffs=coeffs)
 
 
 def init_from_fcm(fcm_result, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

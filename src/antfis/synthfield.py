@@ -139,8 +139,7 @@ def velocity_at(point, geom: ReactorGeometry, params: PlumeParams) -> float:
 
 
 def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
-                     seed: int, stage: FeatureStage = FeatureStage.XYZPV5,
-                     ) -> DataSet:
+                     seed: int) -> DataSet:
     """Draw n nodes uniformly inside the cylinder and tabulate the fields.
 
     Polar sampling with radius R*sqrt(U) gives the area-correct radial
@@ -165,7 +164,7 @@ def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
                     0.0, 1.0)
     try:
         return DataSet(np.column_stack([x, y, z, pressure, velocity]), alpha,
-                       stage)
+                       FeatureStage.XYZPV5)
     except DataError as exc:
         raise UsageError(f"generate_dataset: the parameters give a non-finite "
                          f"pressure ({exc}); lower --p-atm, --rho-liquid, --g, "

@@ -1,11 +1,12 @@
 """End-to-end training pipeline, staged-input sweep, and model persistence.
 
 A run is: split -> fit scaler on the training share -> fuzzy c-means in
-the scaled feature space -> seed the rule premises -> ant colony search
-over the encoded premise vector, refitting consequents at every fitness
-evaluation -> final refit and evaluation on both partitions. The run
-works on premise arrays and one row basis of the training features; a
-FisModel is built only for the best vector.
+the scaled feature space, at fcm's fixed settings -> seed the rule
+premises -> ant colony search over the encoded premise vector, refitting
+consequents at every fitness evaluation -> final refit and evaluation on
+both partitions. Every refit uses fis.DEFAULT_DAMPING. The run works on
+premise arrays and one row basis of the training features; a FisModel is
+built only for the best vector.
 
 Every stochastic stage draws from a child seed derived from the master
 seed via SplitMix64 mixing, so a (dataset, config) pair fully determines
@@ -25,17 +26,19 @@ from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
                       eval_metrics, fit_normalizer, split, write_csv_table)
 from .errors import AntfisError, DataError, UsageError
-from .fcm import FcmConfig, fcm_cluster
+from .fcm import fcm_cluster
 from .rng import mix_seed
 
 _SPLIT_STREAM = 1
 _FCM_STREAM = 2
 _ACO_STREAM = 3
 
-MODEL_MAGIC = "antfis-model v2"
-# v1 files also hold the switch of a since-removed mode that tuned the
-# consequents by ant colony; the loader reads them and ignores that key.
-MODEL_MAGIC_V1 = "antfis-model v1"
+MODEL_MAGIC = "antfis-model v3"
+# v1 and v2 files also hold the damping `lam` and the settings `fcm.m`,
+# `fcm.tol` and `fcm.max_iter`, since fixed as constants, and v1 files the
+# switch of a since-removed mode that tuned the consequents by ant colony;
+# the loader reads both and ignores those keys.
+OLD_MAGICS = ("antfis-model v2", "antfis-model v1")
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,8 @@ class TrainConfig:
     stage: FeatureStage
     p: float = 0.70
     n_rules: int = 10
-    fcm: FcmConfig = FcmConfig()
     aco: AcoConfig = AcoConfig()
     seed: int = 7
-    lam: float = fis.DEFAULT_DAMPING
     # Sweeps pin one partition for every cell so stage/ant comparisons are
     # on identical data; None derives the split from the master seed.
     split_seed: int | None = None
@@ -57,8 +58,6 @@ class TrainConfig:
         if not self.n_rules >= 2:
             raise UsageError(f"train: n_rules (--rules) must be >= 2, "
                              f"got {self.n_rules}")
-        if not 0.0 <= self.lam < np.inf:
-            raise UsageError(f"train: damping lam must be in [0, inf), got {self.lam}")
 
     def effective_split_seed(self) -> int:
         if self.split_seed is not None:
@@ -95,10 +94,11 @@ class SweepReport:
         return max(c.test_r for c in self.cells if c.stage == stage)
 
 
-def premise_objective(basis: np.ndarray, y: np.ndarray, n_rules: int,
-                      lam: float) -> Callable[[np.ndarray], float]:
+def premise_objective(basis: np.ndarray, y: np.ndarray,
+                      n_rules: int) -> Callable[[np.ndarray], float]:
     """The optimizer's objective: training RMSE of an encoded premise
-    vector, with consequents refit by damped least squares.
+    vector, with consequents refit by least squares at fitness's default
+    damping.
 
     `basis` is fis.row_basis of the training features. Each call unpacks
     the vector into premise arrays and scores them on the one fitness
@@ -108,7 +108,7 @@ def premise_objective(basis: np.ndarray, y: np.ndarray, n_rules: int,
 
     def objective(v: np.ndarray) -> float:
         centers, sigmas = fis.premise_arrays(v, n_rules, d)
-        return fis.fitness(centers, sigmas, basis, y, lam)[1]
+        return fis.fitness(centers, sigmas, basis, y)[1]
     return objective
 
 
@@ -158,17 +158,17 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     Xtr = norm.transform(train_ds.features())
     ytr = train_ds.targets()
 
-    clustering = fcm_cluster(Xtr, config.n_rules, config.fcm,
+    clustering = fcm_cluster(Xtr, config.n_rules,
                              seed=mix_seed(config.seed, _FCM_STREAM))
     seed_premises = fis.init_from_fcm(clustering, Xtr)
     basis = fis.row_basis(Xtr)
     c, d = config.n_rules, config.stage.n_features
-    result = optimize(premise_objective(basis, ytr, c, config.lam),
+    result = optimize(premise_objective(basis, ytr, c),
                       fis.premise_bounds(c, d), config.aco,
                       seed=mix_seed(config.seed, _ACO_STREAM),
                       initial_guesses=(fis.encode_premise(*seed_premises),))
     centers, sigmas = fis.premise_arrays(result.best_vector, c, d)
-    coeffs, _ = fis.fitness(centers, sigmas, basis, ytr, config.lam)
+    coeffs, _ = fis.fitness(centers, sigmas, basis, ytr)
     best = fis.FisModel(centers=centers, sigmas=sigmas, coeffs=coeffs,
                         stage=config.stage, normalizer=norm)
 
@@ -285,10 +285,6 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         f"n_rules = {cfg.n_rules}",
         f"seed = {cfg.seed}",
         f"split_seed = {'none' if cfg.split_seed is None else cfg.split_seed}",
-        f"lam = {_fmt_float(cfg.lam)}",
-        f"fcm.m = {_fmt_float(cfg.fcm.m)}",
-        f"fcm.tol = {_fmt_float(cfg.fcm.tol)}",
-        f"fcm.max_iter = {cfg.fcm.max_iter}",
         f"aco.n_ants = {cfg.aco.n_ants}",
         f"aco.archive_size = {cfg.aco.archive_size}",
         f"aco.q = {_fmt_float(cfg.aco.q)}",
@@ -324,7 +320,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def _parse_sections(text: str, path) -> dict[str, dict[str, str]]:
     lines = text.splitlines()
-    if not lines or lines[0].strip() not in (MODEL_MAGIC, MODEL_MAGIC_V1):
+    if not lines or lines[0].strip() not in (MODEL_MAGIC, *OLD_MAGICS):
         raise DataError(f"{path}: not a recognized model file "
                         f"(expected first line '{MODEL_MAGIC}')")
     sections: dict[str, dict[str, str]] = {}
@@ -363,9 +359,6 @@ def load_model(path: str | Path) -> TrainedModel:
             stage=stage,
             p=float(cfg_s["p"]),
             n_rules=n_rules,
-            fcm=FcmConfig(m=float(cfg_s["fcm.m"]),
-                          tol=float(cfg_s["fcm.tol"]),
-                          max_iter=int(cfg_s["fcm.max_iter"])),
             aco=AcoConfig(n_ants=int(cfg_s["aco.n_ants"]),
                           archive_size=int(cfg_s["aco.archive_size"]),
                           q=float(cfg_s["aco.q"]),
@@ -374,7 +367,6 @@ def load_model(path: str | Path) -> TrainedModel:
             seed=int(cfg_s["seed"]),
             split_seed=(None if cfg_s["split_seed"] == "none"
                         else int(cfg_s["split_seed"])),
-            lam=float(cfg_s["lam"]),
         )
         norm_s = sections["normalizer"]
         normalizer = Normalizer(

@@ -298,8 +298,13 @@ class TestDefaults:
         tr = parser.parse_args(["train", "--data", "d.csv", "--out", "m.txt"])
         assert tr.p == 0.70 and tr.iters == 100 and tr.ants == 20
         assert tr.stage == 5 and tr.rules == 10 and tr.threads == 1
+        assert tr.archive_size == 25 and tr.q == 0.1 and tr.xi == 0.85
+        assert tr.seed == 7
         sw = parser.parse_args(["sweep", "--data", "d.csv", "--out", "s.csv"])
         assert sw.stages == "1-5" and sw.ants == "20,30,40"
+        assert sw.p == 0.70 and sw.iters == 100 and sw.rules == 10
+        assert sw.archive_size == 25 and sw.q == 0.1 and sw.xi == 0.85
+        assert sw.seed == 7
 
 
 class TestUsage:
@@ -437,6 +442,17 @@ class TestExitCodes:
                               "--data", str(big))
         assert code == 2
         assert "overflows" in err
+
+    def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a count too large to allocate; raised directly, never allocated
+        def fail(args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        monkeypatch.setitem(cli._COMMANDS, "gen-data", fail)
+        code, _, err = invoke(capsys, "gen-data", "--n", "100000000000000",
+                              "--out", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert err.startswith("error: out of memory (Unable to allocate")
+        assert "--n" in err
 
     def test_params_file_faults_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "params.txt"

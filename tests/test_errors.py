@@ -1,5 +1,5 @@
 """The error taxonomy: each type's exit code, and range checks on every
-float field of the five config classes rejecting NaN and +-inf."""
+float field of the four config classes rejecting NaN and +-inf."""
 
 import math
 from dataclasses import fields
@@ -9,7 +9,6 @@ import pytest
 from antfis.aco import AcoConfig
 from antfis.dataset import FeatureStage
 from antfis.errors import AntfisError, DataError, NumericError, UsageError
-from antfis.fcm import FcmConfig
 from antfis.synthfield import PlumeParams, ReactorGeometry
 from antfis.trainer import TrainConfig
 
@@ -26,17 +25,16 @@ def test_usage_error_is_a_value_error():
 
 
 # Each config class with the arguments it needs besides defaults.
-CONFIGS = ((AcoConfig, {}), (FcmConfig, {}),
-           (TrainConfig, {"stage": FeatureStage.X1}),
+CONFIGS = ((AcoConfig, {}), (TrainConfig, {"stage": FeatureStage.X1}),
            (ReactorGeometry, {}), (PlumeParams, {}))
 FLOAT_FIELDS = [(cls, base, f.name) for cls, base in CONFIGS
                 for f in fields(cls) if f.type == "float"]
 
 
 def test_float_fields_listed():
-    # FLOAT_FIELDS comes from the annotations; pin its size (2 + 2 + 2 + 3
-    # + 8) so that a field dropping out of the check below is noticed
-    assert len(FLOAT_FIELDS) == 17
+    # FLOAT_FIELDS comes from the annotations; pin its size (2 + 1 + 3 + 8)
+    # so that a field dropping out of the check below is noticed
+    assert len(FLOAT_FIELDS) == 14
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from hypothesis.extra.numpy import arrays
 from antfis.dataset import FeatureStage, Normalizer
 from antfis.fcm import fcm_cluster
 from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
-                        FisModel, encode_premise, fit_consequents, fitness,
-                        init_from_fcm, log_firing_strengths, predict_batch,
-                        premise_arrays, premise_bounds, row_basis,
-                        solve_consequents)
+                        FisModel, encode_premise, fitness, init_from_fcm,
+                        log_firing_strengths, predict_batch, premise_arrays,
+                        premise_bounds, row_basis, solve_consequents)
 
 
 def unit_normalizer(d):
@@ -180,9 +180,8 @@ class TestFitConsequents:
                           rng.standard_normal((c, d + 1)))
         X = rng.random((n, d))
         y = predict_batch(true, X)
-        start = fit_consequents(true, X, np.zeros(n))  # wrong consequents
-        refit = fit_consequents(start, X, y, lam=0.0)
-        np.testing.assert_allclose(refit.coeffs, true.coeffs, atol=1e-6)
+        coeffs, _ = fitness(true.centers, true.sigmas, row_basis(X), y, 0.0)
+        np.testing.assert_allclose(coeffs, true.coeffs, atol=1e-6)
 
     def test_planted_recovery_default_damping_bias(self):
         # Tikhonov damping biases exact recovery by about lam * cond(A);
@@ -193,33 +192,34 @@ class TestFitConsequents:
                           rng.standard_normal((c, d + 1)))
         X = rng.random((n, d))
         y = predict_batch(true, X)
-        refit = fit_consequents(true, X, y)
-        np.testing.assert_allclose(refit.coeffs, true.coeffs, atol=1e-4)
+        coeffs, _ = fitness(true.centers, true.sigmas, row_basis(X), y)
+        np.testing.assert_allclose(coeffs, true.coeffs, atol=1e-4)
 
     def test_single_rule_matches_ols(self):
         rng = np.random.default_rng(9)
         x = rng.random(100)
         y = 1.7 * x + 0.3 + 0.01 * rng.standard_normal(100)
         m = make_model([[0.5]], [[0.3]], [[0.0, 0.0]])
-        refit = fit_consequents(m, x[:, None], y, lam=0.0)
+        coeffs, _ = fitness(m.centers, m.sigmas, row_basis(x[:, None]), y,
+                            0.0)
         slope, intercept = np.polyfit(x, y, 1)
-        assert refit.coeffs[0, 0] == pytest.approx(slope, abs=1e-9)
-        assert refit.coeffs[0, 1] == pytest.approx(intercept, abs=1e-9)
+        assert coeffs[0, 0] == pytest.approx(slope, abs=1e-9)
+        assert coeffs[0, 1] == pytest.approx(intercept, abs=1e-9)
 
     def test_exact_line_with_default_damping(self):
         x = np.linspace(0.0, 1.0, 50)
         y = 2.0 * x + 1.0
         m = make_model([[0.5]], [[0.3]], [[0.0, 0.0]])
-        refit = fit_consequents(m, x[:, None], y)
-        np.testing.assert_allclose(refit.coeffs[0], [2.0, 1.0], atol=1e-6)
+        coeffs, _ = fitness(m.centers, m.sigmas, row_basis(x[:, None]), y)
+        np.testing.assert_allclose(coeffs[0], [2.0, 1.0], atol=1e-6)
 
     def test_huge_damping_shrinks_to_zero(self):
         rng = np.random.default_rng(1)
         X = rng.random((50, 2))
         y = rng.random(50)
         m = make_model([[0.5, 0.5]], [[0.3, 0.3]], [[1.0, 1.0, 1.0]])
-        refit = fit_consequents(m, X, y, lam=1e12)
-        np.testing.assert_allclose(refit.coeffs, 0.0, atol=1e-6)
+        coeffs, _ = fitness(m.centers, m.sigmas, row_basis(X), y, 1e12)
+        np.testing.assert_allclose(coeffs, 0.0, atol=1e-6)
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
@@ -231,8 +231,9 @@ class TestFitConsequents:
         X = rng.random((n, d))
         y = rng.random(n)
         sse_before = np.sum((predict_batch(m, X) - y) ** 2)
-        refit = fit_consequents(m, X, y)
-        sse_after = np.sum((predict_batch(refit, X) - y) ** 2)
+        coeffs, _ = fitness(m.centers, m.sigmas, row_basis(X), y)
+        sse_after = np.sum((predict_batch(replace(m, coeffs=coeffs), X)
+                            - y) ** 2)
         assert sse_after <= sse_before + 1e-9
 
     def test_underdetermined_minimum_norm(self):
@@ -242,8 +243,8 @@ class TestFitConsequents:
                        np.zeros((4, 4)))
         X = rng.random((5, 3))
         y = rng.random(5)
-        refit = fit_consequents(m, X, y, lam=0.0)
-        pred = predict_batch(refit, X)
+        coeffs, _ = fitness(m.centers, m.sigmas, row_basis(X), y, 0.0)
+        pred = predict_batch(replace(m, coeffs=coeffs), X)
         np.testing.assert_allclose(pred, y, atol=1e-8)
 
     def test_design_matrix_reproduces_prediction(self):
@@ -403,13 +404,11 @@ class TestMatrixProductParity:
     @given(case=premises_and_rows())
     @settings(max_examples=50, deadline=None)
     def test_fitness_is_the_refit(self, case):
-        # the objective's consequents are the refit's, and its RMSE is the
-        # refit model's RMSE through the prediction path
+        # the objective's RMSE is the RMSE of the refit model through the
+        # prediction path
         m, X = case
         y = np.cos(2.0 * X[:, -1])
         coeffs, rmse = fitness(m.centers, m.sigmas, row_basis(X), y)
-        refit = fit_consequents(m, X, y)
-        np.testing.assert_array_equal(coeffs, refit.coeffs)
-        resid = predict_batch(refit, X) - y
+        resid = predict_batch(replace(m, coeffs=coeffs), X) - y
         assert rmse == pytest.approx(np.sqrt(np.mean(resid * resid)),
                                      rel=1e-9, abs=1e-12)

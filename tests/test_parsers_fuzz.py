@@ -23,7 +23,7 @@ from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 from antfis.trainer import load_model
 
 # A valid stage-1 model file, the base the model fuzzer mutates.
-MODEL = """antfis-model v2
+MODEL = """antfis-model v3
 
 [config]
 p = 0.7
@@ -31,10 +31,6 @@ stage = 1
 n_rules = 2
 seed = 3
 split_seed = none
-lam = 1e-06
-fcm.m = 2.0
-fcm.tol = 1e-05
-fcm.max_iter = 200
 aco.n_ants = 6
 aco.archive_size = 10
 aco.q = 0.1

@@ -9,7 +9,7 @@ from antfis import trainer
 from antfis.aco import AcoConfig
 from antfis.dataset import DataSet, FeatureStage, Normalizer
 from antfis.errors import DataError, NumericError, UsageError
-from antfis.fcm import FcmConfig, fcm_cluster
+from antfis.fcm import fcm_cluster
 from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
                         FisModel, encode_premise, fitness, init_from_fcm,
                         predict_batch, premise_arrays, premise_bounds,
@@ -90,6 +90,15 @@ n = 3
 rmse = 0.02,0.01
 """
 
+# The v2 layout: v1 without that switch. Both also carry the damping and
+# the clustering settings, since fixed as constants, which the current
+# layout (v3) leaves out.
+V2_MODEL = V1_MODEL.replace("antfis-model v1", "antfis-model v2").replace(
+    "optimize_consequents = false\n", "")
+V3_MODEL = V2_MODEL.replace("antfis-model v2", "antfis-model v3").replace(
+    "lam = 1e-06\n", "").replace(
+    "fcm.m = 2.0\nfcm.tol = 1e-05\nfcm.max_iter = 200\n", "")
+
 
 class TestTrain:
     def test_planted_two_rule_fis_recovered(self):
@@ -138,14 +147,14 @@ class TestTrain:
         config = model.config
         train_ds, _ = training_partitions(model, data)
         Xtr = model.fis.normalizer.transform(train_ds.features())
-        clustering = fcm_cluster(Xtr, config.n_rules, config.fcm,
+        clustering = fcm_cluster(Xtr, config.n_rules,
                                  seed=mix_seed(config.seed, trainer._FCM_STREAM))
         bounds = np.array(premise_bounds(config.n_rules,
                                          config.stage.n_features))
         v = np.clip(encode_premise(*init_from_fcm(clustering, Xtr)),
                     bounds[:, 0], bounds[:, 1])
         return premise_objective(row_basis(Xtr), train_ds.targets(),
-                                 config.n_rules, config.lam)(v)
+                                 config.n_rules)(v)
 
     def test_search_starts_no_worse_than_the_clustering_seed(
             self, small_data, small_model):
@@ -217,12 +226,13 @@ class TestPremiseObjective:
             packed[1, :, 1] = [SIGMA_CAP * 3, np.inf]
         v = packed.ravel()
         centers, sigmas = premise_arrays(v, 3, 2)
-        assert premise_objective(row_basis(X), y, 3, 1e-6)(v) == fitness(
-            centers, sigmas, row_basis(X), y, 1e-6)[1]
+        # the objective refits at fitness's default damping
+        assert premise_objective(row_basis(X), y, 3)(v) == fitness(
+            centers, sigmas, row_basis(X), y)[1]
 
     def test_non_finite_vector_raises(self):
         X, y, packed = self.case(0)
-        objective = premise_objective(row_basis(X), y, 3, 1e-6)
+        objective = premise_objective(row_basis(X), y, 3)
         for bad in (np.nan, np.inf):
             v = packed.ravel().copy()
             v[2] = bad  # a center
@@ -401,15 +411,15 @@ class TestModelFile:
 
     def test_every_config_field_is_saved(self, small_model, tmp_path):
         # a field the model file leaves out is a setting that a saved
-        # model forgets, or one that never took effect
-        want = {f.name for f in fields(TrainConfig)} - {"fcm", "aco"}
+        # model forgets, or one that never took effect; a key with no
+        # field is a stale setting
+        want = {f.name for f in fields(TrainConfig)} - {"aco"}
         want |= {f"aco.{f.name}" for f in fields(AcoConfig)}
-        want |= {f"fcm.{f.name}" for f in fields(FcmConfig)}
         path = tmp_path / "model.txt"
         save_model(small_model, path)
         section = path.read_text().split("[config]\n")[1].split("\n\n")[0]
         saved = {line.partition(" = ")[0] for line in section.splitlines()}
-        assert want <= saved, sorted(want - saved)
+        assert saved == want, (sorted(want - saved), sorted(saved - want))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -430,7 +440,7 @@ class TestModelFile:
             load_model(path)
 
 
-    def test_v1_file_loads_and_resaves_as_v2(self, tmp_path):
+    def test_v1_file_loads_and_resaves_as_v3(self, tmp_path):
         path = tmp_path / "v1.txt"
         path.write_text(V1_MODEL)
         model = load_model(path)
@@ -441,11 +451,22 @@ class TestModelFile:
         # raw x = 0 scales to 0.5, midway between the two rule centers
         np.testing.assert_array_equal(predict_points(model, [[0.0]]),
                                       predict_batch(model.fis, [[0.5]]))
-        again = tmp_path / "v2.txt"
+        again = tmp_path / "v3.txt"
         save_model(model, again)
-        assert again.read_text() == V1_MODEL.replace(
-            "antfis-model v1", "antfis-model v2").replace(
-            "optimize_consequents = false\n", "")
+        assert again.read_text() == V3_MODEL
+
+    def test_v2_file_loads_and_resaves_as_v3(self, tmp_path):
+        path = tmp_path / "v2.txt"
+        path.write_text(V2_MODEL)
+        model = load_model(path)
+        # the predictions a v2 reader gave for this file
+        np.testing.assert_allclose(
+            predict_points(model, [[-0.125], [-0.05], [0.0], [0.03]]),
+            [0.10875638395230586, 0.21863590163934093, 0.1831203603409933,
+             0.10543273129042137], rtol=1e-12, atol=0)
+        again = tmp_path / "v3.txt"
+        save_model(model, again)
+        assert again.read_text() == V3_MODEL
 
 
 class TestTrainConfig:
