@@ -120,24 +120,29 @@ def kernel_widths(solutions: np.ndarray, xi: float, bounds: np.ndarray,
 
 def sample_candidates(solutions: np.ndarray, cdf: np.ndarray, xi: float,
                       bounds: np.ndarray,
-                      rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Draw one candidate per generator from the archive's kernel mixture.
+                      rngs: Iterable[np.random.Generator],
+                      n_ants: int) -> np.ndarray:
+    """Draw one candidate for each of the n_ants generators in `rngs` from
+    the archive's kernel mixture.
 
     Each generator gives its ant one guide uniform, then d standard
-    normals; row a of the result belongs to the a-th generator. `cdf`
-    comes from selection_cdf of the same archive. Guides are chosen with
-    one searchsorted, kernel widths are computed only for the guides
-    that were chosen, and all candidates are reflected in one call.
+    normals; row a of the result belongs to the a-th generator. The draw
+    block is allocated before the first draw, so a count too large for
+    memory raises MemoryError at once. `cdf` comes from selection_cdf of
+    the same archive. Guides are chosen with one searchsorted, kernel
+    widths are computed only for the guides that were chosen, and all
+    candidates are reflected in one call.
     """
     d = solutions.shape[1]
-    u, z = [], []
-    for rng in rngs:
-        u.append(rng.random())
-        z.append(rng.standard_normal(d))
+    u = np.empty(n_ants)
+    z = np.empty((n_ants, d))
+    for a, rng in zip(range(n_ants), rngs, strict=True):
+        u[a] = rng.random()
+        rng.standard_normal(out=z[a])
     guides = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
     chosen, slot = np.unique(guides, return_inverse=True)
     widths = kernel_widths(solutions, xi, bounds, chosen)[slot]
-    return _reflect(solutions[guides] + widths * np.array(z),
+    return _reflect(solutions[guides] + widths * z,
                     bounds[:, 0], bounds[:, 1])
 
 
@@ -181,8 +186,10 @@ def optimize(objective: Callable[[np.ndarray], float],
         raise ValueError(f"optimize: bounds must be finite (lo, hi) pairs "
                          f"with lo < hi, got {bounds.tolist()}")
 
-    def evaluate(batch: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(objective, batch), dtype=float, count=len(batch))
+    def evaluate(batch: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for a, vector in enumerate(batch):
+            out[a] = objective(vector)
+        return out
 
     k = config.archive_size
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -190,7 +197,7 @@ def optimize(objective: Callable[[np.ndarray], float],
     solutions = lo + (hi - lo) * init_rng.random((k, len(bounds)))
     for i, guess in enumerate(initial_guesses[:k]):
         solutions[i] = np.clip(np.asarray(guess, dtype=float), lo, hi)
-    objectives = evaluate(solutions)
+    objectives = evaluate(solutions, np.empty(k))
     objectives[np.isnan(objectives)] = np.inf
     if not np.isfinite(objectives).any():
         raise NumericError("aco: objective invalid on domain")
@@ -203,11 +210,14 @@ def optimize(objective: Callable[[np.ndarray], float],
 
     cdf = selection_cdf(archive.weights)
     history = np.empty(config.max_iter)
+    values = np.empty(config.n_ants)  # one iteration's objectives
     for it in range(config.max_iter):
         candidates = sample_candidates(
             archive.solutions, cdf, config.xi, bounds,
-            substreams(seed, _ANT_STREAM, it, count=config.n_ants))
-        archive = update_archive(archive, candidates, evaluate(candidates))
+            substreams(seed, _ANT_STREAM, it, count=config.n_ants),
+            config.n_ants)
+        archive = update_archive(archive, candidates,
+                                 evaluate(candidates, values))
         evaluations += config.n_ants
         history[it] = archive.objectives[0]
 

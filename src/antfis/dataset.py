@@ -162,6 +162,13 @@ _BLOCK_ROWS = 8192
 _COMPACT_ROWS = 1024
 
 
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of ceil(n / _BLOCK_ROWS) consecutive row blocks that
+    cover rows 0..n-1 and whose sizes differ by at most one row."""
+    k = -(-n // _BLOCK_ROWS)
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def read_csv_table(path: str | Path, header: tuple[str, ...],
                    rows: str) -> np.ndarray:
     """Parse a CSV with exactly `header` into an (m, len(header)) array.
@@ -273,16 +280,16 @@ def write_csv_table(path: str | Path, header: tuple[str, ...],
     """Write equal-length columns under `header` as a CSV, one value per
     cell at repr precision (ints as ints, floats as repr(float)).
 
-    Rows go out in blocks of _BLOCK_ROWS, each formatted by one %-format
-    call, so no more than one block's values are Python objects at once.
+    Rows go out in the blocks of _row_blocks, each formatted by one
+    %-format call, so no more than one block's values are Python objects
+    at once.
     """
     columns = [np.asarray(col) for col in columns]
     m, n = len(columns), len(columns[0])
     line = ",".join(["%r"] * m) + "\n"
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n)
+        for start, stop in _row_blocks(n):
             cells = [None] * ((stop - start) * m)
             for j, col in enumerate(columns):
                 cells[j::m] = col[start:stop].tolist()

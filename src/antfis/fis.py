@@ -19,6 +19,13 @@ normalisation then work on contiguous rows of length n, and the
 transposed design matrix (c*(d+1), n) is the normalized strengths times
 the (X, 1) rows of that basis. `fitness` is the one path that refits
 the consequents and scores them.
+
+Prediction runs in equal-size row blocks of at most dataset._BLOCK_ROWS
+rows, so its working set stays in cache and its memory flat in the
+batch size. The sizes are equal, not fixed with a short tail, because
+numpy sends a one-column product to BLAS gemv, which rounds differently
+from gemm: a one-row tail would change the last bits of its prediction,
+while equal blocks give the bits of one product over the whole batch.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureStage, Normalizer
+from .dataset import FeatureStage, Normalizer, _row_blocks
 from .errors import NumericError
 
 SIGMA_FLOOR = 1e-3
@@ -131,18 +138,29 @@ def _regressors(centers: np.ndarray, sigmas: np.ndarray,
     return (wbar[:, None, :] * Xa[None]).reshape(c * Xa.shape[0], n)
 
 
-def predict_batch(model: FisModel, X) -> np.ndarray:
-    """Weighted-average model output for a batch of feature rows (unclamped)."""
+def predict_batch(model: FisModel, X, raw: bool = False) -> np.ndarray:
+    """Weighted-average model output for a batch of feature rows (unclamped).
+
+    X holds normalized features, checked here. With raw=True it holds
+    unscaled features that the caller has checked, and each row block is
+    scaled by the model's normalizer just before it is predicted.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError(f"predict: expected (n, {model.n_features}) "
-                         f"features, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("predict: non-finite feature value")
-    basis = row_basis(X)
-    w = normalized_firing(model.centers, model.sigmas, basis)
-    w *= model.coeffs @ basis[model.n_features:]  # rule outputs, (c, n)
-    return w.sum(axis=0)
+    d = model.n_features
+    if not raw:
+        if X.ndim != 2 or X.shape[1] != d:
+            raise ValueError(f"predict: expected (n, {d}) "
+                             f"features, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("predict: non-finite feature value")
+    out = np.empty(len(X))
+    for start, stop in _row_blocks(len(X)):
+        block = X[start:stop]
+        basis = row_basis(model.normalizer.transform(block) if raw else block)
+        w = normalized_firing(model.centers, model.sigmas, basis)
+        w *= model.coeffs @ basis[d:]  # rule outputs, (c, rows)
+        w.sum(axis=0, out=out[start:stop])
+    return out
 
 
 def solve_consequents(A: np.ndarray, y: np.ndarray,

@@ -112,6 +112,13 @@ def premise_objective(basis: np.ndarray, y: np.ndarray,
     return objective
 
 
+def _clamped_predictions(model: fis.FisModel, X: np.ndarray) -> np.ndarray:
+    """Predictions at checked raw feature rows, clamped to [0, 1]; the
+    rows are scaled block by block, so no full-size scaled copy exists."""
+    preds = fis.predict_batch(model, X, raw=True)
+    return np.clip(preds, 0.0, 1.0, out=preds)
+
+
 def _report(model: fis.FisModel, data: DataSet, caller: str,
             rows: str) -> EvalReport:
     """Evaluate with the stored scaler; predictions are clamped to [0, 1]
@@ -120,8 +127,7 @@ def _report(model: fis.FisModel, data: DataSet, caller: str,
     R is undefined when either side is constant; the DataError names
     that side, the caller and the rows (`rows`) it was evaluated on.
     """
-    Xn = model.normalizer.transform(data.features())
-    preds = np.clip(fis.predict_batch(model, Xn), 0.0, 1.0)
+    preds = _clamped_predictions(model, data.features())
     targets = data.targets()
     for side, values in (("targets", targets),
                          ("clamped predictions", preds)):
@@ -212,8 +218,7 @@ def predict_points(model: TrainedModel, points) -> np.ndarray:
                          f"got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("predict_points: non-finite feature value")
-    Xn = model.fis.normalizer.transform(X)
-    return np.clip(fis.predict_batch(model.fis, Xn), 0.0, 1.0)
+    return _clamped_predictions(model.fis, X)
 
 
 def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,

@@ -26,7 +26,7 @@ def draw(archive, xi, bounds, rng):
     """One candidate: the only row of a one-ant draw block."""
     return sample_candidates(archive.solutions,
                              selection_cdf(archive.weights), xi, bounds,
-                             [rng])[0]
+                             [rng], 1)[0]
 
 
 def sphere(x):
@@ -159,7 +159,7 @@ class TestSampleCandidate:
         cdf = selection_cdf(arch.weights)
         got = sample_candidates(arch.solutions, cdf, 0.85, bounds,
                                 substreams(seed, _ANT_STREAM, it,
-                                           count=n_ants))
+                                           count=n_ants), n_ants)
         assert got.shape == (n_ants, d)
         for a in range(n_ants):
             ant = substream(seed, _ANT_STREAM, it, a)
@@ -266,7 +266,7 @@ class TestOptimize:
         for it in range(cfg.max_iter):
             ants = [substream(seed, _ANT_STREAM, it, a) for a in range(n)]
             want = sample_candidates(arch.solutions, cdf, cfg.xi, bounds,
-                                     ants)
+                                     ants, n)
             np.testing.assert_array_equal(seen[k + it * n:k + (it + 1) * n],
                                           want)
             arch = update_archive(arch, want, [sphere(v) for v in want])

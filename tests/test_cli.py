@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from antfis import cli, trainer
+from antfis import aco, cli, trainer
 from antfis.cli import run
 from antfis.dataset import CSV_HEADER, FeatureStage, load_dataset
 from antfis.errors import NumericError
@@ -453,6 +453,31 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: out of memory (Unable to allocate")
         assert "--n" in err
+
+    def test_huge_ant_count_exits_2_before_drawing(self, capsys, data_csv,
+                                                   tmp_path, monkeypatch):
+        # an allocation of 10^12 or more values raises as numpy would,
+        # without being attempted; a draw before it fails the test, so
+        # a per-ant loop cannot run on without end
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if np.prod(shape, dtype=object) >= 10**12:
+                raise MemoryError("Unable to allocate 7.28 TiB")
+            return real_empty(shape, *args, **kwargs)
+
+        def no_draws(*args, count):
+            raise AssertionError("an ant drew before the block was sized")
+            yield
+
+        monkeypatch.setattr(aco.np, "empty", empty)
+        monkeypatch.setattr(aco, "substreams", no_draws)
+        code, _, err = invoke(capsys, "train", "--data", str(data_csv),
+                              "--ants", "1000000000000", "--iters", "1",
+                              "--rules", "3", "--out", str(tmp_path / "m"))
+        assert code == 2
+        assert err.startswith("error: out of memory (Unable to allocate")
+        assert "--ants" in err
 
     def test_params_file_faults_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "params.txt"

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from antfis.dataset import FeatureStage, Normalizer
+from antfis.dataset import FeatureStage, Normalizer, fit_normalizer
 from antfis.fcm import fcm_cluster
 from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
                         FisModel, encode_premise, fitness, init_from_fcm,
                         log_firing_strengths, predict_batch, premise_arrays,
                         premise_bounds, row_basis, solve_consequents)
+from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 
 
 def unit_normalizer(d):
@@ -412,3 +413,42 @@ class TestMatrixProductParity:
         resid = predict_batch(replace(m, coeffs=coeffs), X) - y
         assert rmse == pytest.approx(np.sqrt(np.mean(resid * resid)),
                                      rel=1e-9, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def canonical_fis():
+    """A 10-rule stage-5 model on the canonical 1500-node table: premises
+    seeded by fuzzy c-means, consequents refit by fitness. Returns the
+    model, the scaled features, their row basis and the targets."""
+    data = generate_dataset(ReactorGeometry(), PlumeParams(), 1500, seed=7)
+    norm = fit_normalizer(data)
+    X = norm.transform(data.features())
+    y = data.targets()
+    centers, sigmas = init_from_fcm(fcm_cluster(X, 10, seed=1), X)
+    basis = row_basis(X)
+    coeffs, _ = fitness(centers, sigmas, basis, y)
+    return (FisModel(centers=centers, sigmas=sigmas, coeffs=coeffs,
+                     stage=FeatureStage.XYZPV5, normalizer=norm),
+            X, basis, y)
+
+
+class TestRulePermutation:
+    @given(perm=st.permutations(range(10)))
+    @settings(max_examples=40, deadline=None)
+    def test_predictions_and_rmse_barely_move(self, canonical_fis, perm):
+        m, X, basis, y = canonical_fis
+        perm = list(perm)
+        permuted = replace(m, centers=m.centers[perm], sigmas=m.sigmas[perm],
+                           coeffs=m.coeffs[perm])
+        # Reordering the two c-term sums of the weighted average moves it
+        # by at most about 2c ulps of the largest rule output.
+        rule_out = np.abs(m.coeffs @ basis[m.n_features:]).max(axis=0)
+        tol = 2 * m.n_rules * np.finfo(float).eps * rule_out
+        assert (np.abs(predict_batch(permuted, X) - predict_batch(m, X))
+                <= tol).all()
+        # The refit solves the permuted normal equations, whose rounding
+        # depends on the column order (cond ~ 2.5e8 here), so the RMSE
+        # holds to the relative tolerance of the other fitness tests.
+        rmse = fitness(m.centers, m.sigmas, basis, y)[1]
+        assert fitness(permuted.centers, permuted.sigmas, basis, y)[1] \
+            == pytest.approx(rmse, rel=1e-9)

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antfis import trainer
+from antfis import dataset, trainer
 from antfis.aco import AcoConfig
 from antfis.dataset import DataSet, FeatureStage, Normalizer
 from antfis.errors import DataError, NumericError, UsageError
 from antfis.fcm import fcm_cluster
 from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
                         FisModel, encode_premise, fitness, init_from_fcm,
-                        predict_batch, premise_arrays, premise_bounds,
-                        row_basis)
+                        normalized_firing, predict_batch, premise_arrays,
+                        premise_bounds, row_basis)
 from antfis.rng import mix_seed
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 from antfis.trainer import (TrainConfig, evaluate, load_model,
@@ -319,6 +319,61 @@ class TestPredictPoints:
             r_raw = eval_metrics(raw, part.targets()).pearson_r
             r_clamped = eval_metrics(clamped, part.targets()).pearson_r
             assert np.sign(r_raw) == np.sign(r_clamped)
+
+
+class TestRowBlocks:
+    B = 64  # block size for these tests, so no array is large
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1,
+                                   3 * B + 7])
+    def test_blocked_prediction_equals_one_shot(self, monkeypatch, small_data,
+                                                small_model, n):
+        # B + 1 and 2B + 1 rows leave a one-row tail in fixed-size blocks,
+        # and a one-column matrix product rounds differently
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", self.B)
+        blocks = dataset._row_blocks(n)
+        sizes = [stop - start for start, stop in blocks]
+        assert len(blocks) == -(-n // self.B) and max(sizes) - min(sizes) <= 1
+        assert blocks[0][0] == 0 and blocks[-1][1] == n and all(
+            a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        m = small_model.fis
+        X = small_data.features()[:n]
+        Xn = m.normalizer.transform(X)
+        basis = row_basis(Xn)  # the whole-batch formula, in one product
+        w = normalized_firing(m.centers, m.sigmas, basis)
+        w *= m.coeffs @ basis[m.n_features:]
+        want = w.sum(axis=0)
+        assert np.array_equal(predict_batch(m, Xn), want)
+        assert np.array_equal(predict_points(small_model, X),
+                              np.clip(want, 0.0, 1.0))
+
+
+class TestInvariances:
+    @given(stage=st.sampled_from(list(FeatureStage)), k=st.integers(-40, 40),
+           pick=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_power_of_two_feature_scaling_changes_no_bit(self, small_data,
+                                                         stage, k, pick):
+        # min-max scaling divides a power-of-two factor out exactly, so no
+        # step after fit_normalizer may see that a raw column was scaled
+        j = pick.draw(st.integers(0, stage.n_features - 1))
+        X = small_data.X.copy()
+        X[:, j] = np.ldexp(X[:, j], k)
+        config = quick_config(stage, iters=20)
+        a = train(small_data.with_stage(stage), config)
+        b = train(DataSet(X, small_data.y, stage), config)
+        for field in ("centers", "sigmas", "coeffs"):
+            assert np.array_equal(getattr(a.fis, field),
+                                  getattr(b.fis, field))
+        assert a.train_report == b.train_report
+        assert a.test_report == b.test_report
+        assert np.array_equal(a.convergence, b.convergence)
+        mins = a.fis.normalizer.mins.copy()
+        mins[j] = np.ldexp(mins[j], k)
+        assert np.array_equal(b.fis.normalizer.mins, mins)
+        d = stage.n_features
+        assert np.array_equal(predict_points(b, X[:, :d]),
+                              predict_points(a, small_data.X[:, :d]))
 
 
 class TestSweep:
