@@ -63,7 +63,6 @@ class AcoConfig:
 class SolutionArchive:
     solutions: np.ndarray   # (k, d), ascending objective
     objectives: np.ndarray  # (k,)
-    weights: np.ndarray     # (k,) rank weights, best first
 
 
 @dataclass(frozen=True)
@@ -104,15 +103,15 @@ def selection_cdf(weights: np.ndarray) -> np.ndarray:
 
 
 def kernel_widths(solutions: np.ndarray, xi: float, bounds: np.ndarray,
-                  guides: np.ndarray | None = None) -> np.ndarray:
+                  guides: np.ndarray) -> np.ndarray:
     """Kernel widths with the given archive members as guides: (g, d).
 
     Row r is xi times the mean distance of the archive from member
     guides[r], coordinate by coordinate, floored relative to the box
-    extent. Without `guides` every member is a guide, in rank order.
+    extent.
     """
     k = solutions.shape[0]
-    centers = solutions if guides is None else solutions[guides]
+    centers = solutions[guides]
     spread = np.abs(solutions[None, :, :] - centers[:, None, :]).sum(axis=1)
     sd = xi * spread / (k - 1)
     return np.maximum(sd, _SD_FLOOR_REL * (bounds[:, 1] - bounds[:, 0]))
@@ -163,8 +162,7 @@ def update_archive(archive: SolutionArchive, candidates: np.ndarray,
     k = archive.solutions.shape[0]
     order = np.argsort(merged_obj, kind="stable")[:k]
     return SolutionArchive(solutions=merged_sol[order],
-                           objectives=merged_obj[order],
-                           weights=archive.weights)
+                           objectives=merged_obj[order])
 
 
 def optimize(objective: Callable[[np.ndarray], float],
@@ -205,10 +203,9 @@ def optimize(objective: Callable[[np.ndarray], float],
 
     order = np.argsort(objectives, kind="stable")
     archive = SolutionArchive(solutions=solutions[order],
-                              objectives=objectives[order],
-                              weights=rank_weights(k, config.q))
+                              objectives=objectives[order])
 
-    cdf = selection_cdf(archive.weights)
+    cdf = selection_cdf(rank_weights(k, config.q))
     history = np.empty(config.max_iter)
     values = np.empty(config.n_ants)  # one iteration's objectives
     for it in range(config.max_iter):

@@ -20,8 +20,9 @@ transposed design matrix (c*(d+1), n) is the normalized strengths times
 the (X, 1) rows of that basis. `fitness` is the one path that refits
 the consequents and scores them.
 
-Prediction runs in equal-size row blocks of at most dataset._BLOCK_ROWS
-rows, so its working set stays in cache and its memory flat in the
+Prediction takes raw feature rows and runs in equal-size row blocks of
+at most dataset._BLOCK_ROWS rows, each scaled just before it is
+predicted, so its working set stays in cache and its memory flat in the
 batch size. The sizes are equal, not fixed with a short tail, because
 numpy sends a one-column product to BLAS gemv, which rounds differently
 from gemm: a one-row tail would change the last bits of its prediction,
@@ -138,25 +139,24 @@ def _regressors(centers: np.ndarray, sigmas: np.ndarray,
     return (wbar[:, None, :] * Xa[None]).reshape(c * Xa.shape[0], n)
 
 
-def predict_batch(model: FisModel, X, raw: bool = False) -> np.ndarray:
-    """Weighted-average model output for a batch of feature rows (unclamped).
+def predict_batch(model: FisModel, X) -> np.ndarray:
+    """Weighted-average model output for a batch of raw feature rows
+    (unclamped).
 
-    X holds normalized features, checked here. With raw=True it holds
-    unscaled features that the caller has checked, and each row block is
-    scaled by the model's normalizer just before it is predicted.
+    X holds unscaled features, checked here; each row block is scaled by
+    the model's normalizer just before it is predicted, so no full-size
+    scaled copy exists.
     """
     X = np.asarray(X, dtype=float)
     d = model.n_features
-    if not raw:
-        if X.ndim != 2 or X.shape[1] != d:
-            raise ValueError(f"predict: expected (n, {d}) "
-                             f"features, got shape {X.shape}")
-        if not np.isfinite(X).all():
-            raise ValueError("predict: non-finite feature value")
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"predict: expected (n, {d}) "
+                         f"features, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("predict: non-finite feature value")
     out = np.empty(len(X))
     for start, stop in _row_blocks(len(X)):
-        block = X[start:stop]
-        basis = row_basis(model.normalizer.transform(block) if raw else block)
+        basis = row_basis(model.normalizer.transform(X[start:stop]))
         w = normalized_firing(model.centers, model.sigmas, basis)
         w *= model.coeffs @ basis[d:]  # rule outputs, (c, rows)
         w.sum(axis=0, out=out[start:stop])

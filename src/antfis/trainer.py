@@ -11,13 +11,20 @@ built only for the best vector.
 Every stochastic stage draws from a child seed derived from the master
 seed via SplitMix64 mixing, so a (dataset, config) pair fully determines
 the trained model.
+
+A model file is plain text: a version line, then `[section]` headers
+with `key = value` lines. The dataclasses are its schema: `[config]`
+holds TrainConfig's fields (AcoConfig's prefixed `aco.`) and `[report
+train]` and `[report test]` EvalReport's, one line each in declaration
+order. The loader rebuilds them from their type hints, so their range
+checks apply to a file's values. A repeated section or key is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -43,14 +50,15 @@ OLD_MAGICS = ("antfis-model v2", "antfis-model v1")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    stage: FeatureStage
+    # Declared in the order of the model file's [config] keys.
     p: float = 0.70
+    stage: FeatureStage = field(kw_only=True)
     n_rules: int = 10
-    aco: AcoConfig = AcoConfig()
     seed: int = 7
     # Sweeps pin one partition for every cell so stage/ant comparisons are
     # on identical data; None derives the split from the master seed.
     split_seed: int | None = None
+    aco: AcoConfig = AcoConfig()
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -112,13 +120,6 @@ def premise_objective(basis: np.ndarray, y: np.ndarray,
     return objective
 
 
-def _clamped_predictions(model: fis.FisModel, X: np.ndarray) -> np.ndarray:
-    """Predictions at checked raw feature rows, clamped to [0, 1]; the
-    rows are scaled block by block, so no full-size scaled copy exists."""
-    preds = fis.predict_batch(model, X, raw=True)
-    return np.clip(preds, 0.0, 1.0, out=preds)
-
-
 def _report(model: fis.FisModel, data: DataSet, caller: str,
             rows: str) -> EvalReport:
     """Evaluate with the stored scaler; predictions are clamped to [0, 1]
@@ -127,7 +128,8 @@ def _report(model: fis.FisModel, data: DataSet, caller: str,
     R is undefined when either side is constant; the DataError names
     that side, the caller and the rows (`rows`) it was evaluated on.
     """
-    preds = _clamped_predictions(model, data.features())
+    preds = fis.predict_batch(model, data.features())
+    np.clip(preds, 0.0, 1.0, out=preds)
     targets = data.targets()
     for side, values in (("targets", targets),
                          ("clamped predictions", preds)):
@@ -210,15 +212,8 @@ def evaluate(model: TrainedModel, data: DataSet) -> EvalReport:
 def predict_points(model: TrainedModel, points) -> np.ndarray:
     """Predict volume fractions at raw feature vectors, clamped to [0, 1]."""
     X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    d = model.config.stage.n_features
-    if X.ndim != 2 or X.shape[1] != d:
-        raise ValueError(f"predict_points: expected (m, {d}) features, "
-                         f"got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("predict_points: non-finite feature value")
-    return _clamped_predictions(model.fis, X)
+    preds = fis.predict_batch(model.fis, X[None, :] if X.ndim == 1 else X)
+    return np.clip(preds, 0.0, 1.0, out=preds)
 
 
 def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
@@ -266,8 +261,44 @@ def write_sweep_csv(report: SweepReport, path: str | Path) -> None:
 
 # --- model file: versioned plain-text container ---------------------------
 
-def _fmt_float(v) -> str:
-    return repr(float(v))
+# A dataclass field is written by the formatter of its type (default str)
+# and read back by the parser of its type (default the type itself).
+_FORMATTERS = {
+    float: lambda v: str(float(v)),  # an np.float64 reprs as "np.float64(..)"
+    FeatureStage: lambda v: str(v.n_features),
+    int | None: lambda v: "none" if v is None else str(v),
+}
+_PARSERS = {
+    FeatureStage: lambda text: FeatureStage.from_arity(int(text)),
+    int | None: lambda text: None if text == "none" else int(text),
+}
+
+
+def _field_lines(obj, prefix: str = "") -> list[str]:
+    """`key = value` lines of a dataclass's fields, nested ones prefixed."""
+    types = get_type_hints(type(obj))
+    lines = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            lines += _field_lines(value, f"{prefix}{f.name}.")
+        else:
+            text = _FORMATTERS.get(types[f.name], str)(value)
+            lines.append(f"{prefix}{f.name} = {text}")
+    return lines
+
+
+def _from_fields(cls, section: dict[str, str], prefix: str = ""):
+    """Inverse of _field_lines; __post_init__ range checks apply."""
+    types = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        t = types[f.name]
+        key = prefix + f.name
+        values[f.name] = (_from_fields(t, section, f"{key}.")
+                          if is_dataclass(t)
+                          else _PARSERS.get(t, t)(section[key]))
+    return cls(**values)
 
 
 def _fmt_floats(vs) -> str:
@@ -280,27 +311,12 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Floats are stored at repr precision, so save -> load -> save is
     byte-identical.
     """
-    cfg = model.config
     m = model.fis
-    lines = [MODEL_MAGIC, ""]
-    lines += [
-        "[config]",
-        f"p = {_fmt_float(cfg.p)}",
-        f"stage = {cfg.stage.n_features}",
-        f"n_rules = {cfg.n_rules}",
-        f"seed = {cfg.seed}",
-        f"split_seed = {'none' if cfg.split_seed is None else cfg.split_seed}",
-        f"aco.n_ants = {cfg.aco.n_ants}",
-        f"aco.archive_size = {cfg.aco.archive_size}",
-        f"aco.q = {_fmt_float(cfg.aco.q)}",
-        f"aco.xi = {_fmt_float(cfg.aco.xi)}",
-        f"aco.max_iter = {cfg.aco.max_iter}",
-        "",
-        "[normalizer]",
-        f"features = {','.join(m.normalizer.feature_names)}",
-        f"min = {_fmt_floats(m.normalizer.mins)}",
-        f"max = {_fmt_floats(m.normalizer.maxs)}",
-    ]
+    lines = [MODEL_MAGIC, "", "[config]", *_field_lines(model.config), "",
+             "[normalizer]",
+             f"features = {','.join(m.normalizer.feature_names)}",
+             f"min = {_fmt_floats(m.normalizer.mins)}",
+             f"max = {_fmt_floats(m.normalizer.maxs)}"]
     for i in range(m.n_rules):
         lines += [
             "",
@@ -310,14 +326,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
             f"coeff = {_fmt_floats(m.coeffs[i])}",
         ]
     for name, rep in (("train", model.train_report), ("test", model.test_report)):
-        lines += [
-            "",
-            f"[report {name}]",
-            f"pearson_r = {_fmt_float(rep.pearson_r)}",
-            f"rmse = {_fmt_float(rep.rmse)}",
-            f"mae = {_fmt_float(rep.mae)}",
-            f"n = {rep.n}",
-        ]
+        lines += ["", f"[report {name}]", *_field_lines(rep)]
     lines += ["", "[convergence]",
               f"rmse = {_fmt_floats(model.convergence)}", ""]
     Path(path).write_text("\n".join(lines), encoding="utf-8")
@@ -336,10 +345,17 @@ def _parse_sections(text: str, path) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current in sections:
+                raise DataError(f"{path}, line {lineno}: repeated section "
+                                f"[{current}]")
             sections[current] = {}
         elif "=" in line and current is not None:
             key, _, value = line.partition("=")
-            sections[current][key.strip()] = value.strip()
+            key = key.strip()
+            if key in sections[current]:
+                raise DataError(f"{path}, line {lineno}: repeated key "
+                                f"{key!r} in [{current}]")
+            sections[current][key] = value.strip()
         else:
             raise DataError(f"{path}, line {lineno}: unparseable model line "
                             f"{raw!r}")
@@ -357,22 +373,8 @@ def load_model(path: str | Path) -> TrainedModel:
         raise DataError(f"model file not found: {path}")
     try:
         sections = _parse_sections(path.read_text(encoding="utf-8"), path)
-        cfg_s = sections["config"]
-        stage = FeatureStage.from_arity(int(cfg_s["stage"]))
-        n_rules = int(cfg_s["n_rules"])
-        config = TrainConfig(
-            stage=stage,
-            p=float(cfg_s["p"]),
-            n_rules=n_rules,
-            aco=AcoConfig(n_ants=int(cfg_s["aco.n_ants"]),
-                          archive_size=int(cfg_s["aco.archive_size"]),
-                          q=float(cfg_s["aco.q"]),
-                          xi=float(cfg_s["aco.xi"]),
-                          max_iter=int(cfg_s["aco.max_iter"])),
-            seed=int(cfg_s["seed"]),
-            split_seed=(None if cfg_s["split_seed"] == "none"
-                        else int(cfg_s["split_seed"])),
-        )
+        config = _from_fields(TrainConfig, sections["config"])
+        stage = config.stage
         norm_s = sections["normalizer"]
         normalizer = Normalizer(
             feature_names=tuple(norm_s["features"].split(",")),
@@ -384,7 +386,7 @@ def load_model(path: str | Path) -> TrainedModel:
             raise DataError(f"{path}: [normalizer] must name the stage's "
                             "features, each with finite min < max")
         centers, sigmas, coeffs = [], [], []
-        for i in range(n_rules):
+        for i in range(config.n_rules):
             rule_s = sections[f"rule {i}"]
             centers.append(_floats(rule_s["center"]))
             sigmas.append(_floats(rule_s["sigma"]))
@@ -392,13 +394,8 @@ def load_model(path: str | Path) -> TrainedModel:
         model = fis.FisModel(centers=np.array(centers), sigmas=np.array(sigmas),
                              coeffs=np.array(coeffs), stage=stage,
                              normalizer=normalizer)
-        reports = {}
-        for name in ("train", "test"):
-            rep_s = sections[f"report {name}"]
-            reports[name] = EvalReport(pearson_r=float(rep_s["pearson_r"]),
-                                       rmse=float(rep_s["rmse"]),
-                                       mae=float(rep_s["mae"]),
-                                       n=int(rep_s["n"]))
+        reports = {name: _from_fields(EvalReport, sections[f"report {name}"])
+                   for name in ("train", "test")}
         convergence = _floats(sections["convergence"]["rmse"])
     except (KeyError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: invalid model file ({exc})") from exc

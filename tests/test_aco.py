@@ -13,20 +13,23 @@ from antfis.errors import NumericError, UsageError
 from antfis.rng import mix_seed, substream, substreams
 
 
-def make_archive(solutions, objectives, q=0.1):
+def make_archive(solutions, objectives):
     solutions = np.asarray(solutions, dtype=float)
     objectives = np.asarray(objectives, dtype=float)
     order = np.argsort(objectives, kind="stable")
     return SolutionArchive(solutions=solutions[order],
-                           objectives=objectives[order],
-                           weights=rank_weights(len(objectives), q))
+                           objectives=objectives[order])
 
 
-def draw(archive, xi, bounds, rng):
+def archive_cdf(archive, q=0.1):
+    """Guide-selection cdf of the archive's rank weights at locality q."""
+    return selection_cdf(rank_weights(len(archive.objectives), q))
+
+
+def draw(archive, xi, bounds, rng, q=0.1):
     """One candidate: the only row of a one-ant draw block."""
-    return sample_candidates(archive.solutions,
-                             selection_cdf(archive.weights), xi, bounds,
-                             [rng], 1)[0]
+    return sample_candidates(archive.solutions, archive_cdf(archive, q), xi,
+                             bounds, [rng], 1)[0]
 
 
 def sphere(x):
@@ -80,15 +83,16 @@ class TestSampleCandidate:
     def test_guide_selection_frequencies(self):
         k = 5
         arch = make_archive(np.arange(k, dtype=float)[:, None] * 100.0,
-                            np.arange(k, dtype=float), q=0.3)
+                            np.arange(k, dtype=float))
         bounds = np.array([[-1000.0, 1000.0]])
-        probs = arch.weights / arch.weights.sum()
+        weights = rank_weights(k, 0.3)
+        probs = weights / weights.sum()
         n = 100_000
         rng = substream(42, 0)
         # identify the guide by nearest archive member (sd is small vs spacing)
         counts = np.zeros(k)
         for _ in range(n):
-            v = draw(arch, 0.05, bounds, rng)
+            v = draw(arch, 0.05, bounds, rng, q=0.3)
             counts[int(np.argmin(np.abs(arch.solutions[:, 0] - v[0])))] += 1
         for i in range(k):
             sd = math.sqrt(n * probs[i] * (1 - probs[i]))
@@ -124,7 +128,7 @@ class TestSampleCandidate:
         sols = rng.uniform(-3.0, 3.0, (k, d))
         sols[rng.random((k, d)) < 0.2] = 0.5  # ties: zero-spread coordinates
         bounds = np.column_stack([np.full(d, -3.0), np.full(d, 3.0)])
-        widths = kernel_widths(sols, xi, bounds)
+        widths = kernel_widths(sols, xi, bounds, np.arange(k))
         for g in range(k):
             sd = xi * np.abs(sols - sols[g]).sum(axis=0) / (k - 1)
             sd = np.maximum(sd, 1e-9 * (bounds[:, 1] - bounds[:, 0]))
@@ -144,7 +148,8 @@ class TestSampleCandidate:
         bounds = np.column_stack([np.full(d, -3.0), np.full(d, 3.0)])
         guides = np.unique(rng.integers(0, k, g))
         assert np.array_equal(kernel_widths(sols, xi, bounds, guides),
-                              kernel_widths(sols, xi, bounds)[guides])
+                              kernel_widths(sols, xi, bounds,
+                                            np.arange(k))[guides])
 
     @given(seed=st.integers(0, 10_000), it=st.integers(0, 500),
            n_ants=st.integers(1, 30), d=st.integers(1, 12))
@@ -156,7 +161,7 @@ class TestSampleCandidate:
         k = 7
         arch = make_archive(rng.uniform(-1.0, 1.0, (k, d)), rng.random(k))
         bounds = np.array([[-1.0, 1.0]] * d)
-        cdf = selection_cdf(arch.weights)
+        cdf = archive_cdf(arch)
         got = sample_candidates(arch.solutions, cdf, 0.85, bounds,
                                 substreams(seed, _ANT_STREAM, it,
                                            count=n_ants), n_ants)
@@ -261,8 +266,8 @@ class TestOptimize:
         k, n = cfg.archive_size, cfg.n_ants
         init = substream(seed, _INIT_STREAM).random((k, 3))
         np.testing.assert_array_equal(seen[:k], -1.0 + 2.0 * init)
-        arch = make_archive(seen[:k], [sphere(v) for v in seen[:k]], cfg.q)
-        cdf = selection_cdf(arch.weights)
+        arch = make_archive(seen[:k], [sphere(v) for v in seen[:k]])
+        cdf = archive_cdf(arch, cfg.q)
         for it in range(cfg.max_iter):
             ants = [substream(seed, _ANT_STREAM, it, a) for a in range(n)]
             want = sample_candidates(arch.solutions, cdf, cfg.xi, bounds,

@@ -419,7 +419,8 @@ class TestMatrixProductParity:
 def canonical_fis():
     """A 10-rule stage-5 model on the canonical 1500-node table: premises
     seeded by fuzzy c-means, consequents refit by fitness. Returns the
-    model, the scaled features, their row basis and the targets."""
+    model, the raw features, the row basis of their scaled form and the
+    targets."""
     data = generate_dataset(ReactorGeometry(), PlumeParams(), 1500, seed=7)
     norm = fit_normalizer(data)
     X = norm.transform(data.features())
@@ -429,7 +430,7 @@ def canonical_fis():
     coeffs, _ = fitness(centers, sigmas, basis, y)
     return (FisModel(centers=centers, sigmas=sigmas, coeffs=coeffs,
                      stage=FeatureStage.XYZPV5, normalizer=norm),
-            X, basis, y)
+            data.features(), basis, y)
 
 
 class TestRulePermutation:

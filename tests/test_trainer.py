@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from antfis import dataset, trainer
 from antfis.aco import AcoConfig
-from antfis.dataset import DataSet, FeatureStage, Normalizer
+from antfis.dataset import DataSet, EvalReport, FeatureStage, Normalizer
 from antfis.errors import DataError, NumericError, UsageError
 from antfis.fcm import fcm_cluster
 from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
@@ -19,6 +19,38 @@ from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 from antfis.trainer import (TrainConfig, evaluate, load_model,
                             predict_points, premise_objective, save_model,
                             sweep, train, training_partitions)
+
+
+def maybe_numpy(strategy, np_type):
+    """Values of `strategy`, as Python numbers or as numpy scalars."""
+    return st.one_of(strategy, strategy.map(np_type))
+
+
+# 0.1 + 0.2 has a 17-digit repr; with numpy 2, repr of an np.float64
+# reads "np.float64(...)", which no float parser accepts.
+def unit_floats(**kw):
+    return maybe_numpy(st.one_of(st.just(0.1 + 0.2), st.floats(
+        0.0, 1.0, exclude_min=True, **kw)), np.float64)
+
+
+SEEDS = st.one_of(st.integers(0, 2**64 - 1),
+                  st.integers(-2**63, 2**63 - 1).map(np.int64))
+TRAIN_CONFIGS = st.builds(
+    TrainConfig, p=unit_floats(exclude_max=True),
+    stage=st.sampled_from(list(FeatureStage)),
+    n_rules=maybe_numpy(st.integers(2, 4), np.int64), seed=SEEDS,
+    split_seed=st.one_of(st.none(), SEEDS),
+    aco=st.builds(AcoConfig,
+                  n_ants=maybe_numpy(st.integers(1, 10**6), np.int64),
+                  archive_size=maybe_numpy(st.integers(2, 1000), np.int64),
+                  q=maybe_numpy(st.floats(1e-3, 1e3), np.float64),
+                  xi=unit_floats(),
+                  max_iter=maybe_numpy(st.integers(1, 10**6), np.int64)))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EVAL_REPORTS = st.builds(
+    EvalReport, pearson_r=maybe_numpy(st.floats(-1.0, 1.0), np.float64),
+    rmse=maybe_numpy(FINITE, np.float64), mae=maybe_numpy(FINITE, np.float64),
+    n=maybe_numpy(st.integers(0, 2**62), np.int64))
 
 
 def quick_config(stage, seed=3, n_rules=3, iters=5, ants=6):
@@ -182,8 +214,8 @@ class TestTrain:
         # the last convergence value is objective(best vector); the model
         # is finalize(best vector): its unclamped training RMSE must agree
         train_ds, _ = training_partitions(small_model, small_data)
-        Xn = small_model.fis.normalizer.transform(train_ds.features())
-        resid = predict_batch(small_model.fis, Xn) - train_ds.targets()
+        resid = (predict_batch(small_model.fis, train_ds.features())
+                 - train_ds.targets())
         assert np.sqrt(np.mean(resid * resid)) == pytest.approx(
             small_model.convergence[-1], rel=1e-12)
 
@@ -288,8 +320,7 @@ class TestPredictPoints:
     def test_matches_evaluate_predictions(self, small_data, small_model):
         X = small_data.features()[:10]
         preds = predict_points(small_model, X)
-        norm_X = small_model.fis.normalizer.transform(X)
-        expected = np.clip(predict_batch(small_model.fis, norm_X), 0.0, 1.0)
+        expected = np.clip(predict_batch(small_model.fis, X), 0.0, 1.0)
         np.testing.assert_array_equal(preds, expected)
 
     def test_clamped_to_unit_interval(self, small_model, small_data):
@@ -313,8 +344,7 @@ class TestPredictPoints:
     def test_clamping_preserves_r_sign(self, small_data, small_model):
         from antfis.dataset import eval_metrics
         for part in training_partitions(small_model, small_data):
-            Xn = small_model.fis.normalizer.transform(part.features())
-            raw = predict_batch(small_model.fis, Xn)
+            raw = predict_batch(small_model.fis, part.features())
             clamped = np.clip(raw, 0.0, 1.0)
             r_raw = eval_metrics(raw, part.targets()).pearson_r
             r_clamped = eval_metrics(clamped, part.targets()).pearson_r
@@ -343,7 +373,7 @@ class TestRowBlocks:
         w = normalized_firing(m.centers, m.sigmas, basis)
         w *= m.coeffs @ basis[m.n_features:]
         want = w.sum(axis=0)
-        assert np.array_equal(predict_batch(m, Xn), want)
+        assert np.array_equal(predict_batch(m, X), want)
         assert np.array_equal(predict_points(small_model, X),
                               np.clip(want, 0.0, 1.0))
 
@@ -472,9 +502,56 @@ class TestModelFile:
         want |= {f"aco.{f.name}" for f in fields(AcoConfig)}
         path = tmp_path / "model.txt"
         save_model(small_model, path)
-        section = path.read_text().split("[config]\n")[1].split("\n\n")[0]
-        saved = {line.partition(" = ")[0] for line in section.splitlines()}
-        assert saved == want, (sorted(want - saved), sorted(saved - want))
+        text = path.read_text()
+
+        def keys(header):
+            section = text.split(f"[{header}]\n")[1].split("\n\n")[0]
+            return {line.partition(" = ")[0] for line in section.splitlines()}
+        assert keys("config") == want, (sorted(want - keys("config")),
+                                        sorted(keys("config") - want))
+        for name in ("train", "test"):
+            assert keys(f"report {name}") == {f.name for f in
+                                               fields(EvalReport)}
+
+    @given(config=TRAIN_CONFIGS, train_report=EVAL_REPORTS,
+           test_report=EVAL_REPORTS)
+    @settings(max_examples=150, deadline=None)
+    def test_schema_round_trip(self, tmp_path_factory, config, train_report,
+                               test_report):
+        c, d = config.n_rules, config.stage.n_features
+        model = trainer.TrainedModel(
+            fis=FisModel(centers=np.full((c, d), 0.5),
+                         sigmas=np.full((c, d), 0.2),
+                         coeffs=np.zeros((c, d + 1)), stage=config.stage,
+                         normalizer=Normalizer(config.stage.feature_names,
+                                               np.zeros(d), np.ones(d))),
+            config=config, train_report=train_report,
+            test_report=test_report, convergence=np.array([0.5, 0.25]))
+        root = tmp_path_factory.mktemp("round_trip")
+        save_model(model, root / "m1.txt")
+        loaded = load_model(root / "m1.txt")
+        assert loaded.config == config
+        assert loaded.train_report == train_report
+        assert loaded.test_report == test_report
+        save_model(loaded, root / "m2.txt")
+        assert (root / "m1.txt").read_bytes() == (root / "m2.txt").read_bytes()
+
+    @pytest.mark.parametrize("after, extra, match", [
+        ("\n\n[convergence]", "\n\n[config]\np = 0.5\nseed = 99",
+         r"line \d+: repeated section \[config\]"),
+        ("\nn_rules = 3", "\nseed = 99", r"line 8: repeated key 'seed' in "
+                                         r"\[config\]")], ids=["section", "key"])
+    def test_repeated_section_or_key_rejected(self, small_model, tmp_path,
+                                              after, extra, match):
+        # a later copy would silently replace the first, so the file
+        # would no longer say which settings the model was trained with
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        text = path.read_text()
+        assert text.count(after) == 1
+        path.write_text(text.replace(after, after + extra))
+        with pytest.raises(DataError, match=f"{path.name}, {match}"):
+            load_model(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -504,8 +581,10 @@ class TestModelFile:
         np.testing.assert_array_equal(model.fis.coeffs,
                                       [[0.5, 0.1], [-0.25, 0.2]])
         # raw x = 0 scales to 0.5, midway between the two rule centers
+        unscaled = replace(model.fis, normalizer=Normalizer(
+            ("x",), np.zeros(1), np.ones(1)))
         np.testing.assert_array_equal(predict_points(model, [[0.0]]),
-                                      predict_batch(model.fis, [[0.5]]))
+                                      predict_batch(unscaled, [[0.5]]))
         again = tmp_path / "v3.txt"
         save_model(model, again)
         assert again.read_text() == V3_MODEL
