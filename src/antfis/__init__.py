@@ -8,8 +8,8 @@ from .dataset import (CSV_HEADER, DataSet, EvalReport, FeatureStage,
 from .errors import AntfisError, DataError, NumericError, UsageError
 from .fcm import FcmResult, fcm_cluster
 from .fis import FisModel, encode_premise, init_from_fcm, predict_batch
-from .synthfield import (PlumeParams, ReactorGeometry, generate_dataset,
-                         holdup_at, pressure_at, velocity_at)
+from .synthfield import (PlumeParams, ReactorGeometry, fields_at,
+                         generate_dataset)
 from .trainer import (SweepReport, TrainConfig, TrainedModel, evaluate,
                       load_model, predict_points, save_model, sweep, train,
                       training_partitions)

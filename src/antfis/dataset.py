@@ -357,11 +357,20 @@ def fit_normalizer(train: DataSet) -> Normalizer:
     return Normalizer(names, mins, maxs)
 
 
+def _require_spread(values: np.ndarray, what: str) -> None:
+    """DataError naming `what` unless `values` holds two different numbers.
+    Exact: the mean of equal values need not round back to them."""
+    if values.min() == values.max():
+        raise DataError(f"{what} are all equal (zero-variance), so R is "
+                        "undefined")
+
+
 def eval_metrics(pred, target) -> EvalReport:
     """Pearson R, RMSE, and MAE of predictions against targets.
 
     R is the Pearson correlation cov(pred, target) / (sd_pred * sd_target);
-    it is undefined (DataError) when either sequence has zero variance.
+    it is undefined (DataError) when either sequence is constant, or when
+    the product of their squared spreads underflows to zero.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -371,13 +380,14 @@ def eval_metrics(pred, target) -> EvalReport:
     n = pred.size
     if n < 2:
         raise ValueError(f"eval_metrics: need at least 2 points, got {n}")
+    for side, values in (("targets", target), ("predictions", pred)):
+        _require_spread(values, f"eval_metrics: the {side}")
     dp = pred - pred.mean()
     dt = target - target.mean()
-    sp2 = float(dp @ dp)
-    st2 = float(dt @ dt)
-    if st2 == 0.0 or sp2 == 0.0:
-        raise DataError("eval_metrics: zero-variance input, R undefined")
-    r = float(dp @ dt) / math.sqrt(sp2 * st2)
+    scale = math.sqrt(float(dp @ dp) * float(dt @ dt))
+    if scale == 0.0:
+        raise DataError("eval_metrics: the spreads underflow, R undefined")
+    r = float(dp @ dt) / scale
     r = max(-1.0, min(1.0, r))
     err = pred - target
     rmse = float(np.sqrt(np.mean(err ** 2)))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FeatureStage, Normalizer, _row_blocks
+from .dataset import Normalizer, _row_blocks
 from .errors import NumericError
 
 SIGMA_FLOOR = 1e-3
@@ -54,7 +54,6 @@ class FisModel:
     centers: np.ndarray   # (c, d) premise centers
     sigmas: np.ndarray    # (c, d) premise widths, >= SIGMA_FLOOR
     coeffs: np.ndarray    # (c, d+1) affine consequents
-    stage: FeatureStage
     normalizer: Normalizer
 
     def __post_init__(self):
@@ -63,9 +62,10 @@ class FisModel:
             raise ValueError("fis: inconsistent rule array shapes")
         if c < 1:
             raise ValueError("fis: need at least one rule")
-        if d != self.stage.n_features:
-            raise ValueError(f"fis: premise arity {d} != stage arity "
-                             f"{self.stage.n_features}")
+        if d != len(self.normalizer.feature_names):
+            raise ValueError(f"fis: premise arity {d} != "
+                             f"{len(self.normalizer.feature_names)} "
+                             "normalizer features")
         if not (np.isfinite(self.centers).all() and np.isfinite(self.sigmas).all()
                 and np.isfinite(self.coeffs).all()):
             raise ValueError("fis: parameters must be finite")

@@ -1,9 +1,10 @@
 """Deterministic seeding helpers.
 
-Stochastic components draw from counter-based Philox streams keyed by a
-root seed plus an integer path. Because every stream is addressed rather
-than advanced, results are identical whether consumers run sequentially
-or in parallel.
+mix_seed derives child seeds by SplitMix64 mixing; the split and fuzzy
+c-means seed numpy's default generator (PCG64) with one. The optimizer's
+archive and ant draws come from counter-based Philox streams addressed
+by (seed, path), not advanced (substream, substreams), so they are the
+same whether consumers run sequentially or in parallel.
 """
 
 from __future__ import annotations

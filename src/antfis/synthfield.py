@@ -69,16 +69,10 @@ class PlumeParams:
                              "noise_sd (--noise-sd) >= 0 required")
 
 
-def _check_inside(x, y, z, geom: ReactorGeometry) -> None:
-    r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-    z = np.asarray(z)
-    if np.any(r2 > geom.radius ** 2 * (1.0 + 1e-12)) or np.any(z < 0.0) \
-            or np.any(z > geom.height):
-        raise ValueError("point outside cylinder")
-
-
-def _width(z, geom: ReactorGeometry, params: PlumeParams):
-    return params.sigma0 + params.spread * np.maximum(z - geom.sparger_height, 0.0)
+def _two_sigma2(z, geom: ReactorGeometry, params: PlumeParams):
+    """2 sigma(z)^2, where sigma is the plume half-width at height z."""
+    sigma = params.sigma0 + params.spread * np.maximum(z - geom.sparger_height, 0.0)
+    return 2.0 * sigma ** 2
 
 
 def _ramp(z, geom: ReactorGeometry):
@@ -86,18 +80,10 @@ def _ramp(z, geom: ReactorGeometry):
                    0.0, 1.0)
 
 
-def _holdup(x, y, z, geom: ReactorGeometry, params: PlumeParams):
-    r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-    sigma = _width(z, geom, params)
-    alpha = params.alpha_max * np.exp(-r2 / (2.0 * sigma ** 2)) * _ramp(z, geom)
-    return np.clip(alpha, 0.0, 1.0)
-
-
-def holdup_at(point, geom: ReactorGeometry, params: PlumeParams) -> float:
-    """Gas volume fraction at an interior point (x, y, z)."""
-    x, y, z = point
-    _check_inside(x, y, z, geom)
-    return float(_holdup(x, y, z, geom, params))
+def _disc_mean(two_s2, ramp, geom: ReactorGeometry, params: PlumeParams):
+    R2 = geom.radius ** 2
+    frac = two_s2 / R2 * (1.0 - np.exp(-R2 / two_s2))
+    return params.alpha_max * ramp * frac
 
 
 def mean_holdup(z, geom: ReactorGeometry, params: PlumeParams):
@@ -106,36 +92,38 @@ def mean_holdup(z, geom: ReactorGeometry, params: PlumeParams):
     Closed form of the disc integral of the radial Gaussian:
     alpha_max * ramp(z) * (2 sigma^2 / R^2) * (1 - exp(-R^2 / (2 sigma^2))).
     """
-    sigma = _width(z, geom, params)
-    R2 = geom.radius ** 2
-    frac = 2.0 * sigma ** 2 / R2 * (1.0 - np.exp(-R2 / (2.0 * sigma ** 2)))
-    return params.alpha_max * _ramp(z, geom) * frac
+    return _disc_mean(_two_sigma2(z, geom, params), _ramp(z, geom), geom, params)
 
 
-def _pressure(z, geom: ReactorGeometry, params: PlumeParams):
-    head = (geom.height - np.asarray(z, dtype=float))
-    return params.p_atm + params.rho_liquid * params.g * head \
-        * (1.0 - mean_holdup(z, geom, params))
+def _fields(r2, z, geom: ReactorGeometry, params: PlumeParams):
+    """(pressure, velocity, holdup) at squared radii r2 and heights z of
+    points known to lie inside the column: fields_at and generate_dataset
+    both go through here, which computes the profile and ramp once."""
+    two_s2 = _two_sigma2(z, geom, params)
+    ramp = _ramp(z, geom)
+    pressure = params.p_atm + params.rho_liquid * params.g * (geom.height - z) \
+        * (1.0 - _disc_mean(two_s2, ramp, geom, params))
+    profile = np.exp(-r2 / two_s2)
+    return (pressure, params.u_max * profile * ramp,
+            params.alpha_max * profile * ramp)
 
 
-def pressure_at(point, geom: ReactorGeometry, params: PlumeParams) -> float:
-    """Hydrostatic pressure at an interior point, corrected for mean holdup."""
-    x, y, z = point
-    _check_inside(x, y, z, geom)
-    return float(_pressure(z, geom, params))
+def fields_at(x, y, z, geom: ReactorGeometry, params: PlumeParams):
+    """(pressure, velocity, holdup) at interior points, one value per point.
 
-
-def _velocity(x, y, z, geom: ReactorGeometry, params: PlumeParams):
-    r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-    sigma = _width(z, geom, params)
-    return params.u_max * np.exp(-r2 / (2.0 * sigma ** 2)) * _ramp(z, geom)
-
-
-def velocity_at(point, geom: ReactorGeometry, params: PlumeParams) -> float:
-    """Gas superficial velocity at an interior point (same profile as holdup)."""
-    x, y, z = point
-    _check_inside(x, y, z, geom)
-    return float(_velocity(x, y, z, geom, params))
+    x, y and z broadcast against each other. Pressure is hydrostatic,
+    corrected for the mean holdup of the cross-section; velocity and
+    holdup share one radial Gaussian profile. ValueError if a point lies
+    outside the cylinder or has a NaN coordinate.
+    """
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                    for v in (x, y, z)))
+    r2 = x ** 2 + y ** 2
+    inside = (r2 <= geom.radius ** 2 * (1.0 + 1e-12)) & (0.0 <= z) \
+        & (z <= geom.height)
+    if not inside.all():
+        raise ValueError("fields_at: a point is outside the cylinder or NaN")
+    return _fields(r2, z, geom, params)
 
 
 def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
@@ -158,10 +146,10 @@ def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
     x = r * np.cos(theta)
     y = r * np.sin(theta)
     z = geom.height * u[:, 2]
-    pressure = _pressure(z, geom, params)
-    velocity = _velocity(x, y, z, geom, params)
-    alpha = np.clip(_holdup(x, y, z, geom, params) + params.noise_sd * eps,
-                    0.0, 1.0)
+    del u, r, theta  # freed before the fields' temporaries: a lower peak
+    pressure, velocity, alpha = _fields(x ** 2 + y ** 2, z, geom, params)
+    alpha += params.noise_sd * eps
+    np.clip(alpha, 0.0, 1.0, out=alpha)
     try:
         return DataSet(np.column_stack([x, y, z, pressure, velocity]), alpha,
                        FeatureStage.XYZPV5)

@@ -31,7 +31,8 @@ import numpy as np
 from . import fis
 from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
-                      eval_metrics, fit_normalizer, split, write_csv_table)
+                      _require_spread, eval_metrics, fit_normalizer, split,
+                      write_csv_table)
 from .errors import AntfisError, DataError, UsageError
 from .fcm import fcm_cluster
 from .rng import mix_seed
@@ -95,8 +96,6 @@ class SweepReport:
     """Complete (stage x ant count) grid of train/test correlations."""
 
     cells: tuple[SweepCell, ...]
-    stages: tuple[FeatureStage, ...]
-    ant_counts: tuple[int, ...]
 
     def best_test_r(self, stage: FeatureStage) -> float:
         return max(c.test_r for c in self.cells if c.stage == stage)
@@ -133,9 +132,7 @@ def _report(model: fis.FisModel, data: DataSet, caller: str,
     targets = data.targets()
     for side, values in (("targets", targets),
                          ("clamped predictions", preds)):
-        if values.min() == values.max():
-            raise DataError(f"{caller}: the {side} on the {rows} are all "
-                            "equal (zero-variance), so R is undefined")
+        _require_spread(values, f"{caller}: the {side} on the {rows}")
     return eval_metrics(preds, targets)
 
 
@@ -178,7 +175,7 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     centers, sigmas = fis.premise_arrays(result.best_vector, c, d)
     coeffs, _ = fis.fitness(centers, sigmas, basis, ytr)
     best = fis.FisModel(centers=centers, sigmas=sigmas, coeffs=coeffs,
-                        stage=config.stage, normalizer=norm)
+                        normalizer=norm)
 
     return TrainedModel(fis=best, config=config,
                         train_report=_report(best, train_ds, "train",
@@ -248,7 +245,7 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
             cells.append(SweepCell(stage=stage, n_ants=ants,
                                    train_r=model.train_report.pearson_r,
                                    test_r=model.test_report.pearson_r))
-    return SweepReport(cells=tuple(cells), stages=stages, ant_counts=ant_counts)
+    return SweepReport(cells=tuple(cells))
 
 
 def write_sweep_csv(report: SweepReport, path: str | Path) -> None:
@@ -392,8 +389,7 @@ def load_model(path: str | Path) -> TrainedModel:
             sigmas.append(_floats(rule_s["sigma"]))
             coeffs.append(_floats(rule_s["coeff"]))
         model = fis.FisModel(centers=np.array(centers), sigmas=np.array(sigmas),
-                             coeffs=np.array(coeffs), stage=stage,
-                             normalizer=normalizer)
+                             coeffs=np.array(coeffs), normalizer=normalizer)
         reports = {name: _from_fields(EvalReport, sections[f"report {name}"])
                    for name in ("train", "test")}
         convergence = _floats(sections["convergence"]["rmse"])

@@ -19,8 +19,8 @@ from antfis.aco import AcoConfig, optimize
 from antfis.dataset import FeatureStage, Normalizer, load_dataset
 from antfis.fcm import fcm_cluster
 from antfis.fis import FisModel, fitness, predict_batch, row_basis
-from antfis.synthfield import (PlumeParams, ReactorGeometry, generate_dataset,
-                               holdup_at, pressure_at, velocity_at)
+from antfis.synthfield import (PlumeParams, ReactorGeometry, fields_at,
+                               generate_dataset)
 from antfis.trainer import (TrainConfig, predict_points, train,
                             training_partitions)
 
@@ -184,7 +184,7 @@ def test_criterion_7_least_squares_oracle():
         true = FisModel(centers=rng.random((c, d)),
                         sigmas=0.2 + 0.3 * rng.random((c, d)),
                         coeffs=rng.standard_normal((c, d + 1)),
-                        stage=FeatureStage.XY2, normalizer=norm)
+                        normalizer=norm)
         X = rng.random((n, d))
         y = predict_batch(true, X)
         coeffs, _ = fitness(true.centers, true.sigmas, row_basis(X), y, 0.0)
@@ -194,7 +194,7 @@ def test_criterion_7_least_squares_oracle():
         x1 = rng.random(120)
         y1 = 0.8 * x1 + 0.1 + 0.02 * rng.standard_normal(120)
         single = FisModel(centers=np.array([[0.5]]), sigmas=np.array([[0.3]]),
-                          coeffs=np.zeros((1, 2)), stage=FeatureStage.X1,
+                          coeffs=np.zeros((1, 2)),
                           normalizer=Normalizer(("x",), np.zeros(1),
                                                 np.ones(1)))
         fitted, _ = fitness(single.centers, single.sigmas,
@@ -249,13 +249,8 @@ def test_criterion_9_unseen_node_prediction():
         # midpoints of consecutive training nodes never appear in training
         pts = train_ds.features()[:, :3]
         mids = (pts[:-1] + pts[1:]) / 2.0
-        feats = np.array([
-            (x, y, z, pressure_at((x, y, z), GEOM, params),
-             velocity_at((x, y, z), GEOM, params))
-            for x, y, z in mids
-        ])
-        truth = np.array([holdup_at((x, y, z), GEOM, params)
-                          for x, y, z in mids])
+        pressure, velocity, truth = fields_at(*mids.T, GEOM, params)
+        feats = np.column_stack([mids, pressure, velocity])
         preds = predict_points(model, feats)
         assert preds.min() >= 0.0 and preds.max() <= 1.0
         mid_mae = float(np.mean(np.abs(preds - truth)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -89,11 +90,13 @@ class TestSampleCandidate:
         probs = weights / weights.sum()
         n = 100_000
         rng = substream(42, 0)
+        # n one-ant draws in turn from one generator, as one block
+        v = sample_candidates(arch.solutions, archive_cdf(arch, 0.3), 0.05,
+                              bounds, itertools.repeat(rng, n), n)
         # identify the guide by nearest archive member (sd is small vs spacing)
-        counts = np.zeros(k)
-        for _ in range(n):
-            v = draw(arch, 0.05, bounds, rng, q=0.3)
-            counts[int(np.argmin(np.abs(arch.solutions[:, 0] - v[0])))] += 1
+        counts = np.bincount(
+            np.argmin(np.abs(arch.solutions[:, 0] - v[:, :1]), axis=1),
+            minlength=k)
         for i in range(k):
             sd = math.sqrt(n * probs[i] * (1 - probs[i]))
             assert abs(counts[i] - n * probs[i]) <= 3 * sd + 1

@@ -518,6 +518,17 @@ class TestEvalMetrics:
         with pytest.raises(DataError, match="zero-variance"):
             eval_metrics([1.0, 1.0], [3.0, 4.0])
 
+    def test_constant_side_whose_mean_rounds(self):
+        # mean([0.1] * 3) != 0.1, so a variance about the mean is nonzero
+        with pytest.raises(DataError, match="the predictions are all equal"):
+            eval_metrics([0.1] * 3, [0.2, 0.3, 0.4])
+        with pytest.raises(DataError, match="the targets are all equal"):
+            eval_metrics([0.2, 0.3, 0.4], [0.1] * 3)
+
+    def test_underflowing_spreads(self):
+        with pytest.raises(DataError, match="underflow"):
+            eval_metrics([0.0, 1e-100], [0.0, 1e-100])
+
     def test_length_preconditions(self):
         with pytest.raises(ValueError):
             eval_metrics([1.0], [2.0])

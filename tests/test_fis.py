@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from antfis.dataset import FeatureStage, Normalizer, fit_normalizer
+from antfis.dataset import Normalizer, fit_normalizer
 from antfis.fcm import fcm_cluster
 from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
                         FisModel, encode_premise, fitness, init_from_fcm,
@@ -26,7 +26,6 @@ def make_model(centers, sigmas, coeffs):
     d = centers.shape[1]
     return FisModel(centers=centers, sigmas=np.asarray(sigmas, dtype=float),
                     coeffs=np.asarray(coeffs, dtype=float),
-                    stage=FeatureStage.from_arity(d),
                     normalizer=unit_normalizer(d))
 
 
@@ -316,8 +315,13 @@ class TestModelValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             FisModel(centers=np.zeros((2, 2)), sigmas=np.full((2, 3), 0.1),
-                     coeffs=np.zeros((2, 3)), stage=FeatureStage.XY2,
+                     coeffs=np.zeros((2, 3)),
                      normalizer=unit_normalizer(2))
+
+    def test_normalizer_arity_mismatch(self):
+        with pytest.raises(ValueError, match="normalizer features"):
+            FisModel(centers=np.zeros((2, 2)), sigmas=np.full((2, 2), 0.1),
+                     coeffs=np.zeros((2, 3)), normalizer=unit_normalizer(3))
 
 
 # --- parity of the matrix-product form with the direct formula -----------
@@ -429,7 +433,7 @@ def canonical_fis():
     basis = row_basis(X)
     coeffs, _ = fitness(centers, sigmas, basis, y)
     return (FisModel(centers=centers, sigmas=sigmas, coeffs=coeffs,
-                     stage=FeatureStage.XYZPV5, normalizer=norm),
+                     normalizer=norm),
             data.features(), basis, y)
 
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from antfis.dataset import write_dataset_csv
-from antfis.synthfield import (PlumeParams, ReactorGeometry, generate_dataset,
-                               holdup_at, mean_holdup, pressure_at,
-                               velocity_at)
+from antfis.synthfield import (PlumeParams, ReactorGeometry, fields_at,
+                               generate_dataset, mean_holdup)
 
 GEOM = ReactorGeometry()
 PARAMS = PlumeParams()
@@ -18,27 +17,46 @@ PARAMS = PlumeParams()
 class TestHoldup:
     def test_on_axis_peak(self):
         # far above the sparger the ramp is 1 and r = 0
-        assert holdup_at((0.0, 0.0, 2.0), GEOM, PARAMS) == pytest.approx(
+        assert fields_at(0.0, 0.0, 2.0, GEOM, PARAMS)[2] == pytest.approx(
             PARAMS.alpha_max, abs=1e-15)
 
     def test_below_sparger_is_zero(self):
-        assert holdup_at((0.05, 0.0, 0.3), GEOM, PARAMS) == 0.0
+        assert fields_at(0.05, 0.0, 0.3, GEOM, PARAMS)[2] == 0.0
 
     def test_axis_symmetry_of_width(self):
         z = 1.7
         sigma = PARAMS.sigma0 + PARAMS.spread * (z - GEOM.sparger_height)
-        a = holdup_at((sigma, 0.0, z), GEOM, PARAMS)
-        b = holdup_at((0.0, sigma, z), GEOM, PARAMS)
+        a = fields_at(sigma, 0.0, z, GEOM, PARAMS)[2]
+        b = fields_at(0.0, sigma, z, GEOM, PARAMS)[2]
         assert a == pytest.approx(b, abs=1e-15)
         assert a == pytest.approx(PARAMS.alpha_max * math.exp(-0.5), abs=1e-12)
 
     def test_outside_cylinder_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            holdup_at((GEOM.radius * 1.01, 0.0, 1.0), GEOM, PARAMS)
+            fields_at(GEOM.radius * 1.01, 0.0, 1.0, GEOM, PARAMS)
         with pytest.raises(ValueError, match="outside"):
-            holdup_at((0.0, 0.0, GEOM.height + 0.1), GEOM, PARAMS)
+            fields_at(0.0, 0.0, GEOM.height + 0.1, GEOM, PARAMS)
         with pytest.raises(ValueError, match="outside"):
-            holdup_at((0.0, 0.0, -0.1), GEOM, PARAMS)
+            fields_at(0.0, 0.0, -0.1, GEOM, PARAMS)
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0, 1.0),
+                                       (0.0, math.nan, 1.0),
+                                       (0.0, 0.0, math.nan)])
+    def test_nan_coordinate_rejected(self, point):
+        with pytest.raises(ValueError, match="NaN"):
+            fields_at(*point, GEOM, PARAMS)
+        # one NaN point in a batch fails the whole call
+        x, y, z = np.column_stack([point, (0.0, 0.0, 1.0)])
+        with pytest.raises(ValueError, match="NaN"):
+            fields_at(x, y, z, GEOM, PARAMS)
+
+    def test_points_broadcast(self):
+        rr = np.linspace(0.0, GEOM.radius, 7)
+        fields = fields_at(rr, 0.0, 1.2, GEOM, PARAMS)
+        assert all(np.shape(f) == (7,) for f in fields)
+        for i, r in enumerate(rr):
+            for f, one in zip(fields, fields_at(r, 0.0, 1.2, GEOM, PARAMS)):
+                assert f[i] == pytest.approx(one, rel=1e-15, abs=1e-15)
 
     @given(theta=st.floats(0.0, 2.0 * math.pi), r=st.floats(0.0, GEOM.radius),
            z=st.floats(0.0, GEOM.height))
@@ -46,26 +64,26 @@ class TestHoldup:
     def test_axisymmetry(self, theta, r, z):
         p0 = (r, 0.0, z)
         p1 = (r * math.cos(theta), r * math.sin(theta), z)
-        for f in (holdup_at, pressure_at, velocity_at):
-            assert f(p1, GEOM, PARAMS) == pytest.approx(f(p0, GEOM, PARAMS),
-                                                        abs=1e-12)
+        for f1, f0 in zip(fields_at(*p1, GEOM, PARAMS),
+                          fields_at(*p0, GEOM, PARAMS)):
+            assert f1 == pytest.approx(f0, abs=1e-12)
 
     def test_radially_non_increasing(self):
         for z in (0.6, 1.3, 2.5):
             rr = np.linspace(0.0, GEOM.radius, 50)
-            vals = [holdup_at((r, 0.0, z), GEOM, PARAMS) for r in rr]
+            vals = fields_at(rr, 0.0, z, GEOM, PARAMS)[2]
             assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 class TestPressure:
     def test_top_is_ambient(self):
-        assert pressure_at((0.0, 0.0, GEOM.height), GEOM, PARAMS) \
+        assert fields_at(0.0, 0.0, GEOM.height, GEOM, PARAMS)[0] \
             == pytest.approx(PARAMS.p_atm)
 
     def test_pure_hydrostatic_limit(self):
         params = PlumeParams(alpha_max=1e-15)
         expected = PARAMS.p_atm + params.rho_liquid * params.g * GEOM.height
-        assert pressure_at((0.0, 0.0, 0.0), GEOM, params) \
+        assert fields_at(0.0, 0.0, 0.0, GEOM, params)[0] \
             == pytest.approx(expected, rel=1e-9)
 
     def test_mean_holdup_against_quadrature(self):
@@ -84,22 +102,22 @@ class TestPressure:
                                                              rel=1e-6)
         expected_p = PARAMS.p_atm + PARAMS.rho_liquid * PARAMS.g \
             * (GEOM.height - z) * (1.0 - expected)
-        assert pressure_at((0.0, 0.0, z), GEOM, PARAMS) \
+        assert fields_at(0.0, 0.0, z, GEOM, PARAMS)[0] \
             == pytest.approx(expected_p, rel=1e-9)
 
     def test_non_increasing_in_z(self):
         zz = np.linspace(0.0, GEOM.height, 200)
-        vals = [pressure_at((0.01, 0.02, z), GEOM, PARAMS) for z in zz]
+        vals = fields_at(0.01, 0.02, zz, GEOM, PARAMS)[0]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
 class TestVelocity:
     def test_on_axis_peak(self):
-        assert velocity_at((0.0, 0.0, 2.0), GEOM, PARAMS) \
+        assert fields_at(0.0, 0.0, 2.0, GEOM, PARAMS)[1] \
             == pytest.approx(PARAMS.u_max, abs=1e-15)
 
     def test_below_sparger(self):
-        assert velocity_at((0.0, 0.0, 0.2), GEOM, PARAMS) == 0.0
+        assert fields_at(0.0, 0.0, 0.2, GEOM, PARAMS)[1] == 0.0
 
     def test_constant_ratio_to_holdup(self):
         # same Gaussian shape, so u / alpha = u_max / alpha_max wherever ramp = 1
@@ -110,7 +128,8 @@ class TestVelocity:
             z = GEOM.sparger_height + 0.1 + rng.random() \
                 * (GEOM.height - GEOM.sparger_height - 0.1)
             p = (r * math.cos(theta), r * math.sin(theta), z)
-            ratio = velocity_at(p, GEOM, PARAMS) / holdup_at(p, GEOM, PARAMS)
+            _, velocity, holdup = fields_at(*p, GEOM, PARAMS)
+            ratio = velocity / holdup
             assert ratio == pytest.approx(PARAMS.u_max / PARAMS.alpha_max,
                                           rel=1e-12)
 
@@ -145,13 +164,11 @@ class TestGenerateDataset:
     def test_noise_free_target_is_exact_field(self):
         params = PlumeParams(noise_sd=0.0)
         data = generate_dataset(GEOM, params, 200, seed=9)
-        for (x, y, z, pressure, velocity), vf in zip(data.X, data.y):
-            assert vf == pytest.approx(
-                holdup_at((x, y, z), GEOM, params), abs=1e-15)
-            assert pressure == pytest.approx(
-                pressure_at((x, y, z), GEOM, params), rel=1e-15)
-            assert velocity == pytest.approx(
-                velocity_at((x, y, z), GEOM, params), abs=1e-15)
+        x, y, z, pressure, velocity = data.X.T
+        fields = fields_at(x, y, z, GEOM, params)
+        assert np.array_equal(pressure, fields[0])
+        assert np.array_equal(velocity, fields[1])
+        assert np.array_equal(data.y, fields[2])
 
     def test_n_validation(self):
         with pytest.raises(ValueError):

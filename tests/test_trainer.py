@@ -141,7 +141,6 @@ class TestTrain:
             centers=np.array([[0.25, 0.3], [0.75, 0.7]]),
             sigmas=np.array([[0.2, 0.25], [0.3, 0.2]]),
             coeffs=np.array([[0.3, -0.1, 0.35], [-0.2, 0.25, 0.55]]),
-            stage=FeatureStage.XY2,
             normalizer=Normalizer(("x", "y"), np.zeros(2), np.ones(2)))
         y = predict_batch(planted, X)
         cols = np.column_stack([X, np.tile([1.0, 1e5, 0.1], (n, 1))])
@@ -522,7 +521,7 @@ class TestModelFile:
         model = trainer.TrainedModel(
             fis=FisModel(centers=np.full((c, d), 0.5),
                          sigmas=np.full((c, d), 0.2),
-                         coeffs=np.zeros((c, d + 1)), stage=config.stage,
+                         coeffs=np.zeros((c, d + 1)),
                          normalizer=Normalizer(config.stage.feature_names,
                                                np.zeros(d), np.ones(d))),
             config=config, train_report=train_report,
