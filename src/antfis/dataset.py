@@ -52,12 +52,16 @@ class FeatureStage(Enum):
 def _first_invalid_row(X: np.ndarray, y: np.ndarray | None = None,
                        ) -> tuple[int, str] | None:
     """(index, reason) of the first row holding a non-finite value or, when
-    targets y are given, a volume fraction outside [0, 1]; None if all pass."""
-    finite = np.isfinite(X).all(axis=1)
-    ok = finite if y is None else finite & (y >= 0.0) & (y <= 1.0)
-    if ok.all():
+    targets y are given, a volume fraction outside [0, 1]; None if all pass.
+
+    One whole-array test clears a valid table; the row and the reason are
+    looked for only when it fails.
+    """
+    in_range = None if y is None else (y >= 0.0) & (y <= 1.0)
+    if np.isfinite(X).all() and (in_range is None or in_range.all()):
         return None
-    i = int(np.argmin(ok))
+    finite = np.isfinite(X).all(axis=1)
+    i = int(np.argmin(finite if in_range is None else finite & in_range))
     if finite[i] and np.isfinite(y[i]):
         return i, f"{TARGET_NAME} {float(y[i])!r} outside [0, 1]"
     return i, "non-finite value"
@@ -144,14 +148,25 @@ class Normalizer:
     mins: np.ndarray
     maxs: np.ndarray
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Scaled copy of X; DataError if a value overflows on scaling."""
+    def transform(self, X: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Scaled copy of X, (n, d); DataError if a value overflows on
+        scaling.
+
+        Given `out`, a (d, n) array such as the feature rows of
+        fis.row_basis, the scaled X.T is written there and returned: the
+        same arithmetic, run along rows of n values instead of d.
+        """
+        X = np.asarray(X, dtype=float)
+        mins, span = self.mins, self.maxs - self.mins
+        if out is not None:
+            X, mins, span = X.T, mins[:, None], span[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            Xn = np.asarray(X, dtype=float) - self.mins
-            Xn /= self.maxs - self.mins
-        if not np.isfinite(Xn).all():
+            out = np.subtract(X, mins, out=out)
+            out /= span
+        if not np.isfinite(out).all():
             raise DataError("scaling: a feature value overflows when scaled")
-        return Xn
+        return out
 
 
 # numpy's parser strips these ASCII separators around a number as it
@@ -365,12 +380,24 @@ def _require_spread(values: np.ndarray, what: str) -> None:
                         "undefined")
 
 
+def _correlation(pred: np.ndarray, target: np.ndarray) -> float:
+    """Pearson R of two finite sequences, or NaN if a sum overflows."""
+    dp = pred - pred.mean()
+    dt = target - target.mean()
+    scale = math.sqrt(float(dp @ dp) * float(dt @ dt))
+    if scale == 0.0:
+        raise DataError("eval_metrics: the spreads underflow, R undefined")
+    return float(dp @ dt) / scale if math.isfinite(scale) else math.nan
+
+
 def eval_metrics(pred, target) -> EvalReport:
     """Pearson R, RMSE, and MAE of predictions against targets.
 
     R is the Pearson correlation cov(pred, target) / (sd_pred * sd_target);
-    it is undefined (DataError) when either sequence is constant, or when
-    the product of their squared spreads underflows to zero.
+    it is undefined (DataError) when either sequence is constant or holds
+    a non-finite value, or when the product of their squared spreads
+    underflows to zero. Spreads whose sums overflow are scaled down, each
+    side by its largest magnitude, which leaves R unchanged.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -381,13 +408,17 @@ def eval_metrics(pred, target) -> EvalReport:
     if n < 2:
         raise ValueError(f"eval_metrics: need at least 2 points, got {n}")
     for side, values in (("targets", target), ("predictions", pred)):
+        if not np.isfinite(values).all():
+            raise DataError(f"eval_metrics: the {side} hold a non-finite "
+                            "value, R undefined")
         _require_spread(values, f"eval_metrics: the {side}")
-    dp = pred - pred.mean()
-    dt = target - target.mean()
-    scale = math.sqrt(float(dp @ dp) * float(dt @ dt))
-    if scale == 0.0:
-        raise DataError("eval_metrics: the spreads underflow, R undefined")
-    r = float(dp @ dt) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _correlation(pred, target)
+    if not math.isfinite(r):
+        # both sides are finite and not constant, so scaled down to
+        # magnitudes <= 1 no sum can overflow: r is finite here
+        r = _correlation(pred / np.abs(pred).max(),
+                         target / np.abs(target).max())
     r = max(-1.0, min(1.0, r))
     err = pred - target
     rmse = float(np.sqrt(np.mean(err ** 2)))

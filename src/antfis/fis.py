@@ -21,12 +21,13 @@ the (X, 1) rows of that basis. `fitness` is the one path that refits
 the consequents and scores them.
 
 Prediction takes raw feature rows and runs in equal-size row blocks of
-at most dataset._BLOCK_ROWS rows, each scaled just before it is
-predicted, so its working set stays in cache and its memory flat in the
-batch size. The sizes are equal, not fixed with a short tail, because
-numpy sends a one-column product to BLAS gemv, which rounds differently
-from gemm: a one-row tail would change the last bits of its prediction,
-while equal blocks give the bits of one product over the whole batch.
+at most dataset._BLOCK_ROWS rows, each scaled straight into the
+feature rows of its basis just before it is predicted, so its working
+set stays in cache and its memory flat in the batch size. The sizes
+are equal, not fixed with a short tail, because numpy sends a
+one-column product to BLAS gemv, which rounds differently from gemm: a
+one-row tail would change the last bits of its prediction, while equal
+blocks give the bits of one product over the whole batch.
 """
 
 from __future__ import annotations
@@ -81,18 +82,23 @@ class FisModel:
         return self.centers.shape[1]
 
 
-def row_basis(X) -> np.ndarray:
+def row_basis(X, normalizer: Normalizer | None = None) -> np.ndarray:
     """Basis [X^2, X, 1] of a feature batch, one row per term: (2d+1, n).
 
     Rows :d hold the squared features, rows d:2d the features and row 2d
     ones, so basis[d:] is the (x, 1) regressor block of the consequents.
     Training builds it once and reuses it at every fitness evaluation.
+    Given a normalizer, X holds raw features, which it scales straight
+    into rows d:2d.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     basis = np.empty((2 * d + 1, n))
-    np.square(X.T, out=basis[:d])
-    basis[d:2 * d] = X.T
+    if normalizer is None:
+        basis[d:2 * d] = X.T
+    else:
+        normalizer.transform(X, out=basis[d:2 * d])
+    np.square(basis[d:2 * d], out=basis[:d])
     basis[2 * d] = 1.0
     return basis
 
@@ -143,9 +149,9 @@ def predict_batch(model: FisModel, X) -> np.ndarray:
     """Weighted-average model output for a batch of raw feature rows
     (unclamped).
 
-    X holds unscaled features, checked here; each row block is scaled by
-    the model's normalizer just before it is predicted, so no full-size
-    scaled copy exists.
+    X holds unscaled features, checked here; the model's normalizer
+    scales each row block straight into that block's basis, so no
+    full-size scaled copy exists.
     """
     X = np.asarray(X, dtype=float)
     d = model.n_features
@@ -156,7 +162,7 @@ def predict_batch(model: FisModel, X) -> np.ndarray:
         raise ValueError("predict: non-finite feature value")
     out = np.empty(len(X))
     for start, stop in _row_blocks(len(X)):
-        basis = row_basis(model.normalizer.transform(X[start:stop]))
+        basis = row_basis(X[start:stop], model.normalizer)
         w = normalized_firing(model.centers, model.sigmas, basis)
         w *= model.coeffs @ basis[d:]  # rule outputs, (c, rows)
         w.sum(axis=0, out=out[start:stop])

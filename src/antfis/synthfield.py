@@ -4,6 +4,11 @@ Stands in for unpublished simulation data: a Gaussian gas plume rises
 from a sparger on the axis, widening with height, with hydrostatic
 pressure reduced by the gas fraction. All three fields are deterministic
 functions of (r, z), so a seeded sampler yields reproducible node tables.
+
+The sampler fills its table in row blocks (dataset._row_blocks) from one
+PCG64 stream, all uniforms first and then all normals, so its bytes are
+those of one full-length draw whatever the block size, and its memory
+is about one table plus one block.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataSet, FeatureStage
-from .errors import DataError, UsageError
+from .dataset import (FEATURE_NAMES, DataSet, FeatureStage, _adopt,
+                      _first_invalid_row, _row_blocks)
+from .errors import UsageError
 
 RAMP_LENGTH = 0.1  # m over which the plume switches on above the sparger
 
@@ -134,26 +140,41 @@ def generate_dataset(geom: ReactorGeometry, params: PlumeParams, n: int,
     density. The target is holdup plus seeded Gaussian noise, clamped to
     [0, 1]. Row order equals sampling order; identical (geom, params, n,
     seed) reproduce identical datasets. Every parameter is finite, so only
-    the pressure can overflow; that raises UsageError naming its flags.
+    the pressure can overflow; that raises UsageError naming its flags
+    and the first row at fault.
+
+    The (n, 5) features and (n,) targets are allocated once and filled in
+    the row blocks of dataset._row_blocks: a first pass draws each
+    block's (rows, 3) uniforms and writes its coordinates and fields, a
+    second adds each block's noise. One PCG64 stream gives all uniforms,
+    then all normals, the numbers of one full-length draw of each, so the
+    bytes do not depend on the block size. Memory is about one table plus
+    one block's temporaries, flat in the block count.
     """
     if not n >= 1:
         raise UsageError(f"generate_dataset: n (--n) must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    u = rng.random((n, 3))
-    eps = rng.standard_normal(n)
-    r = geom.radius * np.sqrt(u[:, 0])
-    theta = 2.0 * math.pi * u[:, 1]
-    x = r * np.cos(theta)
-    y = r * np.sin(theta)
-    z = geom.height * u[:, 2]
-    del u, r, theta  # freed before the fields' temporaries: a lower peak
-    pressure, velocity, alpha = _fields(x ** 2 + y ** 2, z, geom, params)
-    alpha += params.noise_sd * eps
+    X = np.empty((n, len(FEATURE_NAMES)))
+    alpha = np.empty(n)
+    blocks = _row_blocks(n)
+    for start, stop in blocks:
+        u = rng.random((stop - start, 3))
+        r = geom.radius * np.sqrt(u[:, 0])
+        theta = 2.0 * math.pi * u[:, 1]
+        x = r * np.cos(theta)
+        y = r * np.sin(theta)
+        z = geom.height * u[:, 2]
+        rows = X[start:stop]
+        rows[:, 0], rows[:, 1], rows[:, 2] = x, y, z
+        rows[:, 3], rows[:, 4], alpha[start:stop] = _fields(
+            x ** 2 + y ** 2, z, geom, params)
+    for start, stop in blocks:
+        alpha[start:stop] += params.noise_sd \
+            * rng.standard_normal(stop - start)
     np.clip(alpha, 0.0, 1.0, out=alpha)
-    try:
-        return DataSet(np.column_stack([x, y, z, pressure, velocity]), alpha,
-                       FeatureStage.XYZPV5)
-    except DataError as exc:
+    bad = _first_invalid_row(X, alpha)
+    if bad is not None:
         raise UsageError(f"generate_dataset: the parameters give a non-finite "
-                         f"pressure ({exc}); lower --p-atm, --rho-liquid, --g, "
-                         f"--height, --sigma0 or --spread") from exc
+                         f"pressure (row {bad[0]}: {bad[1]}); lower --p-atm, "
+                         f"--rho-liquid, --g, --height, --sigma0 or --spread")
+    return _adopt(X, alpha, FeatureStage.XYZPV5)

@@ -65,6 +65,17 @@ class TestGenData:
         # flag overrides the file: noiseless peak reaches 0.4, not 0.3
         assert data.targets().max() == pytest.approx(0.4, abs=0.05)
 
+    def test_overflowing_pressure_exits_1_naming_flags_and_row(self, capsys,
+                                                               tmp_path):
+        out = tmp_path / "d.csv"
+        code, _, err = invoke(capsys, "gen-data", "--n", "10", "--out",
+                              str(out), "--rho-liquid", "1e308")
+        assert code == 1
+        assert "row 0: non-finite value" in err
+        assert "--p-atm, --rho-liquid, --g, --height, --sigma0 or " \
+            "--spread" in err
+        assert not out.exists()
+
     def test_bad_params_file(self, capsys, tmp_path):
         params = tmp_path / "params.txt"
         params.write_text("unknown_thing = 3\n")

@@ -486,6 +486,43 @@ class TestNormalizer:
         assert X.min() >= -1e-12 and X.max() <= 1 + 1e-12
 
 
+def first_invalid_row_oracle(X, y=None):
+    """The row check as a plain loop over the rows."""
+    for i in range(len(X)):
+        if not all(math.isfinite(v) for v in X[i]) \
+                or (y is not None and not math.isfinite(y[i])):
+            return i, "non-finite value"
+        if y is not None and not 0.0 <= y[i] <= 1.0:
+            return i, f"{TARGET_NAME} {float(y[i])!r} outside [0, 1]"
+    return None
+
+
+class TestFirstInvalidRow:
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           data=st.data(), with_targets=st.booleans(),
+           value=st.sampled_from([math.nan, math.inf, -math.inf, -1e-300,
+                                  -0.5, 1.0 + 2**-52, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_planted_fault_matches_row_loop(self, n, seed, data,
+                                            with_targets, value):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 5)) * 1e3
+        y = rng.random(n) if with_targets else None
+        row = data.draw(st.integers(0, n - 1), label="row")
+        in_targets = with_targets and data.draw(st.booleans(),
+                                                label="in_targets")
+        if in_targets:
+            y[row] = value
+        elif math.isfinite(value):
+            X[row] = value  # a finite feature is no fault: the table passes
+        else:
+            X[row, data.draw(st.integers(0, 4), label="column")] = value
+        got = dataset._first_invalid_row(X, y)
+        assert got == first_invalid_row_oracle(X, y)
+        if in_targets or not math.isfinite(value):
+            assert got[0] == row
+
+
 class TestEvalMetrics:
     def test_identity(self):
         rep = eval_metrics([0.1, 0.4, 0.9], [0.1, 0.4, 0.9])
@@ -528,6 +565,23 @@ class TestEvalMetrics:
     def test_underflowing_spreads(self):
         with pytest.raises(DataError, match="underflow"):
             eval_metrics([0.0, 1e-100], [0.0, 1e-100])
+
+    def test_overflowing_spreads(self):
+        with np.errstate(over="ignore"):  # the RMSE of 1e200 errors is inf
+            assert eval_metrics([0.0, 1e200], [1e200, 0.0]).pearson_r == -1.0
+        # each sum is finite, their product is not; R ignores the scale
+        pred = np.array([1e100, 2e100, 0.0])
+        target = np.array([1e100, 3e100, 0.0])
+        r = eval_metrics(pred, target).pearson_r
+        assert r == eval_metrics(pred / 2e100, target / 3e100).pearson_r
+        assert r == pytest.approx(math.sqrt(27.0 / 28.0), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_is_data_error(self, bad):
+        with pytest.raises(DataError, match="predictions hold a non-finite"):
+            eval_metrics([0.0, bad, 1.0], [0.0, 1.0, 2.0])
+        with pytest.raises(DataError, match="targets hold a non-finite"):
+            eval_metrics([0.0, 1.0, 2.0], [0.0, bad, 1.0])
 
     def test_length_preconditions(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from antfis import dataset
 from antfis.dataset import write_dataset_csv
+from antfis.errors import UsageError
 from antfis.synthfield import (PlumeParams, ReactorGeometry, fields_at,
                                generate_dataset, mean_holdup)
 
@@ -173,6 +176,58 @@ class TestGenerateDataset:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             generate_dataset(GEOM, PARAMS, 0, seed=1)
+
+    def test_overflowing_pressure_is_usage_error_naming_row(self):
+        with pytest.raises(UsageError, match=r"row 0: non-finite value.*"
+                           r"--p-atm, --rho-liquid, --g, --height, "
+                           r"--sigma0 or --spread"):
+            generate_dataset(GEOM, PlumeParams(rho_liquid=1e308), 10, seed=1)
+
+
+def one_shot_oracle(geom, params, n, seed):
+    """The generator as one full-length pass: every column built whole."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, 3))
+    eps = rng.standard_normal(n)
+    r = geom.radius * np.sqrt(u[:, 0])
+    theta = 2.0 * math.pi * u[:, 1]
+    x, y, z = r * np.cos(theta), r * np.sin(theta), geom.height * u[:, 2]
+    two_s2 = 2.0 * (params.sigma0 + params.spread
+                    * np.maximum(z - geom.sparger_height, 0.0)) ** 2
+    ramp = np.clip((z - geom.sparger_height) / 0.1, 0.0, 1.0)
+    R2 = geom.radius ** 2
+    mean = params.alpha_max * ramp * (two_s2 / R2
+                                      * (1.0 - np.exp(-R2 / two_s2)))
+    pressure = params.p_atm + params.rho_liquid * params.g \
+        * (geom.height - z) * (1.0 - mean)
+    profile = np.exp(-(x ** 2 + y ** 2) / two_s2)
+    alpha = params.alpha_max * profile * ramp
+    alpha += params.noise_sd * eps
+    np.clip(alpha, 0.0, 1.0, out=alpha)
+    velocity = params.u_max * profile * ramp
+    return np.column_stack([x, y, z, pressure, velocity]), alpha
+
+
+class TestRowBlocks:
+    B = 64
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B + 7])
+    def test_blocked_bytes_equal_one_shot(self, monkeypatch, n):
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", self.B)
+        params = PlumeParams(noise_sd=0.05)
+        data = generate_dataset(GEOM, params, n, seed=n)
+        X, y = one_shot_oracle(GEOM, params, n, seed=n)
+        assert data.X.tobytes() == X.tobytes()
+        assert data.y.tobytes() == y.tobytes()
+
+    def test_memory_about_one_table(self):
+        tracemalloc.start()
+        try:
+            data = generate_dataset(GEOM, PARAMS, 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (data.X.nbytes + data.y.nbytes)
 
 
 class TestParamValidation:
