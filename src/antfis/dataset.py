@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import shutil
+import signal
+import tempfile
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -290,25 +295,111 @@ def _holds_separator(path: Path) -> bool:
     return False
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _write_blocks(fh, columns: list[np.ndarray],
+                  blocks: list[tuple[int, int]]) -> None:
+    """Write the rows of `blocks` to the binary file `fh`, each block
+    formatted by one %-format call."""
+    m = len(columns)
+    line = ",".join(["%r"] * m) + "\n"
+    for start, stop in blocks:
+        cells = [None] * ((stop - start) * m)
+        for j, col in enumerate(columns):
+            cells[j::m] = col[start:stop].tolist()
+        fh.write((line * (stop - start) % tuple(cells)).encode("utf-8"))
+
+
+def _fork_share(columns: list[np.ndarray], blocks: list[tuple[int, int]]):
+    """(pid, temp file) of a child that writes `blocks` into the temp file
+    and exits 0 once it is flushed; pid is None if no child could start,
+    and the temp file None if none could be made."""
+    try:
+        tmp = tempfile.TemporaryFile()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        return None, tmp
+    if pid == 0:  # the child: never returns into the caller
+        code = 1
+        try:
+            _write_blocks(tmp, columns, blocks)
+            tmp.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, tmp
+
+
 def write_csv_table(path: str | Path, header: tuple[str, ...],
                     columns) -> None:
     """Write equal-length columns under `header` as a CSV, one value per
     cell at repr precision (ints as ints, floats as repr(float)).
 
     Rows go out in the blocks of _row_blocks, each formatted by one
-    %-format call, so no more than one block's values are Python objects
-    at once.
+    %-format call, so no process holds more than one block's values as
+    Python objects at once. With several blocks and several CPUs, the
+    blocks are cut into min(CPUs, blocks) contiguous shares: this process
+    writes the header and the first share, and a child made by os.fork
+    formats each other share at the same time into an anonymous temp
+    file, which is then appended in order. A child that fails or is
+    killed only costs time: its share is formatted here instead, and an
+    error then raised keeps its type. One block, one CPU, no os.fork or
+    a second Python thread (a forked copy of a threaded process can
+    deadlock) keep the whole write in this process. The bytes never
+    depend on the CPU count. Raises ValueError, before the file is
+    opened, unless there is a column per header name and all columns
+    have one length.
     """
     columns = [np.asarray(col) for col in columns]
-    m, n = len(columns), len(columns[0])
-    line = ",".join(["%r"] * m) + "\n"
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start, stop in _row_blocks(n):
-            cells = [None] * ((stop - start) * m)
-            for j, col in enumerate(columns):
-                cells[j::m] = col[start:stop].tolist()
-            fh.write(line * (stop - start) % tuple(cells))
+    if not columns:
+        raise ValueError("write_csv_table: no columns to write")
+    if len(columns) != len(header):
+        raise ValueError(f"write_csv_table: {len(header)} header names "
+                         f"but {len(columns)} columns")
+    n = len(columns[0])
+    for name, col in zip(header, columns):
+        if len(col) != n:
+            raise ValueError(f"write_csv_table: column {name!r} holds "
+                             f"{len(col)} values, column {header[0]!r} {n}")
+    blocks = _row_blocks(n)
+    shares = min(_cpu_count(), len(blocks))
+    if (shares < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        shares = 1
+    cuts = [blocks[i * len(blocks) // shares:
+                   (i + 1) * len(blocks) // shares] for i in range(shares)]
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        children = []
+        try:
+            for share in cuts[1:]:
+                children.append(_fork_share(columns, share))
+            _write_blocks(fh, columns, cuts[0])
+            for i, share in enumerate(cuts[1:]):
+                pid, tmp = children[i]
+                status = None if pid is None else os.waitpid(pid, 0)[1]
+                children[i] = None, tmp
+                if status == 0:
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh)
+                else:
+                    _write_blocks(fh, columns, share)
+        finally:
+            for pid, tmp in children:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                if tmp is not None:
+                    tmp.close()
 
 
 def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:
@@ -397,7 +488,10 @@ def eval_metrics(pred, target) -> EvalReport:
     it is undefined (DataError) when either sequence is constant or holds
     a non-finite value, or when the product of their squared spreads
     underflows to zero. Spreads whose sums overflow are scaled down, each
-    side by its largest magnitude, which leaves R unchanged.
+    side by its largest magnitude, which leaves R unchanged. Likewise an
+    RMSE or MAE whose sum overflows is computed from the errors divided
+    by their largest magnitude and scaled back; it stays inf only if an
+    error itself overflows.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -420,7 +514,18 @@ def eval_metrics(pred, target) -> EvalReport:
         r = _correlation(pred / np.abs(pred).max(),
                          target / np.abs(target).max())
     r = max(-1.0, min(1.0, r))
-    err = pred - target
-    rmse = float(np.sqrt(np.mean(err ** 2)))
-    mae = float(np.mean(np.abs(err)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = pred - target
+        rmse = float(np.sqrt(np.mean(err ** 2)))
+        mae = float(np.mean(np.abs(err)))
+        if not (math.isfinite(rmse) and math.isfinite(mae)) \
+                and np.isfinite(err).all():
+            # a sum overflows; errors scaled to magnitudes <= 1 cannot,
+            # and both statistics scale with the errors
+            top = float(np.abs(err).max())
+            unit = err / top
+            if not math.isfinite(rmse):
+                rmse = top * float(np.sqrt(np.mean(unit ** 2)))
+            if not math.isfinite(mae):
+                mae = top * float(np.mean(np.abs(unit)))
     return EvalReport(pearson_r=r, rmse=rmse, mae=mae, n=n)

@@ -207,7 +207,12 @@ def evaluate(model: TrainedModel, data: DataSet) -> EvalReport:
 
 
 def predict_points(model: TrainedModel, points) -> np.ndarray:
-    """Predict volume fractions at raw feature vectors, clamped to [0, 1]."""
+    """Predict volume fractions at raw feature vectors, clamped to [0, 1].
+
+    A point predicted alone can differ in its last bits from the same
+    point in a batch: numpy sends a one-row product to BLAS gemv, which
+    sums in another order than the gemm of a batch.
+    """
     X = np.asarray(points, dtype=float)
     preds = fis.predict_batch(model.fis, X[None, :] if X.ndim == 1 else X)
     return np.clip(preds, 0.0, 1.0, out=preds)

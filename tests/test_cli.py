@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from antfis import aco, cli, trainer
+from antfis import aco, cli, dataset, trainer
 from antfis.cli import run
 from antfis.dataset import CSV_HEADER, FeatureStage, load_dataset
 from antfis.errors import NumericError
@@ -255,6 +255,42 @@ class TestPredict:
                               str(tmp_path / "p.csv"))
         assert code == 2
         assert f"{points}, line 3: non-finite" in err
+
+
+class TestCpuCount:
+    def test_written_bytes_do_not_depend_on_it(self, capsys, monkeypatch,
+                                               model_file, tmp_path):
+        # 20,000 rows are three write blocks: with two CPUs a child
+        # formats part of each file
+        parent, forks = os.getpid(), []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if os.getpid() == parent:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        written = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(dataset, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            assert run(["gen-data", "--n", "20000", "--seed", "4",
+                        "--out", str(out / "nodes.csv")]) == 0
+            nodes = load_dataset(out / "nodes.csv", FeatureStage.XYZPV5)
+            dataset.write_csv_table(out / "points.csv",
+                                    FeatureStage.XYZPV5.feature_names,
+                                    nodes.X.T)
+            assert run(["predict", "--model", str(model_file), "--points",
+                        str(out / "points.csv"), "--out",
+                        str(out / "preds.csv")]) == 0
+            written[cpus] = [(out / name).read_bytes()
+                             for name in ("nodes.csv", "preds.csv")]
+        capsys.readouterr()
+        assert len(forks) == 3
+        assert written[1] == written[2]
 
 
 class TestReport:

@@ -1,8 +1,14 @@
 import csv
 import gc
 import math
+import os
+import signal
 import sys
+import tempfile
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +415,147 @@ class TestWriteCsvTable:
         assert peak < 3 * block
 
 
+def columns_of(n):
+    """An int column and two float columns of n rows whose reprs vary in
+    length, as the writer's inputs."""
+    rng = np.random.default_rng(n)
+    return [np.arange(n), rng.standard_normal(n) * 10.0 ** rng.integers(
+        -300, 300, n), rng.random(n)]
+
+
+class TestWriteInShares:
+    """write_csv_table with the blocks cut into shares, all but the first
+    formatted by forked children."""
+
+    B = 5  # rows per block
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", self.B)
+
+    def write(self, path, n, cpus, monkeypatch):
+        monkeypatch.setattr(dataset, "_cpu_count", lambda: cpus)
+        write_csv_table(path, ("i", "a", "b"), columns_of(n))
+        return path.read_bytes()
+
+    @staticmethod
+    def no_fork():
+        raise AssertionError("forked")
+
+    def assert_no_child_left(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1,
+                                   3 * B + 7])
+    def test_same_bytes_as_in_process(self, tmp_path, monkeypatch, n, cpus):
+        expected = self.write(tmp_path / "one.csv", n, 1, monkeypatch)
+        assert self.write(tmp_path / "many.csv", n, cpus,
+                          monkeypatch) == expected
+        self.assert_no_child_left()
+
+    def test_forks_one_child_per_other_share(self, tmp_path, monkeypatch):
+        parent, forks = os.getpid(), []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if os.getpid() == parent:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        self.write(tmp_path / "t.csv", 3 * self.B + 7, 3, monkeypatch)
+        assert len(forks) == 2
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [1, B])
+    def test_one_block_never_forks(self, tmp_path, monkeypatch, n):
+        expected = self.write(tmp_path / "one.csv", n, 1, monkeypatch)
+        monkeypatch.setattr(os, "fork", self.no_fork)
+        assert self.write(tmp_path / "t.csv", n, 4, monkeypatch) == expected
+
+    def test_second_thread_keeps_write_in_process(self, tmp_path,
+                                                  monkeypatch):
+        n = 3 * self.B + 7
+        expected = self.write(tmp_path / "one.csv", n, 1, monkeypatch)
+        monkeypatch.setattr(os, "fork", self.no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = self.write(tmp_path / "t.csv", n, 2, monkeypatch)
+        finally:
+            release.set()
+            thread.join()
+        assert got == expected
+
+    @pytest.mark.parametrize("how", ["raise", "kill", "no fork",
+                                     "no temp file"])
+    def test_failed_child_gives_same_bytes(self, tmp_path, monkeypatch,
+                                           how):
+        n = 3 * self.B + 7
+        expected = self.write(tmp_path / "one.csv", n, 1, monkeypatch)
+        parent, real_write = os.getpid(), dataset._write_blocks
+
+        def failing_in_child(fh, columns, blocks):
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child fails")
+            real_write(fh, columns, blocks)
+
+        def failing(*args, **kwargs):
+            raise OSError(how)
+
+        if how == "no fork":
+            monkeypatch.setattr(os, "fork", failing)
+        if how == "no temp file":
+            monkeypatch.setattr(tempfile, "TemporaryFile", failing)
+        monkeypatch.setattr(dataset, "_write_blocks", failing_in_child)
+        assert self.write(tmp_path / "t.csv", n, 3, monkeypatch) == expected
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError("share fails"),
+                                       KeyboardInterrupt()])
+    def test_error_keeps_its_type_and_leaves_nothing(self, tmp_path,
+                                                     monkeypatch, error):
+        tmp_dir = tmp_path / "tmp"
+        tmp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_dir))
+        parent = os.getpid()
+
+        def failing(fh, columns, blocks):
+            if os.getpid() == parent:
+                raise error
+            time.sleep(60)  # a slow child, ended by the parent
+
+        monkeypatch.setattr(dataset, "_write_blocks", failing)
+        fds = len(os.listdir("/proc/self/fd")) if sys.platform == "linux" \
+            else None
+        with pytest.raises(type(error), match=str(error) or None):
+            self.write(tmp_path / "t.csv", 3 * self.B + 7, 3, monkeypatch)
+        self.assert_no_child_left()
+        assert list(tmp_dir.iterdir()) == []
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_bad_columns_fail_before_the_file_is_opened(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "t.csv"
+        monkeypatch.setattr(os, "fork", self.no_fork)
+        with pytest.raises(ValueError, match="no columns"):
+            write_csv_table(path, (), [])
+        with pytest.raises(ValueError, match="2 header names but 3"):
+            write_csv_table(path, ("a", "b"), [[1], [2], [3]])
+        with pytest.raises(ValueError, match="column 'c' holds 11 values, "
+                                             "column 'a' 12"):
+            write_csv_table(path, ("a", "b", "c", "d"),
+                            [range(12), range(12), range(11), range(10)])
+        assert not path.exists()
+
+
 class TestSplit:
     def test_1500_at_70_percent(self):
         data = generate_dataset(ReactorGeometry(), PlumeParams(), 1500, seed=7)
@@ -567,14 +714,28 @@ class TestEvalMetrics:
             eval_metrics([0.0, 1e-100], [0.0, 1e-100])
 
     def test_overflowing_spreads(self):
-        with np.errstate(over="ignore"):  # the RMSE of 1e200 errors is inf
-            assert eval_metrics([0.0, 1e200], [1e200, 0.0]).pearson_r == -1.0
+        assert eval_metrics([0.0, 1e200], [1e200, 0.0]).pearson_r == -1.0
         # each sum is finite, their product is not; R ignores the scale
         pred = np.array([1e100, 2e100, 0.0])
         target = np.array([1e100, 3e100, 0.0])
         r = eval_metrics(pred, target).pearson_r
         assert r == eval_metrics(pred / 2e100, target / 3e100).pearson_r
         assert r == pytest.approx(math.sqrt(27.0 / 28.0), rel=1e-12)
+
+    def test_overflowing_error_sums(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = eval_metrics([0.0, 1e200], [1e200, 0.0])
+            assert (rep.rmse, rep.mae) == (1e200, 1e200)
+            # each error is finite near 1.6e308, their sums are not
+            pred = np.array([1.5e308, 1.7e308, 1.6e308])
+            target = np.array([0.0, 1.0, 2.0])
+            rep = eval_metrics(pred, target)
+        unit = pred / 1.7e308
+        assert rep.mae == pytest.approx(1.7e308 * np.mean(unit), rel=1e-15)
+        assert rep.rmse == pytest.approx(
+            1.7e308 * np.sqrt(np.mean(unit ** 2)), rel=1e-15)
+        assert math.isfinite(rep.rmse) and rep.rmse >= rep.mae
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_input_is_data_error(self, bad):

@@ -340,6 +340,37 @@ class TestPredictPoints:
         with pytest.raises(ValueError, match="finite"):
             predict_points(small_model, bad)
 
+    def test_one_row_calls_round_within_bound_of_a_batch(self):
+        data = generate_dataset(ReactorGeometry(), PlumeParams(), 1500, seed=7)
+        model = train(data, quick_config(FeatureStage.XYZPV5, n_rules=10))
+        X = generate_dataset(ReactorGeometry(), PlumeParams(), 2000,
+                             seed=11).features()
+        batch = predict_points(model, X)
+        single = np.array([predict_points(model, x)[0] for x in X])
+        # numpy sends a one-row product to BLAS gemv and a batch to gemm,
+        # which sum each dot product in other orders; two orders of an
+        # n-term product differ by at most n ulps of its terms' magnitude
+        # sum. Per row, with R the largest rule output:
+        # - a log firing strength has 2d + 1 terms, of magnitude sum L; a
+        #   move of delta in each moves every normalized weight by at most
+        #   2 delta relative, so the output by 2 delta R;
+        # - a rule output has d + 1 terms, of magnitude sum T;
+        # - the two c-term sums of the weighted average add 2c ulps of R,
+        #   as in test_fis.py's TestRulePermutation.
+        # Clamping to [0, 1] moves no difference up.
+        m = model.fis
+        c, d = m.centers.shape
+        basis = row_basis(X, m.normalizer)
+        x, S = basis[d:2 * d], 1.0 / m.sigmas ** 2
+        L = (0.5 * S @ basis[:d] + np.abs(m.centers * S) @ np.abs(x)
+             + 0.5 * (m.centers ** 2 * S).sum(axis=1, keepdims=True))
+        T = np.abs(m.coeffs) @ np.abs(basis[d:])
+        R = np.abs(m.coeffs @ basis[d:]).max(axis=0)
+        eps = np.finfo(float).eps
+        tol = eps * (R * (2 * c + 2 * (2 * d + 1) * L.max(axis=0))
+                     + (d + 1) * T.max(axis=0))
+        assert (np.abs(single - batch) <= tol).all()
+
     def test_clamping_preserves_r_sign(self, small_data, small_model):
         from antfis.dataset import eval_metrics
         for part in training_partitions(small_model, small_data):
