@@ -199,7 +199,6 @@ def optimize(objective: Callable[[np.ndarray], float],
     objectives[np.isnan(objectives)] = np.inf
     if not np.isfinite(objectives).any():
         raise NumericError("aco: objective invalid on domain")
-    evaluations = k
 
     order = np.argsort(objectives, kind="stable")
     archive = SolutionArchive(solutions=solutions[order],
@@ -215,9 +214,9 @@ def optimize(objective: Callable[[np.ndarray], float],
             config.n_ants)
         archive = update_archive(archive, candidates,
                                  evaluate(candidates, values))
-        evaluations += config.n_ants
         history[it] = archive.objectives[0]
 
     return OptResult(best_vector=archive.solutions[0].copy(),
                      best_objective=float(archive.objectives[0]),
-                     history=history, evaluations=evaluations)
+                     history=history,
+                     evaluations=k + config.max_iter * config.n_ants)

@@ -458,8 +458,8 @@ def fit_normalizer(train: DataSet) -> Normalizer:
     names = train.feature_stage.feature_names
     for j, name in enumerate(names):
         if maxs[j] <= mins[j]:
-            raise DataError(f"fit_normalizer: feature '{name}' is constant "
-                            f"({mins[j]!r}); cannot scale")
+            raise DataError(f"feature '{name}' is constant over the training "
+                            f"rows ({float(mins[j])!r}); cannot scale")
     return Normalizer(names, mins, maxs)
 
 

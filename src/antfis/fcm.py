@@ -30,7 +30,6 @@ MAX_ITER = 200
 class FcmResult:
     centers: np.ndarray            # (c, d)
     memberships: np.ndarray        # (n, c), rows sum to 1
-    objective: float
     iterations: int
     objective_history: np.ndarray  # J after each completed iteration
 
@@ -122,6 +121,6 @@ def fcm_cluster(data: np.ndarray, c: int, seed: int = 0) -> FcmResult:
         prev_j = j
 
     return FcmResult(centers=centers, memberships=np.ascontiguousarray(U.T),
-                     objective=history[-1], iterations=len(history),
+                     iterations=len(history),
                      objective_history=np.array(history))
 

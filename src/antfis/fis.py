@@ -136,15 +136,6 @@ def normalized_firing(centers: np.ndarray, sigmas: np.ndarray,
     return w
 
 
-def _regressors(centers: np.ndarray, sigmas: np.ndarray,
-                basis: np.ndarray) -> np.ndarray:
-    """Transposed design matrix (c*(d+1), n); row i*(d+1)+j = wbar_i*(x,1)_j."""
-    wbar = normalized_firing(centers, sigmas, basis)
-    c, n = wbar.shape
-    Xa = basis[centers.shape[1]:]
-    return (wbar[:, None, :] * Xa[None]).reshape(c * Xa.shape[0], n)
-
-
 def predict_batch(model: FisModel, X) -> np.ndarray:
     """Weighted-average model output for a batch of raw feature rows
     (unclamped).
@@ -200,10 +191,13 @@ def fitness(centers: np.ndarray, sigmas: np.ndarray, basis: np.ndarray,
     path: the optimizer's objective and training's final refit, for the
     one FisModel it builds, both go through it.
     """
-    At = _regressors(centers, sigmas, basis)
+    c, d = centers.shape
+    wbar = normalized_firing(centers, sigmas, basis)
+    # transposed design matrix (c*(d+1), n): row i*(d+1)+j = wbar_i*(x,1)_j
+    At = (wbar[:, None, :] * basis[d:][None]).reshape(c * (d + 1),
+                                                      wbar.shape[1])
     theta = solve_consequents(At.T, y, lam)
     resid = theta @ At - y
-    c, d = centers.shape
     return (theta.reshape(c, d + 1),
             float(np.sqrt(np.mean(resid * resid))))
 

@@ -75,40 +75,23 @@ class PlumeParams:
                              "noise_sd (--noise-sd) >= 0 required")
 
 
-def _two_sigma2(z, geom: ReactorGeometry, params: PlumeParams):
-    """2 sigma(z)^2, where sigma is the plume half-width at height z."""
-    sigma = params.sigma0 + params.spread * np.maximum(z - geom.sparger_height, 0.0)
-    return 2.0 * sigma ** 2
-
-
-def _ramp(z, geom: ReactorGeometry):
-    return np.clip((np.asarray(z, dtype=float) - geom.sparger_height) / RAMP_LENGTH,
-                   0.0, 1.0)
-
-
-def _disc_mean(two_s2, ramp, geom: ReactorGeometry, params: PlumeParams):
-    R2 = geom.radius ** 2
-    frac = two_s2 / R2 * (1.0 - np.exp(-R2 / two_s2))
-    return params.alpha_max * ramp * frac
-
-
-def mean_holdup(z, geom: ReactorGeometry, params: PlumeParams):
-    """Cross-section average of the holdup field at height z.
-
-    Closed form of the disc integral of the radial Gaussian:
-    alpha_max * ramp(z) * (2 sigma^2 / R^2) * (1 - exp(-R^2 / (2 sigma^2))).
-    """
-    return _disc_mean(_two_sigma2(z, geom, params), _ramp(z, geom), geom, params)
-
-
 def _fields(r2, z, geom: ReactorGeometry, params: PlumeParams):
     """(pressure, velocity, holdup) at squared radii r2 and heights z of
     points known to lie inside the column: fields_at and generate_dataset
-    both go through here, which computes the profile and ramp once."""
-    two_s2 = _two_sigma2(z, geom, params)
-    ramp = _ramp(z, geom)
+    both go through here, which computes the profile and ramp once.
+
+    The pressure's mean holdup of the cross-section is the closed form of
+    the disc integral of the radial Gaussian:
+    alpha_max * ramp(z) * (2 sigma^2 / R^2) * (1 - exp(-R^2 / (2 sigma^2))),
+    sigma being the plume half-width at height z.
+    """
+    sigma = params.sigma0 + params.spread * np.maximum(z - geom.sparger_height, 0.0)
+    two_s2 = 2.0 * sigma ** 2
+    ramp = np.clip((z - geom.sparger_height) / RAMP_LENGTH, 0.0, 1.0)
+    R2 = geom.radius ** 2
+    frac = two_s2 / R2 * (1.0 - np.exp(-R2 / two_s2))
     pressure = params.p_atm + params.rho_liquid * params.g * (geom.height - z) \
-        * (1.0 - _disc_mean(two_s2, ramp, geom, params))
+        * (1.0 - params.alpha_max * ramp * frac)
     profile = np.exp(-r2 / two_s2)
     return (pressure, params.u_max * profile * ramp,
             params.alpha_max * profile * ramp)

@@ -124,8 +124,9 @@ def _report(model: fis.FisModel, data: DataSet, caller: str,
     """Evaluate with the stored scaler; predictions are clamped to [0, 1]
     at this reporting layer only.
 
-    R is undefined when either side is constant; the DataError names
-    that side, the caller and the rows (`rows`) it was evaluated on.
+    R is undefined when either side is constant or the spreads underflow;
+    the DataError names the caller and the rows (`rows`) it was evaluated
+    on, and a constant side.
     """
     preds = fis.predict_batch(model, data.features())
     np.clip(preds, 0.0, 1.0, out=preds)
@@ -133,7 +134,11 @@ def _report(model: fis.FisModel, data: DataSet, caller: str,
     for side, values in (("targets", targets),
                          ("clamped predictions", preds)):
         _require_spread(values, f"{caller}: the {side} on the {rows}")
-    return eval_metrics(preds, targets)
+    try:
+        return eval_metrics(preds, targets)
+    except DataError as exc:  # e.g. the spreads underflow: name the rows
+        raise DataError(f"{caller}: on the {rows}, "
+                        + str(exc).removeprefix("eval_metrics: ")) from exc
 
 
 def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedModel:
@@ -148,8 +153,7 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     if data.feature_stage != config.stage:
         raise ValueError(f"train: data stage {data.feature_stage.n_features} "
                          f"!= config stage {config.stage.n_features}")
-    if len(data) < 2:
-        raise DataError("train: dataset is empty or too small")
+    _require_rows(data, "train")
 
     train_ds, test_ds = split(data, config.p, config.effective_split_seed())
     if len(train_ds) < config.n_rules:

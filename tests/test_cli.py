@@ -149,6 +149,27 @@ class TestTrain:
         assert code == 1
         assert "p must be in" in err
 
+    def test_one_row_table_is_data_error(self, capsys, tmp_path):
+        one = tmp_path / "one.csv"
+        one.write_text(",".join(CSV_HEADER) + "\n0,0,1,1e5,0.1,0.05\n")
+        code, _, err = invoke(capsys, "train", "--data", str(one),
+                              "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+        assert "--data" in err
+
+    def test_constant_feature_is_data_error(self, capsys, data_csv,
+                                            tmp_path):
+        lines = data_csv.read_text().splitlines()
+        flat = tmp_path / "flat_x.csv"
+        flat.write_text("\n".join([lines[0]] + [
+            "0.0," + line.partition(",")[2] for line in lines[1:]]) + "\n")
+        code, _, err = invoke(capsys, "train", "--data", str(flat),
+                              "--stage", "2", "--out",
+                              str(tmp_path / "m.txt"))
+        assert code == 2
+        assert "feature 'x' is constant" in err and "(0.0)" in err
+        assert "np.float64(" not in err and "fit_normalizer" not in err
+
 
 class TestEval:
     def test_metrics_printed(self, capsys, data_csv, model_file):
@@ -177,6 +198,20 @@ class TestEval:
         assert code == 2
         assert "targets on the --data rows" in err
         assert "eval_metrics" not in err
+
+    def test_underflowing_spreads_exit_2_naming_rows(self, capsys, tmp_path,
+                                                     data_csv, model_file):
+        # the targets' squared spread, 240 * (5e-171)^2, underflows to 0
+        lines = data_csv.read_text().splitlines()
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("\n".join([lines[0]] + [
+            line.rpartition(",")[0] + ("," + ("0.0", "1e-170")[i % 2])
+            for i, line in enumerate(lines[1:])]) + "\n")
+        code, _, err = invoke(capsys, "eval", "--model", str(model_file),
+                              "--data", str(tiny))
+        assert code == 2
+        assert "evaluate: on the --data rows, the spreads underflow" in err
+        assert "np.float64(" not in err and "eval_metrics" not in err
 
     def test_corrupt_model(self, capsys, tmp_path, data_csv):
         bad = tmp_path / "bad.txt"
@@ -207,6 +242,16 @@ class TestSweep:
                             "--rules", "3", "--out", str(out))
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_one_row_table_names_cell(self, capsys, tmp_path):
+        one = tmp_path / "one.csv"
+        one.write_text(",".join(CSV_HEADER) + "\n0,0,1,1e5,0.1,0.05\n")
+        code, _, err = invoke(capsys, "sweep", "--data", str(one),
+                              "--stages", "1", "--ants", "4",
+                              "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "sweep cell (stage 1, ants 4) failed" in err
+        assert "--data" in err
 
     def test_bad_stage_syntax(self, capsys, data_csv, tmp_path):
         code, _, err = invoke(capsys, "sweep", "--data", str(data_csv),

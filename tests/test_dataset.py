@@ -400,9 +400,12 @@ class TestWriteCsvTable:
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
 
-    def test_write_peak_memory_within_a_block(self, tmp_path):
+    def test_write_peak_memory_within_a_block(self, tmp_path, monkeypatch):
         data = generate_dataset(ReactorGeometry(), PlumeParams(), 20_000,
                                 seed=3)
+        # one CPU: all three blocks are formatted in this, the traced,
+        # process, none in a forked child
+        monkeypatch.setattr(dataset, "_cpu_count", lambda: 1)
         # one block of 8192 rows as the writer holds it: Python floats
         block = 8192 * 6 * (sys.getsizeof(0.0) + 8)
         gc.collect()

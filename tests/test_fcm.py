@@ -80,7 +80,7 @@ class TestFcmCluster:
         res = fcm_cluster(X, 2, seed=5)
         assert np.isfinite(res.centers).all()
         assert np.isfinite(res.memberships).all()
-        assert np.isfinite(res.objective)
+        assert np.isfinite(res.objective_history[-1])
         np.testing.assert_allclose(res.memberships.sum(axis=1), 1.0, atol=1e-9)
 
     def test_bitwise_determinism(self):
@@ -89,7 +89,7 @@ class TestFcmCluster:
         b = fcm_cluster(X, 3, seed=9)
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.memberships, b.memberships)
-        assert a.objective == b.objective
+        assert np.array_equal(a.objective_history, b.objective_history)
         assert a.iterations == b.iterations
 
     def test_objective_monotone_per_iteration(self):
@@ -97,7 +97,6 @@ class TestFcmCluster:
         res = fcm_cluster(X, 4, seed=2)
         h = res.objective_history
         assert all(h[i] - h[i + 1] >= -1e-12 for i in range(len(h) - 1))
-        assert res.objective == h[-1]
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least"):
@@ -187,7 +186,7 @@ class TestFcmObjective:
         # the reported J is the objective of the returned partition
         X = np.random.default_rng(seed).random((30, 3))
         res = fcm_cluster(X, c, seed=seed)
-        assert res.objective == pytest.approx(
+        assert res.objective_history[-1] == pytest.approx(
             brute_force_objective(X, res.centers, res.memberships, 2.0),
             rel=1e-12)
 
