@@ -316,27 +316,61 @@ def _write_blocks(fh, columns: list[np.ndarray],
         fh.write((line * (stop - start) % tuple(cells)).encode("utf-8"))
 
 
-def _fork_share(columns: list[np.ndarray], blocks: list[tuple[int, int]]):
-    """(pid, temp file) of a child that writes `blocks` into the temp file
-    and exits 0 once it is flushed; pid is None if no child could start,
-    and the temp file None if none could be made."""
+def _in_shares(run, items: list, out) -> None:
+    """Call run(share, out) on `items` cut into min(CPUs, len(items))
+    contiguous shares, in share order, `out` being a binary file.
+
+    This process runs the first share. A child made by os.fork runs each
+    other share at the same time into an anonymous temp file, which is
+    appended to `out` in order once the child has exited 0. A share whose
+    child could not start, failed or was killed is run here instead, so a
+    failure only costs time, and an error then raised keeps its type. One
+    item, one CPU, no os.fork or a second Python thread (a forked copy of
+    a threaded process can deadlock) keep every share in this process.
+    `out` receives the same bytes for any CPU count when `run` writes
+    the same bytes for a list of items as for its parts in turn.
+    """
+    shares = min(_cpu_count(), len(items))
+    if (shares < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        shares = 1
+    cuts = [items[i * len(items) // shares:(i + 1) * len(items) // shares]
+            for i in range(shares)]
+    children = []  # (pid, temp file) per later share, None if not made
     try:
-        tmp = tempfile.TemporaryFile()
-    except OSError:
-        return None, None
-    try:
-        pid = os.fork()
-    except OSError:
-        return None, tmp
-    if pid == 0:  # the child: never returns into the caller
-        code = 1
-        try:
-            _write_blocks(tmp, columns, blocks)
-            tmp.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid, tmp
+        for share in cuts[1:]:
+            pid = tmp = None
+            try:
+                tmp = tempfile.TemporaryFile()
+                pid = os.fork()
+            except OSError:
+                pass
+            if pid == 0:  # the child: never returns into the caller
+                code = 1
+                try:
+                    run(share, tmp)
+                    tmp.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, tmp))
+        run(cuts[0], out)
+        for i, share in enumerate(cuts[1:]):
+            pid, tmp = children[i]
+            status = None if pid is None else os.waitpid(pid, 0)[1]
+            children[i] = None, tmp
+            if status == 0:
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, out)
+            else:
+                run(share, out)
+    finally:
+        for pid, tmp in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if tmp is not None:
+                tmp.close()
 
 
 def write_csv_table(path: str | Path, header: tuple[str, ...],
@@ -346,18 +380,9 @@ def write_csv_table(path: str | Path, header: tuple[str, ...],
 
     Rows go out in the blocks of _row_blocks, each formatted by one
     %-format call, so no process holds more than one block's values as
-    Python objects at once. With several blocks and several CPUs, the
-    blocks are cut into min(CPUs, blocks) contiguous shares: this process
-    writes the header and the first share, and a child made by os.fork
-    formats each other share at the same time into an anonymous temp
-    file, which is then appended in order. A child that fails or is
-    killed only costs time: its share is formatted here instead, and an
-    error then raised keeps its type. One block, one CPU, no os.fork or
-    a second Python thread (a forked copy of a threaded process can
-    deadlock) keep the whole write in this process. The bytes never
-    depend on the CPU count. Raises ValueError, before the file is
-    opened, unless there is a column per header name and all columns
-    have one length.
+    Python objects at once. Raises ValueError, before the file is opened,
+    unless there is a column per header name and all columns have one
+    length.
     """
     columns = [np.asarray(col) for col in columns]
     if not columns:
@@ -370,36 +395,10 @@ def write_csv_table(path: str | Path, header: tuple[str, ...],
         if len(col) != n:
             raise ValueError(f"write_csv_table: column {name!r} holds "
                              f"{len(col)} values, column {header[0]!r} {n}")
-    blocks = _row_blocks(n)
-    shares = min(_cpu_count(), len(blocks))
-    if (shares < 2 or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        shares = 1
-    cuts = [blocks[i * len(blocks) // shares:
-                   (i + 1) * len(blocks) // shares] for i in range(shares)]
     with Path(path).open("wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        children = []
-        try:
-            for share in cuts[1:]:
-                children.append(_fork_share(columns, share))
-            _write_blocks(fh, columns, cuts[0])
-            for i, share in enumerate(cuts[1:]):
-                pid, tmp = children[i]
-                status = None if pid is None else os.waitpid(pid, 0)[1]
-                children[i] = None, tmp
-                if status == 0:
-                    tmp.seek(0)
-                    shutil.copyfileobj(tmp, fh)
-                else:
-                    _write_blocks(fh, columns, share)
-        finally:
-            for pid, tmp in children:
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                if tmp is not None:
-                    tmp.close()
+        _in_shares(lambda blocks, out: _write_blocks(out, columns, blocks),
+                   _row_blocks(n), fh)
 
 
 def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:
@@ -472,13 +471,12 @@ def _require_spread(values: np.ndarray, what: str) -> None:
 
 
 def _correlation(pred: np.ndarray, target: np.ndarray) -> float:
-    """Pearson R of two finite sequences, or NaN if a sum overflows."""
+    """Pearson R of two finite sequences, or NaN if a sum overflows or the
+    product of their squared spreads underflows to zero."""
     dp = pred - pred.mean()
     dt = target - target.mean()
     scale = math.sqrt(float(dp @ dp) * float(dt @ dt))
-    if scale == 0.0:
-        raise DataError("eval_metrics: the spreads underflow, R undefined")
-    return float(dp @ dt) / scale if math.isfinite(scale) else math.nan
+    return float(dp @ dt) / scale if 0.0 < scale < math.inf else math.nan
 
 
 def eval_metrics(pred, target) -> EvalReport:
@@ -486,9 +484,9 @@ def eval_metrics(pred, target) -> EvalReport:
 
     R is the Pearson correlation cov(pred, target) / (sd_pred * sd_target);
     it is undefined (DataError) when either sequence is constant or holds
-    a non-finite value, or when the product of their squared spreads
-    underflows to zero. Spreads whose sums overflow are scaled down, each
-    side by its largest magnitude, which leaves R unchanged. Likewise an
+    a non-finite value. Spreads whose sums overflow, or whose squares'
+    product underflows to zero, are rescaled, each side divided by its
+    largest magnitude, which leaves R unchanged. Likewise an
     RMSE or MAE whose sum overflows is computed from the errors divided
     by their largest magnitude and scaled back; it stays inf only if an
     error itself overflows.
@@ -509,8 +507,8 @@ def eval_metrics(pred, target) -> EvalReport:
     with np.errstate(over="ignore", invalid="ignore"):
         r = _correlation(pred, target)
     if not math.isfinite(r):
-        # both sides are finite and not constant, so scaled down to
-        # magnitudes <= 1 no sum can overflow: r is finite here
+        # both sides are finite and not constant, so scaled to a largest
+        # magnitude of 1 no sum overflows and no spread underflows
         r = _correlation(pred / np.abs(pred).max(),
                          target / np.abs(target).max())
     r = max(-1.0, min(1.0, r))

@@ -124,9 +124,9 @@ def _report(model: fis.FisModel, data: DataSet, caller: str,
     """Evaluate with the stored scaler; predictions are clamped to [0, 1]
     at this reporting layer only.
 
-    R is undefined when either side is constant or the spreads underflow;
-    the DataError names the caller and the rows (`rows`) it was evaluated
-    on, and a constant side.
+    R is undefined when either side is constant or a prediction is not
+    finite; the DataError names the caller and the rows (`rows`) it was
+    evaluated on, and a constant side.
     """
     preds = fis.predict_batch(model, data.features())
     np.clip(preds, 0.0, 1.0, out=preds)
@@ -136,7 +136,7 @@ def _report(model: fis.FisModel, data: DataSet, caller: str,
         _require_spread(values, f"{caller}: the {side} on the {rows}")
     try:
         return eval_metrics(preds, targets)
-    except DataError as exc:  # e.g. the spreads underflow: name the rows
+    except DataError as exc:  # a non-finite prediction: name the rows
         raise DataError(f"{caller}: on the {rows}, "
                         + str(exc).removeprefix("eval_metrics: ")) from exc
 
@@ -197,7 +197,7 @@ def _require_rows(data: DataSet, caller: str) -> None:
 
 def training_partitions(model: TrainedModel, data: DataSet) -> tuple[DataSet, DataSet]:
     """Reproduce the exact (train, test) partition a model was fit on."""
-    _require_rows(data, "training_partitions")
+    _require_rows(data, "report")
     return split(data, model.config.p, model.config.effective_split_seed())
 
 
@@ -206,8 +206,8 @@ def evaluate(model: TrainedModel, data: DataSet) -> EvalReport:
     if data.feature_stage != model.config.stage:
         raise ValueError(f"evaluate: data stage {data.feature_stage.n_features} "
                          f"!= model stage {model.config.stage.n_features}")
-    _require_rows(data, "evaluate")
-    return _report(model.fis, data, "evaluate", "--data rows")
+    _require_rows(data, "eval")
+    return _report(model.fis, data, "eval", "--data rows")
 
 
 def predict_points(model: TrainedModel, points) -> np.ndarray:

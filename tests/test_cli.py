@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -185,7 +186,8 @@ class TestEval:
         code, _, err = invoke(capsys, "eval", "--model", str(model_file),
                               "--data", str(one))
         assert code == 2
-        assert "--data" in err
+        assert err.startswith("error: eval: --data holds 1 row(s)")
+        assert "evaluate" not in err
 
     def test_constant_targets_exit_2_naming_side(self, capsys, tmp_path,
                                                  data_csv, model_file):
@@ -199,19 +201,40 @@ class TestEval:
         assert "targets on the --data rows" in err
         assert "eval_metrics" not in err
 
-    def test_underflowing_spreads_exit_2_naming_rows(self, capsys, tmp_path,
-                                                     data_csv, model_file):
+    def test_underflowing_spreads_give_finite_r(self, capsys, tmp_path,
+                                                data_csv, model_file):
         # the targets' squared spread, 240 * (5e-171)^2, underflows to 0
         lines = data_csv.read_text().splitlines()
         tiny = tmp_path / "tiny.csv"
         tiny.write_text("\n".join([lines[0]] + [
             line.rpartition(",")[0] + ("," + ("0.0", "1e-170")[i % 2])
             for i, line in enumerate(lines[1:])]) + "\n")
-        code, _, err = invoke(capsys, "eval", "--model", str(model_file),
-                              "--data", str(tiny))
+        code, stdout, _ = invoke(capsys, "eval", "--model", str(model_file),
+                                 "--data", str(tiny))
+        assert code == 0
+        r = float(stdout.split()[0].removeprefix("R="))
+        assert math.isfinite(r) and -1.0 <= r <= 1.0
+
+    def test_non_finite_prediction_exit_2_naming_rows(self, capsys, tmp_path,
+                                                      data_csv, model_file):
+        # rule outputs of +-1e308 per scaled feature overflow to +-inf, and
+        # a row that two such rules fire on predicts inf - inf = NaN
+        text = model_file.read_text()
+        for rule, big in (("0", "1e308"), ("1", "-1e308")):
+            head, _, rest = text.partition(f"[rule {rule}]")
+            coeff = rest.index("coeff = ")
+            end = rest.index("\n", coeff)
+            text = (head + f"[rule {rule}]" + rest[:coeff] + "coeff = "
+                    + ",".join([big] * 5 + ["0.0"]) + rest[end:])
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = invoke(capsys, "eval", "--model", str(bad),
+                                  "--data", str(data_csv))
         assert code == 2
-        assert "evaluate: on the --data rows, the spreads underflow" in err
-        assert "np.float64(" not in err and "eval_metrics" not in err
+        assert err.startswith("error: eval: on the --data rows, the "
+                              "predictions hold a non-finite value")
+        assert "eval_metrics" not in err
 
     def test_corrupt_model(self, capsys, tmp_path, data_csv):
         bad = tmp_path / "bad.txt"
@@ -367,7 +390,8 @@ class TestReport:
                               "--data", str(one), "--out-prefix",
                               str(tmp_path / "rep"))
         assert code == 2
-        assert "--data" in err
+        assert err.startswith("error: report: --data holds 1 row(s)")
+        assert "training_partitions" not in err
 
     def test_byte_identical_reruns(self, capsys, model_file, data_csv,
                                    tmp_path):

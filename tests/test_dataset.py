@@ -3,12 +3,14 @@ import gc
 import math
 import os
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +419,39 @@ class TestWriteCsvTable:
             tracemalloc.stop()
         assert peak < 3 * block
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads VmHWM from /proc/self/status")
+    def test_forked_children_memory_within_blocks(self, tmp_path):
+        # With two CPUs one forked child formats half of the rows. Its
+        # peak RSS must stay below the interpreter's own peak before the
+        # write plus three blocks of Python floats (4.5 MiB). That peak is
+        # VmHWM: a process started by exec keeps in its ru_maxrss the peak
+        # of the process that started it, here the test runner. A child
+        # starts below the peak (measured: about 9 MiB, the file-backed
+        # pages it does not touch again), so a child that held its whole
+        # share of 150,000 rows as Python floats, 150,000 * 6 * 32 B =
+        # 27.5 MiB, would end about 18 MiB above it: four times the margin.
+        n = 300_000
+        block = 8192 * 6 * (sys.getsizeof(0.0) + 8)
+        script = (
+            "import re, resource, numpy as np\n"
+            "from antfis import dataset\n"
+            "dataset._cpu_count = lambda: 2\n"
+            f"columns = np.random.default_rng(0).random((6, {n}))\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    before = re.search(r'VmHWM:\\s*(\\d+)', fh.read())[1]\n"
+            f"dataset.write_csv_table({str(tmp_path / 't.csv')!r}, "
+            "dataset.CSV_HEADER, columns)\n"
+            "print(before, "
+            "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        src = str(Path(dataset.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        before, children = (1024 * int(kib) for kib in proc.stdout.split())
+        assert 0 < children < before + 3 * block
+
 
 def columns_of(n):
     """An int column and two float columns of n rows whose reprs vary in
@@ -713,8 +748,9 @@ class TestEvalMetrics:
             eval_metrics([0.2, 0.3, 0.4], [0.1] * 3)
 
     def test_underflowing_spreads(self):
-        with pytest.raises(DataError, match="underflow"):
-            eval_metrics([0.0, 1e-100], [0.0, 1e-100])
+        # the product of the squared spreads, 2.5e-401, underflows to 0;
+        # R ignores the scale
+        assert eval_metrics([0.0, 1e-100], [0.0, 1e-100]).pearson_r == 1.0
 
     def test_overflowing_spreads(self):
         assert eval_metrics([0.0, 1e200], [1e200, 0.0]).pearson_r == -1.0
