@@ -22,9 +22,9 @@ from .dataset import (FeatureStage, load_dataset, number_fault,
                       read_csv_table, write_csv_table, write_dataset_csv)
 from .errors import AntfisError, DataError, UsageError
 from .synthfield import PlumeParams, ReactorGeometry, generate_dataset
-from .trainer import (TrainConfig, evaluate, load_model, predict_points,
-                      save_model, sweep, train, training_partitions,
-                      write_sweep_csv)
+from .trainer import (TrainConfig, _predict, evaluate, load_model,
+                      predict_points, save_model, sweep, train,
+                      training_partitions, write_sweep_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,10 +223,16 @@ def _cmd_report(args) -> int:
     data = load_dataset(args.data, model.config.stage)
     train_ds, test_ds = training_partitions(model, data)
     prefix = Path(args.out_prefix)
-    for name, part in (("train", train_ds), ("test", test_ds)):
-        preds = predict_points(model, part.features())
+    # both shares are predicted before a file is written, so a share
+    # whose predictions are not finite leaves no file behind
+    scatter = [(name, part.targets(),
+                _predict(model.fis, part.features(), "report",
+                         f"--data {rows}"))
+               for name, rows, part in (("train", "training share", train_ds),
+                                        ("test", "test share", test_ds))]
+    for name, targets, preds in scatter:
         write_csv_table(prefix.parent / f"{prefix.name}_scatter_{name}.csv",
-                        ("target", "prediction"), [part.targets(), preds])
+                        ("target", "prediction"), [targets, preds])
     write_csv_table(prefix.parent / f"{prefix.name}_convergence.csv",
                     ("iteration", "best_rmse"),
                     [range(1, len(model.convergence) + 1),

@@ -329,6 +329,11 @@ def _in_shares(run, items: list, out) -> None:
     a threaded process can deadlock) keep every share in this process.
     `out` receives the same bytes for any CPU count when `run` writes
     the same bytes for a list of items as for its parts in turn.
+
+    Two callers: write_csv_table, whose items are row blocks and whose
+    shares write their rows' CSV text; and trainer.sweep, whose items
+    are grid cells and whose shares write each cell's (train R, test R)
+    as two float64s.
     """
     shares = min(_cpu_count(), len(items))
     if (shares < 2 or not hasattr(os, "fork")

@@ -22,6 +22,8 @@ checks apply to a file's values. A repeated section or key is an error.
 
 from __future__ import annotations
 
+import io
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
@@ -31,8 +33,8 @@ import numpy as np
 from . import fis
 from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
-                      _require_spread, eval_metrics, fit_normalizer, split,
-                      write_csv_table)
+                      _in_shares, _require_spread, eval_metrics,
+                      fit_normalizer, split, write_csv_table)
 from .errors import AntfisError, DataError, UsageError
 from .fcm import fcm_cluster
 from .rng import mix_seed
@@ -119,26 +121,36 @@ def premise_objective(basis: np.ndarray, y: np.ndarray,
     return objective
 
 
-def _report(model: fis.FisModel, data: DataSet, caller: str,
-            rows: str) -> EvalReport:
-    """Evaluate with the stored scaler; predictions are clamped to [0, 1]
+def _predict(model: fis.FisModel, X, caller: str, rows: str) -> np.ndarray:
+    """Predictions of `model` at the raw feature rows X, clamped to [0, 1]
     at this reporting layer only.
 
+    A rule output that overflows makes a prediction inf, which clamping
+    would hide, or NaN. Either raises a DataError naming the caller and
+    the rows (`rows`); numpy warns of neither.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = fis.predict_batch(model, X)
+    if not np.isfinite(preds).all():
+        raise DataError(f"{caller}: on the {rows}, the predictions hold a "
+                        "non-finite value (a rule output overflows)")
+    return np.clip(preds, 0.0, 1.0, out=preds)
+
+
+def _report(model: fis.FisModel, data: DataSet, caller: str,
+            rows: str) -> EvalReport:
+    """Evaluate the clamped predictions (_predict) with the stored scaler.
+
     R is undefined when either side is constant or a prediction is not
-    finite; the DataError names the caller and the rows (`rows`) it was
+    finite; the DataError names the caller, the rows (`rows`) it was
     evaluated on, and a constant side.
     """
-    preds = fis.predict_batch(model, data.features())
-    np.clip(preds, 0.0, 1.0, out=preds)
+    preds = _predict(model, data.features(), caller, rows)
     targets = data.targets()
     for side, values in (("targets", targets),
                          ("clamped predictions", preds)):
         _require_spread(values, f"{caller}: the {side} on the {rows}")
-    try:
-        return eval_metrics(preds, targets)
-    except DataError as exc:  # a non-finite prediction: name the rows
-        raise DataError(f"{caller}: on the {rows}, "
-                        + str(exc).removeprefix("eval_metrics: ")) from exc
+    return eval_metrics(preds, targets)
 
 
 def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedModel:
@@ -147,8 +159,9 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     The optimizer minimizes premise_objective: training RMSE of the
     premise vector, with consequents refit by damped least squares. The
     premises seeded from clustering join the initial archive so the
-    search starts no worse than the clustering baseline. `n_workers` is
-    accepted and ignored: fitness evaluations run in one thread.
+    search starts no worse than the clustering baseline. The run is one
+    thread; sweep runs its cells in forked shares. `n_workers` is
+    accepted and ignored; it is kept for existing callers.
     """
     if data.feature_stage != config.stage:
         raise ValueError(f"train: data stage {data.feature_stage.n_features} "
@@ -213,13 +226,14 @@ def evaluate(model: TrainedModel, data: DataSet) -> EvalReport:
 def predict_points(model: TrainedModel, points) -> np.ndarray:
     """Predict volume fractions at raw feature vectors, clamped to [0, 1].
 
-    A point predicted alone can differ in its last bits from the same
-    point in a batch: numpy sends a one-row product to BLAS gemv, which
-    sums in another order than the gemm of a batch.
+    A non-finite prediction is a DataError naming `predict` and the
+    --points rows. A point predicted alone can differ in its last bits
+    from the same point in a batch: numpy sends a one-row product to
+    BLAS gemv, which sums in another order than the gemm of a batch.
     """
     X = np.asarray(points, dtype=float)
-    preds = fis.predict_batch(model.fis, X[None, :] if X.ndim == 1 else X)
-    return np.clip(preds, 0.0, 1.0, out=preds)
+    return _predict(model.fis, X[None, :] if X.ndim == 1 else X, "predict",
+                    "--points rows")
 
 
 def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
@@ -227,9 +241,18 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
     """Train one model per (stage, ant count) cell and tabulate R values.
 
     Each cell's seed derives from (master seed, stage arity, ant count)
-    via the SplitMix64 mixer, so cells are independent yet reproducible.
-    `data` must carry all features needed by the largest stage.
-    `n_workers` is accepted and ignored, as in train.
+    via the SplitMix64 mixer, and every cell trains on one shared split,
+    so cells are independent yet reproducible. `data` must carry all
+    features needed by the largest stage.
+
+    The cells run in forked shares, one per CPU (dataset._in_shares),
+    each share writing its cells' (train R, test R) as float64 bytes. A
+    cell's cost grows with its stage and ant count, so the grid is
+    passed in zigzag order (last, first, second-last, ...) to balance
+    the shares. A failed cell writes NaN, which no trained R is; the
+    first such cell in grid order is then trained again here, so its
+    error, prefixed with the cell, is the one a serial sweep raises.
+    `n_workers` is accepted and ignored; it is kept for existing callers.
     """
     stages = tuple(sorted(set(stages), key=lambda s: s.n_features))
     ant_counts = tuple(sorted(set(int(a) for a in ant_counts)))
@@ -238,22 +261,41 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
     if max(s.n_features for s in stages) > data.feature_stage.n_features:
         raise ValueError("sweep: dataset stage arity below requested stages")
     shared_split = base.effective_split_seed()
-    cells = []
-    for stage in stages:
-        for ants in ant_counts:
-            config = replace(base, stage=stage,
-                             seed=mix_seed(base.seed, stage.n_features, ants),
-                             split_seed=shared_split,
-                             aco=replace(base.aco, n_ants=ants))
+
+    def train_cell(stage: FeatureStage, ants: int) -> tuple[float, float]:
+        config = replace(base, stage=stage,
+                         seed=mix_seed(base.seed, stage.n_features, ants),
+                         split_seed=shared_split,
+                         aco=replace(base.aco, n_ants=ants))
+        try:
+            model = train(data.with_stage(stage), config)
+        except AntfisError as exc:
+            raise type(exc)(
+                f"sweep cell (stage {stage.n_features}, ants {ants}) "
+                f"failed: {exc}") from exc
+        return model.train_report.pearson_r, model.test_report.pearson_r
+
+    def run(share, out) -> None:
+        for cell in share:
             try:
-                model = train(data.with_stage(stage), config)
-            except AntfisError as exc:
-                raise type(exc)(
-                    f"sweep cell (stage {stage.n_features}, ants {ants}) "
-                    f"failed: {exc}") from exc
-            cells.append(SweepCell(stage=stage, n_ants=ants,
-                                   train_r=model.train_report.pearson_r,
-                                   test_r=model.test_report.pearson_r))
+                pair = train_cell(*cell)
+            except AntfisError:
+                pair = (math.nan, math.nan)
+            out.write(np.array(pair, dtype=np.float64).tobytes())
+
+    grid = [(stage, ants) for stage in stages for ants in ant_counts]
+    zigzag = [grid[i // 2] if i % 2 else grid[~(i // 2)]
+              for i in range(len(grid))]
+    out = io.BytesIO()
+    _in_shares(run, zigzag, out)
+    pairs = dict(zip(zigzag, np.frombuffer(out.getvalue()).reshape(-1, 2)))
+    cells = []
+    for cell in grid:
+        train_r, test_r = pairs[cell]
+        if math.isnan(train_r):
+            train_r, test_r = train_cell(*cell)
+        cells.append(SweepCell(*cell, train_r=float(train_r),
+                               test_r=float(test_r)))
     return SweepReport(cells=tuple(cells))
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,47 @@ def model_file(tmp_path_factory, data_csv):
                 "--archive-size", "8", "--seed", "5", "--out", str(path)])
     assert code == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def overflow_model(tmp_path_factory, model_file):
+    """model_file with rule outputs of +-1e308 per scaled feature: they
+    overflow to +-inf, and a row that both rules fire on predicts
+    inf - inf = NaN."""
+    text = model_file.read_text()
+    for rule, big in (("0", "1e308"), ("1", "-1e308")):
+        head, _, rest = text.partition(f"[rule {rule}]")
+        coeff = rest.index("coeff = ")
+        end = rest.index("\n", coeff)
+        text = (head + f"[rule {rule}]" + rest[:coeff] + "coeff = "
+                + ",".join([big] * 5 + ["0.0"]) + rest[end:])
+    path = tmp_path_factory.mktemp("overflow") / "model.txt"
+    path.write_text(text)
+    return path
+
+
+def same_bytes_at_blas_threads_1_and_2(tmp_path, *argv):
+    """True if `antfis *argv --out FILE`, each run in a fresh interpreter,
+    writes the same FILE with BLAS at 1 thread as at 2."""
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.out"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-m", "antfis", *argv,
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        files.append(out.read_bytes())
+    return files[0] == files[1]
+
+
+def invoke_warning_free(capsys, *argv):
+    """invoke, with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return invoke(capsys, *argv)
 
 
 class TestGenData:
@@ -129,20 +171,9 @@ class TestTrain:
         assert "fcm" not in err
 
     def test_blas_thread_count_keeps_model_bytes(self, data_csv, tmp_path):
-        files = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas{threads}.txt"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(sys.path)}
-            proc = subprocess.run(
-                [sys.executable, "-m", "antfis", "train", "--data",
-                 str(data_csv), "--stage", "5", "--ants", "6", "--iters",
-                 "4", "--seed", "3", "--out", str(out)],
-                env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            files.append(out.read_bytes())
-        assert files[0] == files[1]
+        assert same_bytes_at_blas_threads_1_and_2(
+            tmp_path, "train", "--data", str(data_csv), "--stage", "5",
+            "--ants", "6", "--iters", "4", "--seed", "3")
 
     def test_bad_p_is_usage_error(self, capsys, data_csv, tmp_path):
         code, _, err = invoke(capsys, "train", "--data", str(data_csv),
@@ -215,22 +246,11 @@ class TestEval:
         r = float(stdout.split()[0].removeprefix("R="))
         assert math.isfinite(r) and -1.0 <= r <= 1.0
 
-    def test_non_finite_prediction_exit_2_naming_rows(self, capsys, tmp_path,
-                                                      data_csv, model_file):
-        # rule outputs of +-1e308 per scaled feature overflow to +-inf, and
-        # a row that two such rules fire on predicts inf - inf = NaN
-        text = model_file.read_text()
-        for rule, big in (("0", "1e308"), ("1", "-1e308")):
-            head, _, rest = text.partition(f"[rule {rule}]")
-            coeff = rest.index("coeff = ")
-            end = rest.index("\n", coeff)
-            text = (head + f"[rule {rule}]" + rest[:coeff] + "coeff = "
-                    + ",".join([big] * 5 + ["0.0"]) + rest[end:])
-        bad = tmp_path / "bad.txt"
-        bad.write_text(text)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, _, err = invoke(capsys, "eval", "--model", str(bad),
-                                  "--data", str(data_csv))
+    def test_non_finite_prediction_exit_2_naming_rows(self, capsys, data_csv,
+                                                      overflow_model):
+        code, _, err = invoke_warning_free(capsys, "eval", "--model",
+                                           str(overflow_model), "--data",
+                                           str(data_csv))
         assert code == 2
         assert err.startswith("error: eval: on the --data rows, the "
                               "predictions hold a non-finite value")
@@ -276,6 +296,12 @@ class TestSweep:
         assert "sweep cell (stage 1, ants 4) failed" in err
         assert "--data" in err
 
+    def test_blas_thread_count_keeps_sweep_bytes(self, data_csv, tmp_path):
+        # the cells run in forked shares, each inheriting the BLAS threads
+        assert same_bytes_at_blas_threads_1_and_2(
+            tmp_path, "sweep", "--data", str(data_csv), "--stages", "1-2",
+            "--ants", "4,6", "--iters", "3", "--rules", "3", "--seed", "2")
+
     def test_bad_stage_syntax(self, capsys, data_csv, tmp_path):
         code, _, err = invoke(capsys, "sweep", "--data", str(data_csv),
                               "--stages", "1-9", "--out",
@@ -312,6 +338,22 @@ class TestPredict:
         assert code == 2
         assert "header" in err
 
+
+    def test_non_finite_prediction_exit_2_naming_rows(self, capsys, data_csv,
+                                                      overflow_model,
+                                                      tmp_path):
+        points = tmp_path / "points.csv"
+        lines = data_csv.read_text().splitlines()
+        points.write_text("\n".join(line.rpartition(",")[0]
+                                    for line in lines) + "\n")
+        out = tmp_path / "p.csv"
+        code, _, err = invoke_warning_free(capsys, "predict", "--model",
+                                           str(overflow_model), "--points",
+                                           str(points), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: predict: on the --points rows, the "
+                              "predictions hold a non-finite value")
+        assert not out.exists()
 
     def test_non_finite_point_is_data_error(self, capsys, model_file,
                                             tmp_path):
@@ -392,6 +434,18 @@ class TestReport:
         assert code == 2
         assert err.startswith("error: report: --data holds 1 row(s)")
         assert "training_partitions" not in err
+
+    def test_non_finite_prediction_exit_2_naming_rows(self, capsys, data_csv,
+                                                      overflow_model,
+                                                      tmp_path):
+        code, _, err = invoke_warning_free(capsys, "report", "--model",
+                                           str(overflow_model), "--data",
+                                           str(data_csv), "--out-prefix",
+                                           str(tmp_path / "rep"))
+        assert code == 2
+        assert err.startswith("error: report: on the --data training share, "
+                              "the predictions hold a non-finite value")
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_reruns(self, capsys, model_file, data_csv,
                                    tmp_path):

@@ -1,3 +1,6 @@
+import os
+import signal
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -464,6 +467,103 @@ class TestSweep:
         with pytest.raises(DataError, match=r"stage 1, ants 4"):
             sweep(tiny, [FeatureStage.X1], [4], base)
 
+    # a grid of four cells, run in shares of forked processes
+    GRID = ((FeatureStage.X1, FeatureStage.XY2), (4, 6))
+
+    @staticmethod
+    def grid_sweep(data, cpus, monkeypatch, base=None):
+        monkeypatch.setattr(dataset, "_cpu_count", lambda: cpus)
+        return sweep(data, *TestSweep.GRID,
+                     base or quick_config(FeatureStage.XYZPV5))
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_same_cells_and_bytes_for_any_cpu_count(self, small_data,
+                                                    tmp_path, monkeypatch):
+        reports, files = [], []
+        for cpus in (1, 2, 3, 16):
+            reports.append(self.grid_sweep(small_data, cpus, monkeypatch))
+            self.assert_no_child_left()
+            path = tmp_path / f"sweep{cpus}.csv"
+            trainer.write_sweep_csv(reports[-1], path)
+            files.append(path.read_bytes())
+        assert all(r == reports[0] for r in reports)
+        assert all(f == files[0] for f in files)
+        # each cell holds the R values of its own run, in grid order
+        base = quick_config(FeatureStage.XYZPV5)
+        expected = []
+        for stage in self.GRID[0]:
+            for ants in self.GRID[1]:
+                model = train(small_data.with_stage(stage), replace(
+                    base, stage=stage,
+                    seed=mix_seed(base.seed, stage.n_features, ants),
+                    split_seed=base.effective_split_seed(),
+                    aco=replace(base.aco, n_ants=ants)))
+                expected.append(trainer.SweepCell(
+                    stage, ants, model.train_report.pearson_r,
+                    model.test_report.pearson_r))
+        assert reports[0].cells == tuple(expected)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_cell_failure_names_first_cell_for_any_cpu_count(
+            self, monkeypatch, cpus):
+        # every cell fails: 8 rows leave fewer training rows than rules
+        tiny = generate_dataset(ReactorGeometry(), PlumeParams(), 8, seed=1)
+        base = quick_config(FeatureStage.XYZPV5, n_rules=10)
+        with pytest.raises(DataError) as serial:
+            self.grid_sweep(tiny, 1, monkeypatch, base)
+        with pytest.raises(DataError) as shared:
+            self.grid_sweep(tiny, cpus, monkeypatch, base)
+        self.assert_no_child_left()
+        assert "sweep cell (stage 1, ants 4) failed: " in str(serial.value)
+        assert str(shared.value) == str(serial.value)
+        assert type(shared.value.__cause__) is DataError
+
+    @pytest.mark.parametrize("how", ["error", "fault", "kill", "no fork"])
+    def test_failed_child_gives_same_cells(self, small_data, monkeypatch,
+                                           how):
+        expected = self.grid_sweep(small_data, 1, monkeypatch)
+        parent, real_train = os.getpid(), trainer.train
+
+        def failing_in_child(data, config, n_workers=1):
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if how == "error":  # a cell error, trained again here
+                    raise NumericError("child fails")
+                raise RuntimeError("child fails")
+            return real_train(data, config)
+
+        def no_fork():
+            raise OSError("no fork")
+
+        if how == "no fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(trainer, "train", failing_in_child)
+        assert self.grid_sweep(small_data, 3, monkeypatch) == expected
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError("share fails"),
+                                       KeyboardInterrupt()])
+    def test_parent_share_error_keeps_its_type_and_ends_children(
+            self, small_data, monkeypatch, error):
+        parent = os.getpid()
+
+        def failing(data, config, n_workers=1):
+            if os.getpid() == parent:
+                raise error
+            time.sleep(60)  # a slow child, ended by the parent
+
+        monkeypatch.setattr(trainer, "train", failing)
+        t0 = time.monotonic()
+        with pytest.raises(type(error), match=str(error) or None):
+            self.grid_sweep(small_data, 3, monkeypatch)
+        assert time.monotonic() - t0 < 30
+        self.assert_no_child_left()
+
     def test_cell_failure_keeps_error_type(self, small_data, monkeypatch):
         def fail(data, config, n_workers=1):
             raise NumericError("fis: all rule premises degenerate")
@@ -475,12 +575,19 @@ class TestSweep:
         assert type(info.value.__cause__) is NumericError
 
     def test_internal_fault_not_wrapped(self, small_data, monkeypatch):
+        real_train = trainer.train
+
         def fail(data, config, n_workers=1):
-            raise ValueError("internal fault")
+            # with 2 CPUs, cell (1, 6) is in the child's share: the child
+            # fails, and the share is run again here
+            if (config.stage, config.aco.n_ants) == (FeatureStage.X1, 6):
+                raise ValueError("internal fault")
+            return real_train(data, config)
         monkeypatch.setattr(trainer, "train", fail)
-        with pytest.raises(ValueError, match="^internal fault$"):
-            sweep(small_data, [FeatureStage.X1], [4],
-                  quick_config(FeatureStage.XYZPV5))
+        for cpus in (1, 2):
+            with pytest.raises(ValueError, match="^internal fault$"):
+                self.grid_sweep(small_data, cpus, monkeypatch)
+            self.assert_no_child_left()
 
     def test_empty_grid_rejected(self, small_data):
         with pytest.raises(ValueError):
