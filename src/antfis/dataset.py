@@ -475,13 +475,11 @@ def _require_spread(values: np.ndarray, what: str) -> None:
                         "undefined")
 
 
-def _correlation(pred: np.ndarray, target: np.ndarray) -> float:
-    """Pearson R of two finite sequences, or NaN if a sum overflows or the
-    product of their squared spreads underflows to zero."""
-    dp = pred - pred.mean()
-    dt = target - target.mean()
-    scale = math.sqrt(float(dp @ dp) * float(dt @ dt))
-    return float(dp @ dt) / scale if 0.0 < scale < math.inf else math.nan
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values * 2**-e, e), e the binary exponent that brings the largest
+    magnitude into [0.5, 1); exact for every value that stays normal."""
+    e = int(np.frexp(np.abs(values).max())[1])
+    return np.ldexp(values, -e), e
 
 
 def eval_metrics(pred, target) -> EvalReport:
@@ -489,12 +487,10 @@ def eval_metrics(pred, target) -> EvalReport:
 
     R is the Pearson correlation cov(pred, target) / (sd_pred * sd_target);
     it is undefined (DataError) when either sequence is constant or holds
-    a non-finite value. Spreads whose sums overflow, or whose squares'
-    product underflows to zero, are rescaled, each side divided by its
-    largest magnitude, which leaves R unchanged. Likewise an
-    RMSE or MAE whose sum overflows is computed from the errors divided
-    by their largest magnitude and scaled back; it stays inf only if an
-    error itself overflows.
+    a non-finite value. Each statistic is computed once, on values scaled
+    by a power of two to a largest magnitude in [0.5, 1): each side for R,
+    the errors for RMSE and MAE, which are then scaled back. The scaling
+    is exact, so no sum overflows or underflows unless the statistic does.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -509,26 +505,14 @@ def eval_metrics(pred, target) -> EvalReport:
             raise DataError(f"eval_metrics: the {side} hold a non-finite "
                             "value, R undefined")
         _require_spread(values, f"eval_metrics: the {side}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _correlation(pred, target)
-    if not math.isfinite(r):
-        # both sides are finite and not constant, so scaled to a largest
-        # magnitude of 1 no sum overflows and no spread underflows
-        r = _correlation(pred / np.abs(pred).max(),
-                         target / np.abs(target).max())
+    dp, _ = _unit_scaled(pred)
+    dt, _ = _unit_scaled(target)
+    dp -= dp.mean()
+    dt -= dt.mean()
+    r = float(dp @ dt) / math.sqrt(float(dp @ dp) * float(dt @ dt))
     r = max(-1.0, min(1.0, r))
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = pred - target
-        rmse = float(np.sqrt(np.mean(err ** 2)))
-        mae = float(np.mean(np.abs(err)))
-        if not (math.isfinite(rmse) and math.isfinite(mae)) \
-                and np.isfinite(err).all():
-            # a sum overflows; errors scaled to magnitudes <= 1 cannot,
-            # and both statistics scale with the errors
-            top = float(np.abs(err).max())
-            unit = err / top
-            if not math.isfinite(rmse):
-                rmse = top * float(np.sqrt(np.mean(unit ** 2)))
-            if not math.isfinite(mae):
-                mae = top * float(np.mean(np.abs(unit)))
+    with np.errstate(over="ignore"):  # an overflowing error or result: inf
+        err, e = _unit_scaled(pred - target)
+        rmse = float(np.ldexp(np.sqrt(np.mean(err ** 2)), e))
+        mae = float(np.ldexp(np.mean(np.abs(err)), e))
     return EvalReport(pearson_r=r, rmse=rmse, mae=mae, n=n)

@@ -444,6 +444,8 @@ def load_model(path: str | Path) -> TrainedModel:
         reports = {name: _from_fields(EvalReport, sections[f"report {name}"])
                    for name in ("train", "test")}
         convergence = _floats(sections["convergence"]["rmse"])
+        if not np.isfinite(convergence).all():
+            raise ValueError("[convergence] rmse values must be finite")
     except (KeyError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: invalid model file ({exc})") from exc
     return TrainedModel(fis=model, config=config,

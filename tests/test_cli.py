@@ -447,6 +447,22 @@ class TestReport:
                               "the predictions hold a non-finite value")
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_convergence_exit_2_naming_section(self, capsys,
+                                                          model_file,
+                                                          data_csv, tmp_path):
+        head, _, rmse = model_file.read_text().rpartition("rmse = ")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(head + "rmse = nan,inf," + rmse.split(",", 2)[2])
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = invoke(capsys, "report", "--model", str(bad),
+                              "--data", str(data_csv), "--out-prefix",
+                              str(out / "rep"))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: invalid model file")
+        assert "[convergence]" in err
+        assert list(out.iterdir()) == []
+
     def test_byte_identical_reruns(self, capsys, model_file, data_csv,
                                    tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

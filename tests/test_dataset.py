@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_parsers_fuzz import csv_texts
 
@@ -775,6 +775,31 @@ class TestEvalMetrics:
         assert rep.rmse == pytest.approx(
             1.7e308 * np.sqrt(np.mean(unit ** 2)), rel=1e-15)
         assert math.isfinite(rep.rmse) and rep.rmse >= rep.mae
+
+    def test_underflowing_error_squares(self):
+        # the squared errors, near 1e-340, underflow; the statistics do not
+        rep = eval_metrics([1e-170, 1e-160, 2e-160], [0.0, 1e-160, 2e-160])
+        assert rep.rmse >= rep.mae > 0.0
+        assert rep.rmse == pytest.approx(1e-170 / math.sqrt(3.0), rel=1e-15)
+        assert rep.mae == pytest.approx(1e-170 / 3.0, rel=1e-15)
+
+    @given(seed=st.integers(0, 10_000), k=st.integers(-1000, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_power_of_two_scale_equivariance(self, seed, k):
+        rng = np.random.default_rng(seed)
+        pred, target = rng.random(20), rng.random(20)
+        scaled_pred, scaled_target = np.ldexp(pred, k), np.ldexp(target, k)
+        # only inputs and errors that 2**k scales exactly (none subnormal)
+        for unscaled, scaled in ((pred, scaled_pred), (target, scaled_target),
+                                 (pred - target, scaled_pred - scaled_target)):
+            assume(np.array_equal(np.ldexp(scaled, -k), unscaled))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = eval_metrics(pred, target)
+            rep = eval_metrics(scaled_pred, scaled_target)
+        assert rep.pearson_r == base.pearson_r
+        assert rep.rmse == np.ldexp(base.rmse, k)
+        assert rep.mae == np.ldexp(base.mae, k)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_input_is_data_error(self, bad):
