@@ -133,12 +133,19 @@ def _adopt(X: np.ndarray, y: np.ndarray, stage: FeatureStage) -> DataSet:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Correlation and error statistics of predictions against targets."""
+    """Correlation and error statistics of predictions against targets;
+    RMSE and MAE are inf for an error that overflows."""
 
     pearson_r: float
     rmse: float
     mae: float
     n: int
+
+    def __post_init__(self):
+        if not (-1.0 <= self.pearson_r <= 1.0 and self.rmse >= 0.0
+                and self.mae >= 0.0 and self.n >= 2):
+            raise ValueError(f"EvalReport: need -1 <= pearson_r <= 1, "
+                             f"rmse >= 0, mae >= 0 and n >= 2, got {self}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +162,8 @@ class Normalizer:
 
     def transform(self, X: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
-        """Scaled copy of X, (n, d); DataError if a value overflows on
-        scaling.
+        """Scaled copy of X, (n, d); a value far outside the fitted range
+        gives inf, and trainer._predict rejects the prediction it makes.
 
         Given `out`, a (d, n) array such as the feature rows of
         fis.row_basis, the scaled X.T is written there and returned: the
@@ -166,11 +173,8 @@ class Normalizer:
         mins, span = self.mins, self.maxs - self.mins
         if out is not None:
             X, mins, span = X.T, mins[:, None], span[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.subtract(X, mins, out=out)
-            out /= span
-        if not np.isfinite(out).all():
-            raise DataError("scaling: a feature value overflows when scaled")
+        out = np.subtract(X, mins, out=out)
+        out /= span
         return out
 
 
@@ -451,8 +455,8 @@ def split(data: DataSet, p: float, seed: int) -> tuple[DataSet, DataSet]:
 def fit_normalizer(train: DataSet) -> Normalizer:
     """Learn per-feature (min, max) from a training partition.
 
-    A constant feature column cannot be scaled and raises DataError
-    naming the feature.
+    A constant feature column, or one whose span overflows a float,
+    cannot be scaled and raises DataError naming the feature.
     """
     if len(train) == 0:
         raise ValueError("fit_normalizer: training data is empty")
@@ -464,6 +468,9 @@ def fit_normalizer(train: DataSet) -> Normalizer:
         if maxs[j] <= mins[j]:
             raise DataError(f"feature '{name}' is constant over the training "
                             f"rows ({float(mins[j])!r}); cannot scale")
+        if float(maxs[j]) - float(mins[j]) == math.inf:
+            raise DataError(f"feature '{name}' spans more than a float holds "
+                            "over the training rows; cannot scale")
     return Normalizer(names, mins, maxs)
 
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Normalizer, _row_blocks
-from .errors import NumericError
 
 SIGMA_FLOOR = 1e-3
 SIGMA_CAP = 1.0
@@ -124,15 +123,13 @@ def normalized_firing(centers: np.ndarray, sigmas: np.ndarray,
 
     Stable under underflow: the log-domain shift by each sample's maximum
     keeps the dominant rule's weight at exp(0) = 1, so the denominator
-    never rounds to zero.
+    never rounds to zero. A row far outside the training range gives NaN,
+    which trainer._predict rejects.
     """
     w = log_firing_strengths(centers, sigmas, basis)
     w -= w.max(axis=0)
     np.exp(w, out=w)
-    total = w.sum(axis=0)
-    if not np.isfinite(total).all() or (total == 0.0).any():
-        raise NumericError("fis: all rule premises degenerate at some input")
-    w /= total
+    w /= w.sum(axis=0)
     return w
 
 
@@ -142,7 +139,8 @@ def predict_batch(model: FisModel, X) -> np.ndarray:
 
     X holds unscaled features, checked here; the model's normalizer
     scales each row block straight into that block's basis, so no
-    full-size scaled copy exists.
+    full-size scaled copy exists. A row far outside the training range,
+    or an overflowing rule output, gives NaN or inf: see trainer._predict.
     """
     X = np.asarray(X, dtype=float)
     d = model.n_features

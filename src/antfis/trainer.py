@@ -125,15 +125,16 @@ def _predict(model: fis.FisModel, X, caller: str, rows: str) -> np.ndarray:
     """Predictions of `model` at the raw feature rows X, clamped to [0, 1]
     at this reporting layer only.
 
-    A rule output that overflows makes a prediction inf, which clamping
-    would hide, or NaN. Either raises a DataError naming the caller and
-    the rows (`rows`); numpy warns of neither.
+    A row far outside the training range, or an overflowing rule output,
+    makes a prediction inf (hidden by clamping) or NaN: either raises a
+    DataError naming the caller and the rows (`rows`), with no warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         preds = fis.predict_batch(model, X)
     if not np.isfinite(preds).all():
         raise DataError(f"{caller}: on the {rows}, the predictions hold a "
-                        "non-finite value (a rule output overflows)")
+                        "non-finite value (a row too far outside the training "
+                        "range, or a rule output that overflows)")
     return np.clip(preds, 0.0, 1.0, out=preds)
 
 

@@ -79,6 +79,19 @@ def invoke_warning_free(capsys, *argv):
         return invoke(capsys, *argv)
 
 
+# x values so far outside the training range that a prediction there is
+# not finite: x**2 overflows, or x itself overflows when scaled
+FAR_X = pytest.mark.parametrize("far", ["1e200", "1e308"])
+FAR_MESSAGE = "non-finite value (a row too far outside the training range"
+
+
+def with_far_row(data_csv, far, tmp_path):
+    """A copy of the node table data_csv with one more row, at x = far."""
+    path = tmp_path / "far.csv"
+    path.write_text(data_csv.read_text() + f"{far},0,1,1e5,0.1,0.05\n")
+    return path
+
+
 class TestGenData:
     def test_writes_canonical_schema(self, capsys, tmp_path):
         out = tmp_path / "d.csv"
@@ -202,6 +215,24 @@ class TestTrain:
         assert "feature 'x' is constant" in err and "(0.0)" in err
         assert "np.float64(" not in err and "fit_normalizer" not in err
 
+    def test_feature_span_overflowing_a_float_is_data_error(self, capsys,
+                                                            data_csv,
+                                                            tmp_path):
+        lines = data_csv.read_text().splitlines()
+        wide = tmp_path / "wide_x.csv"
+        wide.write_text("\n".join([lines[0]] + [
+            ("-1e308,", "1e308,")[i % 2] + line.partition(",")[2]
+            for i, line in enumerate(lines[1:])]) + "\n")
+        out = tmp_path / "m.txt"
+        code, _, err = invoke_warning_free(capsys, "train", "--data",
+                                           str(wide), "--stage", "3",
+                                           "--iters", "2", "--ants", "4",
+                                           "--rules", "3", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: feature 'x' spans more than a float "
+                              "holds over the training rows")
+        assert not out.exists()
+
 
 class TestEval:
     def test_metrics_printed(self, capsys, data_csv, model_file):
@@ -255,6 +286,16 @@ class TestEval:
         assert err.startswith("error: eval: on the --data rows, the "
                               "predictions hold a non-finite value")
         assert "eval_metrics" not in err
+
+    @FAR_X
+    def test_row_far_outside_training_range_exit_2_naming_rows(
+            self, capsys, tmp_path, data_csv, model_file, far):
+        code, _, err = invoke_warning_free(
+            capsys, "eval", "--model", str(model_file), "--data",
+            str(with_far_row(data_csv, far, tmp_path)))
+        assert code == 2
+        assert err.startswith("error: eval: on the --data rows, ")
+        assert FAR_MESSAGE in err
 
     def test_corrupt_model(self, capsys, tmp_path, data_csv):
         bad = tmp_path / "bad.txt"
@@ -355,6 +396,21 @@ class TestPredict:
                               "predictions hold a non-finite value")
         assert not out.exists()
 
+    @FAR_X
+    def test_point_far_outside_training_range_exit_2_naming_rows(
+            self, capsys, tmp_path, model_file, far):
+        points = tmp_path / "points.csv"
+        points.write_text(",".join(FeatureStage.XYZPV5.feature_names)
+                          + f"\n0,0,1,1e5,0.1\n{far},0,1,1e5,0.1\n")
+        out = tmp_path / "p.csv"
+        code, _, err = invoke_warning_free(capsys, "predict", "--model",
+                                           str(model_file), "--points",
+                                           str(points), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: predict: on the --points rows, ")
+        assert FAR_MESSAGE in err
+        assert not out.exists()
+
     def test_non_finite_point_is_data_error(self, capsys, model_file,
                                             tmp_path):
         points = tmp_path / "points.csv"
@@ -446,6 +502,23 @@ class TestReport:
         assert err.startswith("error: report: on the --data training share, "
                               "the predictions hold a non-finite value")
         assert list(tmp_path.iterdir()) == []
+
+    @FAR_X
+    def test_row_far_outside_training_range_exit_2_naming_rows(
+            self, capsys, tmp_path, data_csv, model_file, far):
+        data = with_far_row(data_csv, far, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = invoke_warning_free(capsys, "report", "--model",
+                                           str(model_file), "--data",
+                                           str(data), "--out-prefix",
+                                           str(out / "rep"))
+        assert code == 2
+        assert err.startswith(tuple(f"error: report: on the --data {share} "
+                                    "share, " for share in ("training",
+                                                            "test")))
+        assert FAR_MESSAGE in err
+        assert list(out.iterdir()) == []
 
     def test_non_finite_convergence_exit_2_naming_section(self, capsys,
                                                           model_file,
@@ -588,6 +661,18 @@ class TestExitCodes:
                               str(tmp_path / "rep"))
         assert code == 2
         assert "p must be in" in err
+
+    def test_model_file_with_out_of_range_report_exits_2(self, capsys,
+                                                         tmp_path, data_csv,
+                                                         model_file):
+        head, key, rest = model_file.read_text().partition("pearson_r = ")
+        bad = tmp_path / "bad-r.txt"
+        bad.write_text(head + key + "7.0" + rest[rest.index("\n"):])
+        code, _, err = invoke(capsys, "eval", "--model", str(bad),
+                              "--data", str(data_csv))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: invalid model file")
+        assert "pearson_r=7.0" in err
 
     def test_sweep_cell_data_error_exits_2(self, capsys, tmp_path):
         data = tmp_path / "tiny.csv"

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from test_parsers_fuzz import csv_texts
 
 from antfis import dataset
-from antfis.dataset import (CSV_HEADER, TARGET_NAME, DataSet, FeatureStage,
-                            eval_metrics, fit_normalizer, load_dataset,
-                            read_csv_table, split, write_csv_table,
-                            write_dataset_csv)
+from antfis.dataset import (CSV_HEADER, TARGET_NAME, DataSet, EvalReport,
+                            FeatureStage, eval_metrics, fit_normalizer,
+                            load_dataset, read_csv_table, split,
+                            write_csv_table, write_dataset_csv)
 from antfis.errors import DataError
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 
@@ -623,6 +623,10 @@ class TestSplit:
             with pytest.raises(ValueError):
                 split(data, p, seed=0)
 
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            split(make_dataset([(0, 0, 1, 1e5, 0.1, 0.1)]), 0.5, seed=0)
+
     @given(n=st.integers(2, 60), p=st.floats(0.05, 0.95), seed=st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_partition_property(self, n, p, seed):
@@ -663,6 +667,19 @@ class TestNormalizer:
                              (2, 5, 2, 2e5, 0.2, 0.2)])
         with pytest.raises(DataError, match="'y'"):
             fit_normalizer(data)
+
+    def test_span_overflowing_a_float_named(self):
+        data = make_dataset([(1, -1e308, 1, 1e5, 0.1, 0.1),
+                             (2, 1e308, 2, 2e5, 0.2, 0.2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="feature 'y' spans more "
+                                                "than a float holds"):
+                fit_normalizer(data)
+
+    def test_empty_share_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            fit_normalizer(make_dataset([]))
 
     def test_fit_range_maps_into_unit_interval(self):
         data = generate_dataset(ReactorGeometry(), PlumeParams(), 200, seed=3)
@@ -706,6 +723,21 @@ class TestFirstInvalidRow:
         assert got == first_invalid_row_oracle(X, y)
         if in_targets or not math.isfinite(value):
             assert got[0] == row
+
+
+class TestEvalReport:
+    @pytest.mark.parametrize("field, value", [
+        ("pearson_r", 1.5), ("pearson_r", -1.5), ("pearson_r", math.nan),
+        ("rmse", -1e-300), ("rmse", math.nan), ("mae", -1.0),
+        ("mae", math.nan), ("n", 1)])
+    def test_value_out_of_range_rejected(self, field, value):
+        fields = dict(pearson_r=0.5, rmse=0.1, mae=0.1, n=2)
+        with pytest.raises(ValueError, match="EvalReport: need"):
+            EvalReport(**{**fields, field: value})
+
+    def test_overflowing_errors_allowed(self):
+        report = EvalReport(pearson_r=-1.0, rmse=math.inf, mae=math.inf, n=2)
+        assert report.rmse == report.mae == math.inf
 
 
 class TestEvalMetrics:

@@ -102,6 +102,10 @@ class TestFcmCluster:
         with pytest.raises(ValueError, match="at least"):
             fcm_cluster(np.zeros((2, 2)), 3)
 
+    def test_one_dimensional_data_rejected(self):
+        with pytest.raises(ValueError, match="2-d"):
+            fcm_cluster(np.linspace(0.0, 1.0, 10), 2)
+
     def test_nan_rejected(self):
         X = np.ones((10, 2))
         X[3, 1] = np.nan

@@ -171,6 +171,13 @@ class TestInitFromFcm:
         centers, sigmas = init_from_fcm(res, X)
         assert fitness(centers, sigmas, row_basis(X), y)[1] < 1e-4
 
+    def test_clustering_of_other_data_rejected(self):
+        X = np.random.default_rng(4).random((30, 2))
+        res = fcm_cluster(X, 2, seed=1)
+        for other in (X[:-1], X[:, :1]):
+            with pytest.raises(ValueError, match="does not match the data"):
+                init_from_fcm(res, other)
+
 
 class TestFitConsequents:
     def test_planted_recovery(self):
@@ -317,6 +324,11 @@ class TestModelValidation:
             FisModel(centers=np.zeros((2, 2)), sigmas=np.full((2, 3), 0.1),
                      coeffs=np.zeros((2, 3)),
                      normalizer=unit_normalizer(2))
+
+    def test_zero_rules_rejected(self):
+        with pytest.raises(ValueError, match="at least one rule"):
+            FisModel(centers=np.zeros((0, 2)), sigmas=np.zeros((0, 2)),
+                     coeffs=np.zeros((0, 3)), normalizer=unit_normalizer(2))
 
     def test_normalizer_arity_mismatch(self):
         with pytest.raises(ValueError, match="normalizer features"):

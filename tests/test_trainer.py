@@ -19,9 +19,9 @@ from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
                         premise_bounds, row_basis)
 from antfis.rng import mix_seed
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
-from antfis.trainer import (TrainConfig, evaluate, load_model,
-                            predict_points, premise_objective, save_model,
-                            sweep, train, training_partitions)
+from antfis.trainer import (SweepCell, SweepReport, TrainConfig, evaluate,
+                            load_model, predict_points, premise_objective,
+                            save_model, sweep, train, training_partitions)
 
 
 def maybe_numpy(strategy, np_type):
@@ -49,11 +49,11 @@ TRAIN_CONFIGS = st.builds(
                   q=maybe_numpy(st.floats(1e-3, 1e3), np.float64),
                   xi=unit_floats(),
                   max_iter=maybe_numpy(st.integers(1, 10**6), np.int64)))
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# EvalReport's domain: RMSE and MAE may be inf, for an overflowing error
+ERRORS = maybe_numpy(st.floats(min_value=0.0, allow_nan=False), np.float64)
 EVAL_REPORTS = st.builds(
     EvalReport, pearson_r=maybe_numpy(st.floats(-1.0, 1.0), np.float64),
-    rmse=maybe_numpy(FINITE, np.float64), mae=maybe_numpy(FINITE, np.float64),
-    n=maybe_numpy(st.integers(0, 2**62), np.int64))
+    rmse=ERRORS, mae=ERRORS, n=maybe_numpy(st.integers(2, 2**62), np.int64))
 
 
 def quick_config(stage, seed=3, n_rules=3, iters=5, ants=6):
@@ -588,6 +588,15 @@ class TestSweep:
             with pytest.raises(ValueError, match="^internal fault$"):
                 self.grid_sweep(small_data, cpus, monkeypatch)
             self.assert_no_child_left()
+
+    def test_best_test_r_per_stage(self):
+        X1, XY2 = FeatureStage.X1, FeatureStage.XY2
+        report = SweepReport(cells=(
+            SweepCell(X1, 20, train_r=0.9, test_r=0.5),
+            SweepCell(X1, 30, train_r=0.8, test_r=0.7),
+            SweepCell(XY2, 20, train_r=0.95, test_r=0.6)))
+        assert report.best_test_r(X1) == 0.7
+        assert report.best_test_r(XY2) == 0.6
 
     def test_empty_grid_rejected(self, small_data):
         with pytest.raises(ValueError):
