@@ -13,18 +13,26 @@ counter-based stream addressed by (seed, iteration, ant); the draws of
 one iteration's ants are gathered into one block, row a for ant a, and
 turned into candidates with array operations. Kernel widths are computed
 only for the archive members chosen as guides. All candidates of an
-iteration are drawn before any is evaluated, and they are evaluated in
-ant order.
+iteration are drawn before any is evaluated.
+
+The evaluations of a round (the initial archive, then each iteration's
+ants) run in contiguous shares, one per CPU (shares._round): this
+process evaluates the first, and workers forked once per optimize call
+evaluate the others from their rows sent as float64 bytes. The
+objectives come back in ant order, so the result is the serial one for
+any CPU count; a failed worker's share is evaluated here.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import shares
 from .errors import NumericError, UsageError
 from .rng import substream, substreams
 
@@ -184,37 +192,53 @@ def optimize(objective: Callable[[np.ndarray], float],
         raise ValueError(f"optimize: bounds must be finite (lo, hi) pairs "
                          f"with lo < hi, got {bounds.tolist()}")
 
-    def evaluate(batch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    dim = len(bounds)
+
+    def evaluate(batch: np.ndarray) -> bytes:
+        values = np.empty(len(batch))
         for a, vector in enumerate(batch):
-            out[a] = objective(vector)
-        return out
+            values[a] = objective(vector)
+        return values.tobytes()
 
-    k = config.archive_size
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    init_rng = substream(seed, _INIT_STREAM)
-    solutions = lo + (hi - lo) * init_rng.random((k, len(bounds)))
-    for i, guess in enumerate(initial_guesses[:k]):
-        solutions[i] = np.clip(np.asarray(guess, dtype=float), lo, hi)
-    objectives = evaluate(solutions, np.empty(k))
-    objectives[np.isnan(objectives)] = np.inf
-    if not np.isfinite(objectives).any():
-        raise NumericError("aco: objective invalid on domain")
+    def serve(request: bytes, reply) -> None:
+        reply.write(evaluate(np.frombuffer(request).reshape(-1, dim).copy()))
 
-    order = np.argsort(objectives, kind="stable")
-    archive = SolutionArchive(solutions=solutions[order],
-                              objectives=objectives[order])
+    with shares._workers(shares._share_count(config.n_ants) - 1,
+                         serve) as workers:
+        def evaluate_all(batch: np.ndarray) -> np.ndarray:
+            cuts = shares._cuts(len(batch), len(workers) + 1)
+            out = io.BytesIO()
+            shares._round(workers, [batch[a:b].tobytes()
+                                    for a, b in zip(cuts[1:], cuts[2:])],
+                          lambda i, into: into.write(
+                              evaluate(batch[cuts[i]:cuts[i + 1]])), out)
+            return np.frombuffer(out.getvalue()).copy()
 
-    cdf = selection_cdf(rank_weights(k, config.q))
-    history = np.empty(config.max_iter)
-    values = np.empty(config.n_ants)  # one iteration's objectives
-    for it in range(config.max_iter):
-        candidates = sample_candidates(
-            archive.solutions, cdf, config.xi, bounds,
-            substreams(seed, _ANT_STREAM, it, count=config.n_ants),
-            config.n_ants)
-        archive = update_archive(archive, candidates,
-                                 evaluate(candidates, values))
-        history[it] = archive.objectives[0]
+        k = config.archive_size
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        init_rng = substream(seed, _INIT_STREAM)
+        solutions = lo + (hi - lo) * init_rng.random((k, dim))
+        for i, guess in enumerate(initial_guesses[:k]):
+            solutions[i] = np.clip(np.asarray(guess, dtype=float), lo, hi)
+        objectives = evaluate_all(solutions)
+        objectives[np.isnan(objectives)] = np.inf
+        if not np.isfinite(objectives).any():
+            raise NumericError("aco: objective invalid on domain")
+
+        order = np.argsort(objectives, kind="stable")
+        archive = SolutionArchive(solutions=solutions[order],
+                                  objectives=objectives[order])
+
+        cdf = selection_cdf(rank_weights(k, config.q))
+        history = np.empty(config.max_iter)
+        for it in range(config.max_iter):
+            candidates = sample_candidates(
+                archive.solutions, cdf, config.xi, bounds,
+                substreams(seed, _ANT_STREAM, it, count=config.n_ants),
+                config.n_ants)
+            archive = update_archive(archive, candidates,
+                                     evaluate_all(candidates))
+            history[it] = archive.objectives[0]
 
     return OptResult(best_vector=archive.solutions[0].copy(),
                      best_objective=float(archive.objectives[0]),

@@ -10,11 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import shutil
-import signal
-import tempfile
-import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
+from .shares import _in_shares
 
 FEATURE_NAMES = ("x", "y", "z", "pressure", "air_superficial_velocity")
 TARGET_NAME = "air_volume_fraction"
@@ -159,6 +155,28 @@ class Normalizer:
     feature_names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
+
+    def __post_init__(self):
+        # The one home of the rule that a feature can be scaled: a
+        # DataError names the first whose min and max are not finite with
+        # a positive span that a float holds.
+        mins, maxs = np.asarray(self.mins), np.asarray(self.maxs)
+        d = len(self.feature_names)
+        if mins.shape != (d,) or maxs.shape != (d,):
+            raise DataError(f"need one min and one max for each of the {d} "
+                            f"features, got {mins.size} and {maxs.size}")
+        for name, lo, hi in zip(self.feature_names, mins.tolist(),
+                                maxs.tolist()):
+            if lo == hi:
+                raise DataError(f"feature '{name}' is constant over the "
+                                f"training rows ({lo!r}); cannot scale")
+            if not -math.inf < lo < hi < math.inf:
+                raise DataError(f"feature '{name}' needs a finite min below "
+                                f"its max, got {lo!r} and {hi!r}; cannot "
+                                "scale")
+            if hi - lo == math.inf:  # Python floats overflow without a warning
+                raise DataError(f"feature '{name}' spans more than a float "
+                                "holds over the training rows; cannot scale")
 
     def transform(self, X: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
@@ -299,14 +317,6 @@ def _holds_separator(path: Path) -> bool:
     return False
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _write_blocks(fh, columns: list[np.ndarray],
                   blocks: list[tuple[int, int]]) -> None:
     """Write the rows of `blocks` to the binary file `fh`, each block
@@ -318,68 +328,6 @@ def _write_blocks(fh, columns: list[np.ndarray],
         for j, col in enumerate(columns):
             cells[j::m] = col[start:stop].tolist()
         fh.write((line * (stop - start) % tuple(cells)).encode("utf-8"))
-
-
-def _in_shares(run, items: list, out) -> None:
-    """Call run(share, out) on `items` cut into min(CPUs, len(items))
-    contiguous shares, in share order, `out` being a binary file.
-
-    This process runs the first share. A child made by os.fork runs each
-    other share at the same time into an anonymous temp file, which is
-    appended to `out` in order once the child has exited 0. A share whose
-    child could not start, failed or was killed is run here instead, so a
-    failure only costs time, and an error then raised keeps its type. One
-    item, one CPU, no os.fork or a second Python thread (a forked copy of
-    a threaded process can deadlock) keep every share in this process.
-    `out` receives the same bytes for any CPU count when `run` writes
-    the same bytes for a list of items as for its parts in turn.
-
-    Two callers: write_csv_table, whose items are row blocks and whose
-    shares write their rows' CSV text; and trainer.sweep, whose items
-    are grid cells and whose shares write each cell's (train R, test R)
-    as two float64s.
-    """
-    shares = min(_cpu_count(), len(items))
-    if (shares < 2 or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        shares = 1
-    cuts = [items[i * len(items) // shares:(i + 1) * len(items) // shares]
-            for i in range(shares)]
-    children = []  # (pid, temp file) per later share, None if not made
-    try:
-        for share in cuts[1:]:
-            pid = tmp = None
-            try:
-                tmp = tempfile.TemporaryFile()
-                pid = os.fork()
-            except OSError:
-                pass
-            if pid == 0:  # the child: never returns into the caller
-                code = 1
-                try:
-                    run(share, tmp)
-                    tmp.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append((pid, tmp))
-        run(cuts[0], out)
-        for i, share in enumerate(cuts[1:]):
-            pid, tmp = children[i]
-            status = None if pid is None else os.waitpid(pid, 0)[1]
-            children[i] = None, tmp
-            if status == 0:
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, out)
-            else:
-                run(share, out)
-    finally:
-        for pid, tmp in children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            if tmp is not None:
-                tmp.close()
 
 
 def write_csv_table(path: str | Path, header: tuple[str, ...],
@@ -461,17 +409,8 @@ def fit_normalizer(train: DataSet) -> Normalizer:
     if len(train) == 0:
         raise ValueError("fit_normalizer: training data is empty")
     X = train.features()
-    mins = X.min(axis=0)
-    maxs = X.max(axis=0)
-    names = train.feature_stage.feature_names
-    for j, name in enumerate(names):
-        if maxs[j] <= mins[j]:
-            raise DataError(f"feature '{name}' is constant over the training "
-                            f"rows ({float(mins[j])!r}); cannot scale")
-        if float(maxs[j]) - float(mins[j]) == math.inf:
-            raise DataError(f"feature '{name}' spans more than a float holds "
-                            "over the training rows; cannot scale")
-    return Normalizer(names, mins, maxs)
+    return Normalizer(train.feature_stage.feature_names, X.min(axis=0),
+                      X.max(axis=0))
 
 
 def _require_spread(values: np.ndarray, what: str) -> None:

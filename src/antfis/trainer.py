@@ -33,11 +33,12 @@ import numpy as np
 from . import fis
 from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
-                      _in_shares, _require_spread, eval_metrics,
-                      fit_normalizer, split, write_csv_table)
+                      _require_spread, eval_metrics, fit_normalizer, split,
+                      write_csv_table)
 from .errors import AntfisError, DataError, UsageError
 from .fcm import fcm_cluster
 from .rng import mix_seed
+from .shares import _in_shares
 
 _SPLIT_STREAM = 1
 _FCM_STREAM = 2
@@ -160,9 +161,10 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     The optimizer minimizes premise_objective: training RMSE of the
     premise vector, with consequents refit by damped least squares. The
     premises seeded from clustering join the initial archive so the
-    search starts no worse than the clustering baseline. The run is one
-    thread; sweep runs its cells in forked shares. `n_workers` is
-    accepted and ignored; it is kept for existing callers.
+    search starts no worse than the clustering baseline. The optimizer
+    evaluates each round's candidates in forked shares, one per CPU,
+    unless this train runs inside a share itself, as a sweep cell does.
+    `n_workers` is accepted and ignored; it is kept for existing callers.
     """
     if data.feature_stage != config.stage:
         raise ValueError(f"train: data stage {data.feature_stage.n_features} "
@@ -246,7 +248,7 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
     so cells are independent yet reproducible. `data` must carry all
     features needed by the largest stage.
 
-    The cells run in forked shares, one per CPU (dataset._in_shares),
+    The cells run in forked shares, one per CPU (shares._in_shares),
     each share writing its cells' (train R, test R) as float64 bytes. A
     cell's cost grows with its stage and ant count, so the grid is
     passed in zigzag order (last, first, second-last, ...) to balance
@@ -425,13 +427,14 @@ def load_model(path: str | Path) -> TrainedModel:
         config = _from_fields(TrainConfig, sections["config"])
         stage = config.stage
         norm_s = sections["normalizer"]
-        normalizer = Normalizer(
-            feature_names=tuple(norm_s["features"].split(",")),
-            mins=_floats(norm_s["min"]), maxs=_floats(norm_s["max"]))
-        span = normalizer.maxs - normalizer.mins
-        if normalizer.feature_names != stage.feature_names \
-                or span.shape != (stage.n_features,) \
-                or not (np.isfinite(span) & (span > 0.0)).all():
+        try:
+            normalizer = Normalizer(
+                feature_names=tuple(norm_s["features"].split(",")),
+                mins=_floats(norm_s["min"]), maxs=_floats(norm_s["max"]))
+        except DataError:
+            normalizer = None
+        if normalizer is None \
+                or normalizer.feature_names != stage.feature_names:
             raise DataError(f"{path}: [normalizer] must name the stage's "
                             "features, each with finite min < max")
         centers, sigmas, coeffs = [], [], []

@@ -1,11 +1,18 @@
+import hashlib
+import io
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antfis import aco, shares
 from antfis.aco import (_ANT_STREAM, _INIT_STREAM, AcoConfig, OptResult,
                         SolutionArchive, kernel_widths, optimize,
                         rank_weights, sample_candidates, selection_cdf,
@@ -224,6 +231,13 @@ def box(dims, lo=-1.0, hi=1.0):
     return tuple((lo, hi) for _ in range(dims))
 
 
+@pytest.fixture
+def in_process(monkeypatch):
+    """One CPU: every evaluation runs in the test's own process, so an
+    objective can record its calls there."""
+    monkeypatch.setattr(shares, "_cpu_count", lambda: 1)
+
+
 class TestOptimize:
     def config(self, **kw):
         defaults = dict(n_ants=20, archive_size=25, max_iter=100)
@@ -253,7 +267,7 @@ class TestOptimize:
         assert a.best_objective == b.best_objective
         np.testing.assert_array_equal(a.history, b.history)
 
-    def test_ant_draws_addressed_by_seed_iteration_ant(self):
+    def test_ant_draws_addressed_by_seed_iteration_ant(self, in_process):
         # replaying the archive from the recorded evaluations, ant a of
         # iteration it draws from the stream (seed, it, a) alone
         cfg = self.config(max_iter=6, n_ants=5, archive_size=8)
@@ -279,7 +293,7 @@ class TestOptimize:
                                           want)
             arch = update_archive(arch, want, [sphere(v) for v in want])
 
-    def test_elitism_best_ever_retained(self):
+    def test_elitism_best_ever_retained(self, in_process):
         seen = []
 
         def recording(v):
@@ -332,6 +346,240 @@ class TestOptimize:
                                                        archive_size=10),
                            seed=seed)
             assert all(a >= b for a, b in zip(res.history, res.history[1:]))
+
+
+def rosenbrock(v):
+    return float(np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2
+                        + (1.0 - v[:-1]) ** 2))
+
+
+ROSENBROCK = AcoConfig(n_ants=7, archive_size=10, max_iter=40)
+
+
+def rosenbrock_run(objective=rosenbrock, config=ROSENBROCK):
+    return optimize(objective, box(4, -2.0, 2.0), config, seed=11)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch):
+    """Patch os.fork to record each child made; return the record."""
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+class TestOptimizeInWorkers:
+    """optimize evaluates each round's candidates in shares, one per CPU:
+    the first in this process, the others in workers forked once per
+    call. The result never depends on the CPU count or on a failure."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bits_pinned_for_any_cpu_count(self, monkeypatch, cpus):
+        # the bits of the in-process run before workers existed
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+        res = rosenbrock_run()
+        assert [v.hex() for v in res.best_vector] == [
+            "0x1.2fa5b15ca9598p-1", "0x1.6616d547fb460p-2",
+            "0x1.0af1c7efc04c0p-3", "0x1.d909e73b94800p-7"]
+        assert res.best_objective.hex() == "0x1.5a337d69de6b4p+0"
+        assert hashlib.sha256(res.history.tobytes()).hexdigest() == (
+            "aa4303d54c91cefd733737e2238f0026d789e0ae555648c165240ebb33b63ad6")
+        assert res.evaluations == 10 + 40 * 7
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+    def test_one_worker_per_other_cpu_per_call(self, monkeypatch, cpus):
+        # at most one share per ant: 7 ants use 7 of 16 CPUs
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+        forks = counting_forks(monkeypatch)
+        rosenbrock_run()
+        assert len(forks) == min(cpus, ROSENBROCK.n_ants) - 1
+        assert_no_child_left()
+
+    @staticmethod
+    def serial():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shares, "_cpu_count", lambda: 1)
+            return rosenbrock_run()
+
+    @staticmethod
+    def assert_same(a, b):
+        np.testing.assert_array_equal(a.best_vector, b.best_vector)
+        np.testing.assert_array_equal(a.history, b.history)
+        assert a.evaluations == b.evaluations
+
+    @pytest.mark.parametrize("how", ["kill", "raise", "no fork", "no pipe",
+                                     "no temp file"])
+    def test_failed_worker_gives_same_result(self, monkeypatch, how):
+        expected = self.serial()
+        parent, calls = os.getpid(), [0]
+
+        def failing_in_child(v):
+            if os.getpid() != parent:
+                calls[0] += 1
+                if calls[0] == 30:  # mid-run, after some rounds
+                    if how == "kill":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise RuntimeError("child fails")
+            return rosenbrock(v)
+
+        def failing(*args, **kwargs):
+            raise OSError(how)
+
+        if how == "no fork":
+            monkeypatch.setattr(os, "fork", failing)
+        if how == "no pipe":
+            monkeypatch.setattr(os, "pipe", failing)
+        if how == "no temp file":
+            monkeypatch.setattr(shares.tempfile, "TemporaryFile", failing)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 3)
+        self.assert_same(rosenbrock_run(failing_in_child), expected)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_error_in_a_worker_share_is_the_serial_error(self, monkeypatch,
+                                                          cpus):
+        # ant 5 of the first iteration is in a worker's share for 2 and 3
+        # CPUs; the worker fails, and the share evaluated again here
+        # raises the serial error
+        k = ROSENBROCK.archive_size
+        seen = []
+        with monkeypatch.context() as mp:
+            mp.setattr(shares, "_cpu_count", lambda: 1)
+            rosenbrock_run(lambda v: seen.append(v.copy()) or rosenbrock(v))
+        target = seen[k + 5]
+
+        def failing(v):
+            if np.array_equal(v, target):
+                raise ZeroDivisionError(f"bad vector {v.tolist()}")
+            return rosenbrock(v)
+
+        errors = []
+        for n in (1, cpus):
+            monkeypatch.setattr(shares, "_cpu_count", lambda: n)
+            with pytest.raises(ZeroDivisionError) as info:
+                rosenbrock_run(failing)
+            errors.append(str(info.value))
+            assert_no_child_left()
+        assert errors[0] == errors[1] == f"bad vector {target.tolist()}"
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("error", [KeyboardInterrupt(),
+                                       ZeroDivisionError("parent fails")])
+    def test_parent_interrupted_between_rounds_leaves_nothing(
+            self, monkeypatch, error, cpus):
+        # on 2 CPUs the worker is pinned, and this process never is
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+        forks = counting_forks(monkeypatch)
+        real_sample, calls = aco.sample_candidates, [0]
+
+        def interrupted(*args):
+            calls[0] += 1
+            if calls[0] == 5:
+                raise error
+            return real_sample(*args)
+
+        monkeypatch.setattr(aco, "sample_candidates", interrupted)
+        fds = len(os.listdir("/proc/self/fd")) if sys.platform == "linux" \
+            else None
+        mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+            else None
+        with pytest.raises(type(error), match=str(error) or None):
+            rosenbrock_run()
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
+        if mask is not None:
+            assert os.sched_getaffinity(0) == mask
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two CPUs to pin")
+    def test_worker_pinned_to_a_cpu_of_its_own(self, monkeypatch,
+                                               tmp_path):
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 2)
+        parent = os.getpid()
+
+        def recording(v):
+            # each process notes the CPUs it may run on, in a file of its own
+            with open(tmp_path / str(os.getpid()), "a") as fh:
+                fh.write(" ".join(map(str, sorted(os.sched_getaffinity(0))))
+                         + "\n")
+            return rosenbrock(v)
+
+        self.assert_same(rosenbrock_run(recording), self.serial())
+        seen = {int(path.name): set(path.read_text().splitlines())
+                for path in tmp_path.iterdir()}
+        assert seen.pop(parent) == {" ".join(map(str, sorted(mask)))}
+        [[cpu]] = seen.values()  # one worker, always on one CPU
+        assert int(cpu) in mask
+        assert os.sched_getaffinity(0) == mask
+
+    def test_request_beyond_the_pipe_buffer(self, monkeypatch):
+        # 1,000 rows of 10 float64s per worker: an 80,000-byte request,
+        # more than a 64 KiB pipe holds
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 2)
+        config = AcoConfig(n_ants=2000, archive_size=5, max_iter=2)
+        many = optimize(sphere, box(10), config, seed=3)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 1)
+        one = optimize(sphere, box(10), config, seed=3)
+        np.testing.assert_array_equal(many.best_vector, one.best_vector)
+        np.testing.assert_array_equal(many.history, one.history)
+        assert_no_child_left()
+
+    def test_more_cpus_than_archive_rows(self, monkeypatch):
+        # the initial round leaves some workers an empty share
+        config = AcoConfig(n_ants=6, archive_size=2, max_iter=3)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 1)
+        one = optimize(sphere, box(3), config, seed=5)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 5)
+        many = optimize(sphere, box(3), config, seed=5)
+        np.testing.assert_array_equal(many.history, one.history)
+        assert_no_child_left()
+
+    def test_no_worker_inside_a_share(self, monkeypatch):
+        # optimize run by a share of _in_shares, here or in a child,
+        # forks nothing: work never nests
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 2)
+        forks = counting_forks(monkeypatch)
+
+        def run(share, out):
+            before = len(forks)
+            for _ in share:
+                rosenbrock_run()
+            out.write(bytes([len(forks) - before]))
+
+        out = io.BytesIO()
+        shares._in_shares(run, [0, 1], out)
+        assert out.getvalue() == bytes([0, 0])
+        assert len(forks) == 1  # the share's own child
+        assert_no_child_left()
+
+    def test_second_thread_keeps_evaluation_in_process(self, monkeypatch):
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 2)
+        forks = counting_forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            res = rosenbrock_run()
+        finally:
+            release.set()
+            thread.join()
+        assert forks == []
+        self.assert_same(res, self.serial())
 
 
 class TestAcoConfig:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from antfis import aco, cli, dataset, trainer
+from antfis import aco, cli, dataset, shares, trainer
 from antfis.cli import run
 from antfis.dataset import CSV_HEADER, FeatureStage, load_dataset
 from antfis.errors import NumericError
@@ -440,7 +440,7 @@ class TestCpuCount:
         monkeypatch.setattr(os, "fork", counting_fork)
         written = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(dataset, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
             out = tmp_path / f"cpus{cpus}"
             out.mkdir()
             assert run(["gen-data", "--n", "20000", "--seed", "4",
@@ -759,3 +759,51 @@ class TestExitCodes:
                                   str(params))
             assert code == 2
             assert str(params) in err
+
+
+class TestEntry:
+    """The package imports no numpy, and the command line pins BLAS to one
+    thread unless the user chose a count."""
+
+    PROBE = (
+        "import os, sys\n"
+        "import antfis.__main__ as entry\n"
+        "assert 'numpy' not in sys.modules\n"
+        "class Probe:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            sys.meta_path.remove(self)\n"
+        "            print(','.join(os.environ.get(v, '-')\n"
+        "                           for v in entry._BLAS_THREAD_VARS))\n"
+        "sys.meta_path.insert(0, Probe())\n"
+        "sys.argv = ['antfis', '--version']\n"
+        "try:\n"
+        "    entry._main()\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, None)\n")
+
+    @staticmethod
+    def python(code, **env):
+        clean = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                              "MKL_NUM_THREADS")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**clean, **env, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_loads_no_numpy(self):
+        out = self.python("import sys, antfis\n"
+                          "print('numpy' in sys.modules)\n"
+                          "antfis.TrainConfig\n"
+                          "print('numpy' in sys.modules)\n")
+        assert out.split() == ["False", "True"]
+
+    def test_blas_threads_one_when_unset(self):
+        assert self.python(self.PROBE).splitlines()[0] == "1,1,1"
+
+    def test_user_blas_setting_wins(self):
+        out = self.python(self.PROBE, OPENBLAS_NUM_THREADS="3",
+                          MKL_NUM_THREADS="2")
+        assert out.splitlines()[0] == "3,1,2"

@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from test_parsers_fuzz import csv_texts
 
-from antfis import dataset
+from antfis import dataset, shares
 from antfis.dataset import (CSV_HEADER, TARGET_NAME, DataSet, EvalReport,
-                            FeatureStage, eval_metrics, fit_normalizer,
-                            load_dataset, read_csv_table, split,
-                            write_csv_table, write_dataset_csv)
+                            FeatureStage, Normalizer, eval_metrics,
+                            fit_normalizer, load_dataset, read_csv_table,
+                            split, write_csv_table, write_dataset_csv)
 from antfis.errors import DataError
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 
@@ -407,7 +407,7 @@ class TestWriteCsvTable:
                                 seed=3)
         # one CPU: all three blocks are formatted in this, the traced,
         # process, none in a forked child
-        monkeypatch.setattr(dataset, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 1)
         # one block of 8192 rows as the writer holds it: Python floats
         block = 8192 * 6 * (sys.getsizeof(0.0) + 8)
         gc.collect()
@@ -435,8 +435,8 @@ class TestWriteCsvTable:
         block = 8192 * 6 * (sys.getsizeof(0.0) + 8)
         script = (
             "import re, resource, numpy as np\n"
-            "from antfis import dataset\n"
-            "dataset._cpu_count = lambda: 2\n"
+            "from antfis import dataset, shares\n"
+            "shares._cpu_count = lambda: 2\n"
             f"columns = np.random.default_rng(0).random((6, {n}))\n"
             "with open('/proc/self/status') as fh:\n"
             "    before = re.search(r'VmHWM:\\s*(\\d+)', fh.read())[1]\n"
@@ -472,7 +472,7 @@ class TestWriteInShares:
         monkeypatch.setattr(dataset, "_BLOCK_ROWS", self.B)
 
     def write(self, path, n, cpus, monkeypatch):
-        monkeypatch.setattr(dataset, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
         write_csv_table(path, ("i", "a", "b"), columns_of(n))
         return path.read_bytes()
 
@@ -676,6 +676,22 @@ class TestNormalizer:
             with pytest.raises(DataError, match="feature 'y' spans more "
                                                 "than a float holds"):
                 fit_normalizer(data)
+
+    @pytest.mark.parametrize("mins, maxs, match", [
+        ([0.0, -1e308], [1.0, 1e308], "feature 'y' spans more than a float"),
+        ([0.0, 2.0], [1.0, 2.0], r"feature 'y' is constant over the "
+                                 r"training rows \(2.0\)"),
+        ([0.0, 1.0], [1.0, 0.0], "feature 'y' needs a finite min below "
+                                 "its max, got 1.0 and 0.0"),
+        ([math.nan, 0.0], [1.0, 1.0], "feature 'x' needs a finite min"),
+        ([-math.inf, 0.0], [math.inf, 1.0], "feature 'x' needs a finite"),
+        ([0.0], [1.0], "one min and one max for each of the 2 features")])
+    def test_unscalable_normalizer_rejected_without_warning(self, mins, maxs,
+                                                           match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=match):
+                Normalizer(("x", "y"), np.array(mins), np.array(maxs))
 
     def test_empty_share_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -1,15 +1,15 @@
-"""All parallel work in the package forks through one helper,
-dataset._in_shares, which holds the fallbacks and the clean-up of every
-child. This test fails if the calls that make, await or end a child, or
-the tempfile module its output goes through, appear anywhere else in
-src/antfis."""
+"""All parallel work in the package forks through one module, shares.py,
+which holds the fallbacks and the clean-up of every child. This test
+fails if the calls that make, await or end a child, the pipes it talks
+through, or the tempfile module its replies go through, appear anywhere
+else in src/antfis."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "antfis"
-HELPER = ("dataset.py", "_in_shares")
-OS_CALLS = {"fork", "_exit", "waitpid", "kill"}
+HELPER = "shares.py"
+OS_CALLS = {"fork", "_exit", "waitpid", "kill", "pipe"}
 
 
 def is_reference(node):
@@ -29,16 +29,14 @@ def is_reference(node):
 
 
 def references(path):
-    """(top-level function or None, line) of each reference in `path`."""
-    for top in ast.parse(path.read_text()).body:
-        owner = top.name if isinstance(top, ast.FunctionDef) else None
-        for node in ast.walk(top):
-            if is_reference(node):
-                yield owner, node.lineno
+    """Line of each reference in `path`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if is_reference(node):
+            yield node.lineno
 
 
 def test_processes_fork_only_in_the_share_helper():
-    found = {(path.name, owner, line) for path in PACKAGE.glob("*.py")
-             for owner, line in references(path)}
-    assert any(ref[:2] == HELPER for ref in found)
-    assert sorted(ref for ref in found if ref[:2] != HELPER) == []
+    found = {(path.name, line) for path in PACKAGE.glob("*.py")
+             for line in references(path)}
+    assert any(name == HELPER for name, _ in found)
+    assert sorted(ref for ref in found if ref[0] != HELPER) == []

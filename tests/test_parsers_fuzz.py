@@ -22,6 +22,10 @@ from antfis.errors import DataError
 from antfis.synthfield import PlumeParams, ReactorGeometry, generate_dataset
 from antfis.trainer import load_model
 
+# Warnings are errors, but for deprecations raised in the test tools.
+pytestmark = [pytest.mark.filterwarnings("error"),
+              pytest.mark.filterwarnings("default::DeprecationWarning")]
+
 # A valid stage-1 model file, the base the model fuzzer mutates.
 MODEL = """antfis-model v3
 
@@ -75,12 +79,16 @@ POINT_HEADER = FeatureStage.X1.feature_names
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+# Huge, tiny and subnormal magnitudes reach the scaler's and the
+# metrics' arithmetic; a numpy warning there fails the test.
+HUGE_AND_TINY = ["1e308", "-1e308", "1.7976931348623157e308", "5e-324",
+                 "1e-300"]
 CELLS = st.sampled_from(["0", "1", "0.5", "-1e5", "1.2", "-0.01", "nan",
                          "inf", "-inf", "1e400", "", " ", "x", '"', '"1"',
-                         "1,2", "\x00", "é"])
+                         "1,2", "\x00", "é", *HUGE_AND_TINY])
 NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
 ODD_VALUES = ("", "x", "nan", "-1", "0", "0.125", "1e400", "-1e400", "1,2",
-              "99", "none", "true")
+              "99", "none", "true", *HUGE_AND_TINY)
 
 
 @st.composite
@@ -161,7 +169,7 @@ def test_node_csv(files, content):
     write(path, content)
     ok = parses(lambda p: load_dataset(p, FeatureStage.X1), path)
     code = cli_code("eval", "--model", files / "model.txt", "--data", path)
-    assert code in ((0, 2, 3) if ok else (2,))
+    assert code in ((0, 2) if ok else (2,))
 
 
 @FUZZ
@@ -170,9 +178,12 @@ def test_points_csv(files, content):
     path = files / "fuzz-points.csv"
     write(path, content)
     ok = parses(lambda p: read_csv_table(p, POINT_HEADER, "points"), path)
-    code = cli_code("predict", "--model", files / "model.txt", "--points",
-                    path, "--out", files / "preds.csv")
-    assert code == (0 if ok else 2)
+    code, err = cli_run("predict", "--model", files / "model.txt",
+                        "--points", path, "--out", files / "preds.csv")
+    if ok and code == 2:  # a point too far outside the training range
+        assert "the predictions hold a non-finite value" in err, err
+    else:
+        assert code == (0 if ok else 2)
 
 
 @FUZZ
@@ -182,7 +193,7 @@ def test_model_file(files, content):
     write(path, content)
     ok = parses(load_model, path)
     code = cli_code("eval", "--model", path, "--data", files / "nodes.csv")
-    assert code in ((0, 2, 3) if ok else (2,))
+    assert code in ((0, 2) if ok else (2,))
 
 
 def test_model_file_every_value_replaced(files):
@@ -199,7 +210,7 @@ def test_model_file_every_value_replaced(files):
             ok = parses(load_model, path)
             code = cli_code("eval", "--model", path, "--data",
                             files / "nodes.csv")
-            assert code in ((0, 2, 3) if ok else (2,)), (key, value, code)
+            assert code in ((0, 2) if ok else (2,)), (key, value, code)
 
 
 # Flag values: signs, zero, NaN, infinities, extremes and ordinary values,

@@ -1,6 +1,7 @@
 import os
 import signal
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antfis import dataset, trainer
+from antfis import dataset, shares, trainer
 from antfis.aco import AcoConfig
 from antfis.dataset import DataSet, EvalReport, FeatureStage, Normalizer
 from antfis.errors import DataError, NumericError, UsageError
@@ -472,7 +473,7 @@ class TestSweep:
 
     @staticmethod
     def grid_sweep(data, cpus, monkeypatch, base=None):
-        monkeypatch.setattr(dataset, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
         return sweep(data, *TestSweep.GRID,
                      base or quick_config(FeatureStage.XYZPV5))
 
@@ -708,6 +709,29 @@ class TestModelFile:
         path.write_text("something else\n")
         with pytest.raises(DataError, match="model file"):
             load_model(path)
+
+    @pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"),
+                                        ("0.5", "0.5"), ("1", "0"),
+                                        ("nan", "1"), ("0", "inf")])
+    def test_unscalable_normalizer_rejected_without_warning(
+            self, small_model, tmp_path, lo, hi):
+        # a span that overflows a float once printed a numpy
+        # RuntimeWarning, a traceback under -W error
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            key, _, values = line.partition(" = ")
+            if key in ("min", "max"):
+                lines[i] = f"{key} = " + ",".join(
+                    [lo if key == "min" else hi] + values.split(",")[1:])
+        path.write_text("\n".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"\[normalizer\] must name "
+                               "the stage's features, each with finite "
+                               "min < max"):
+                load_model(path)
 
     def test_truncated_file_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.txt"
