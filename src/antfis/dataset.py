@@ -8,8 +8,10 @@ columns; the volume fraction is always the regression target.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .shares import _in_shares
+from .shares import _in_shares, _share_count
 
 FEATURE_NAMES = ("x", "y", "z", "pressure", "air_superficial_velocity")
 TARGET_NAME = "air_volume_fraction"
@@ -200,6 +202,8 @@ class Normalizer:
 # strips spaces; float() rejects them, and so does the grammar.
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _BLOCK_ROWS = 8192
+# Bytes of a CSV, at least, that each forked share of its read parses.
+_SHARE_BYTES = 1 << 20
 # Rows per block of load_dataset's in-place move; numpy buffers overlaps.
 _COMPACT_ROWS = 1024
 
@@ -217,11 +221,16 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
 
     The grammar is plain comma-separated numbers without quoting; line
     ends may be \\n, \\r\\n or \\r, and empty lines are skipped. numpy's
-    C parser (np.loadtxt) reads the rows. Raises DataError on a missing or
-    empty file, a header mismatch, and, with the offending line number, a
-    row of the wrong width, a cell that is not a float, a non-finite cell,
-    or (when the last column is the volume fraction) a target outside
-    [0, 1]. A file without data rows is reported as holding no `rows`.
+    C parser (np.loadtxt) reads the rows, in forked shares of at least
+    _SHARE_BYTES bytes, one per CPU, where the file holds two such shares
+    (see _parse_in_shares). Should a share fail, the rows are read again
+    here in one piece, so every error is that of the one-piece read.
+    Raises DataError on a missing or empty file, a header mismatch, and,
+    with the offending line number, a row of the wrong width, a cell that
+    is not a float, a non-finite cell, or (when the last column is the
+    volume fraction) a target outside [0, 1]; these checks run on the
+    whole table. A file without data rows is reported as holding no
+    `rows`.
     """
     path = Path(path)
     if not path.exists():
@@ -236,14 +245,12 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
             if tuple(h.strip() for h in got.split(",")) != header:
                 raise DataError(f"{path}: header must be exactly "
                                 f"{','.join(header)}, got {got}")
-            try:
-                with warnings.catch_warnings():
-                    # a file without data rows is reported below
-                    warnings.simplefilter("ignore", UserWarning)
-                    table = np.loadtxt(fh, delimiter=",", comments=None,
-                                       ndmin=2)
-            except ValueError as exc:
-                raise _grammar_error(path, header, str(exc)) from None
+            table = _parse_in_shares(fh.fileno(), len(header))
+            if table is None:
+                try:
+                    table = _parse(fh)
+                except ValueError as exc:
+                    raise _grammar_error(path, header, str(exc)) from None
         if len(table) == 0:
             raise DataError(f"{path}: no {rows}")
         if table.shape[1] != len(header):
@@ -261,6 +268,91 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     return table
+
+
+def _parse(fh) -> np.ndarray:
+    """The rows np.loadtxt reads from the text file `fh`, at least 2-d."""
+    with warnings.catch_warnings():
+        # a file without data rows is reported by read_csv_table
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+
+
+class _Span(io.RawIOBase):
+    """Bytes start..stop of the file open at `fd`, read with os.pread,
+    which leaves the file's offset alone."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        self.fd, self.at, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.stop - self.at),
+                        self.at)
+        buffer[:len(data)] = data
+        self.at += len(data)
+        return len(data)
+
+
+def _line_cuts(fd: int, size: int, count: int) -> list[int]:
+    """0, ..., size: offsets that cut the file of `size` bytes open at
+    `fd` into at most `count` spans, each cut just past the first \\n at
+    or after an even share of its bytes. A \\n always ends a line, even
+    in \\r\\n, and is never a byte of a longer UTF-8 character; a file
+    whose lines end in \\r alone makes one span."""
+    cuts = [0]
+    for i in range(1, count):
+        at = max(i * size // count, cuts[-1])
+        chunk = os.pread(fd, io.DEFAULT_BUFFER_SIZE, at)
+        while chunk and b"\n" not in chunk:
+            at += len(chunk)
+            chunk = os.pread(fd, io.DEFAULT_BUFFER_SIZE, at)
+        if b"\n" not in chunk:
+            break
+        at += chunk.index(b"\n") + 1
+        if at >= size:
+            break
+        cuts.append(at)
+    return cuts + [size]
+
+
+def _parse_in_shares(fd: int, width: int) -> np.ndarray | None:
+    """The rows after the header line of the CSV open at `fd`, parsed in
+    forked shares of at least _SHARE_BYTES bytes each; None if the file
+    makes one share, or if a share raises or holds rows of a width other
+    than `width`, and so is to be read in one piece.
+
+    Each share's lines go to np.loadtxt through a text reader of their
+    own, so they give the rows the one-piece read gives for them. Share
+    0, whose reader skips the header line, is parsed here while each
+    worker parses another and replies with its float64 rows. All are
+    appended in share order to one buffer, which the table is a view of.
+    """
+    size = os.fstat(fd).st_size
+    cuts = _line_cuts(fd, size, _share_count(size // _SHARE_BYTES))
+    if len(cuts) < 3:
+        return None
+
+    def parse(spans: list[int], out) -> None:
+        for i in spans:
+            with io.TextIOWrapper(io.BufferedReader(_Span(fd, cuts[i],
+                                                          cuts[i + 1])),
+                                  encoding="utf-8") as text:
+                if i == 0:
+                    text.readline()
+                rows = _parse(text)
+            if len(rows) and rows.shape[1] != width:
+                raise ValueError(f"{rows.shape[1]} columns, not {width}")
+            out.write(rows)
+
+    out = io.BytesIO()
+    try:
+        _in_shares(parse, list(range(len(cuts) - 1)), out)
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    return np.frombuffer(out.getbuffer()).reshape(-1, width)
 
 
 def _data_lines(path: Path):

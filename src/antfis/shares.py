@@ -17,10 +17,11 @@ No child is made on one CPU, without os.fork, while a second Python
 thread runs (a forked copy of a threaded process can deadlock), or
 while a share runs, in this process or in a child: work never nests.
 
-Two users: _in_shares, a single round whose children inherit the items
-(the row blocks of write_csv_table, the cells of trainer.sweep), and
-aco.optimize, whose workers live for one call and evaluate each round's
-candidate rows, sent as float64 bytes.
+Its users: _in_shares, a single round whose children inherit the items
+(the row blocks of write_csv_table, the line spans of read_csv_table,
+the cells of trainer.sweep), and aco.optimize, whose workers live for
+one call and evaluate each round's candidate rows, sent as float64
+bytes.
 """
 
 from __future__ import annotations
@@ -251,10 +252,12 @@ def _in_shares(run: Callable[[list, BinaryIO], None], items: list,
     receives the same bytes for any CPU count when `run` writes the same
     bytes for a list of items as for its parts in turn.
 
-    Two callers: dataset.write_csv_table, whose items are row blocks and
-    whose shares write their rows' CSV text; and trainer.sweep, whose
-    items are grid cells and whose shares write each cell's (train R,
-    test R) as two float64s.
+    Three callers: dataset.write_csv_table, whose items are row blocks
+    and whose shares write their rows' CSV text; dataset.read_csv_table,
+    whose items are spans of a file's lines and whose shares write the
+    rows they parse as float64s; and trainer.sweep, whose items are grid
+    cells and whose shares write each cell's (train R, test R) as two
+    float64s.
     """
     cuts = _cuts(len(items), _share_count(len(items)))
     shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]

@@ -427,7 +427,9 @@ class TestCpuCount:
     def test_written_bytes_do_not_depend_on_it(self, capsys, monkeypatch,
                                                model_file, tmp_path):
         # 20,000 rows are three write blocks: with two CPUs a child
-        # formats part of each file
+        # formats part of each file, and another parses half of the
+        # 2.3 MB nodes.csv as it is read (the 1.9 MB points.csv is read
+        # in one share)
         parent, forks = os.getpid(), []
         real_fork = os.fork
 
@@ -455,9 +457,25 @@ class TestCpuCount:
             written[cpus] = [(out / name).read_bytes()
                              for name in ("nodes.csv", "preds.csv")]
         capsys.readouterr()
-        assert len(forks) == 3
+        assert len(forks) == 4
         assert written[1] == written[2]
 
+
+    def test_predict_on_three_points_forks_nothing(self, capsys, monkeypatch,
+                                                   model_file, tmp_path):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 4)
+        points = tmp_path / "points.csv"
+        points.write_text(",".join(FeatureStage.XYZPV5.feature_names)
+                          + "\n0,0,1,1e5,0.1\n0.01,0,1.5,1e5,0.2\n"
+                          "-0.01,0,2,1e5,0.1\n")
+        assert run(["predict", "--model", str(model_file), "--points",
+                    str(points), "--out", str(tmp_path / "preds.csv")]) == 0
+        capsys.readouterr()
+        assert len((tmp_path / "preds.csv").read_text().splitlines()) == 4
 
 class TestReport:
     def test_emits_three_files(self, capsys, model_file, data_csv, tmp_path):

@@ -2,6 +2,7 @@ import csv
 import gc
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from test_parsers_fuzz import csv_texts
+from test_parsers_fuzz import POINT_HEADER, any_content, csv_texts, write
 
 from antfis import dataset, shares
 from antfis.dataset import (CSV_HEADER, TARGET_NAME, DataSet, EvalReport,
@@ -453,6 +454,29 @@ class TestWriteCsvTable:
         assert 0 < children < before + 3 * block
 
 
+def counting_forks(monkeypatch):
+    """The pids of the children this process forks from now on."""
+    forks, parent, real_fork = [], os.getpid(), os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if os.getpid() == parent:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def no_fork():
+    raise AssertionError("forked")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def columns_of(n):
     """An int column and two float columns of n rows whose reprs vary in
     length, as the writer's inputs."""
@@ -476,14 +500,6 @@ class TestWriteInShares:
         write_csv_table(path, ("i", "a", "b"), columns_of(n))
         return path.read_bytes()
 
-    @staticmethod
-    def no_fork():
-        raise AssertionError("forked")
-
-    def assert_no_child_left(self):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1,
                                    3 * B + 7])
@@ -491,34 +507,25 @@ class TestWriteInShares:
         expected = self.write(tmp_path / "one.csv", n, 1, monkeypatch)
         assert self.write(tmp_path / "many.csv", n, cpus,
                           monkeypatch) == expected
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_forks_one_child_per_other_share(self, tmp_path, monkeypatch):
-        parent, forks = os.getpid(), []
-        real_fork = os.fork
-
-        def counting_fork():
-            pid = real_fork()
-            if os.getpid() == parent:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        forks = counting_forks(monkeypatch)
         self.write(tmp_path / "t.csv", 3 * self.B + 7, 3, monkeypatch)
         assert len(forks) == 2
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("n", [1, B])
     def test_one_block_never_forks(self, tmp_path, monkeypatch, n):
         expected = self.write(tmp_path / "one.csv", n, 1, monkeypatch)
-        monkeypatch.setattr(os, "fork", self.no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert self.write(tmp_path / "t.csv", n, 4, monkeypatch) == expected
 
     def test_second_thread_keeps_write_in_process(self, tmp_path,
                                                   monkeypatch):
         n = 3 * self.B + 7
         expected = self.write(tmp_path / "one.csv", n, 1, monkeypatch)
-        monkeypatch.setattr(os, "fork", self.no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
@@ -553,7 +560,7 @@ class TestWriteInShares:
             monkeypatch.setattr(tempfile, "TemporaryFile", failing)
         monkeypatch.setattr(dataset, "_write_blocks", failing_in_child)
         assert self.write(tmp_path / "t.csv", n, 3, monkeypatch) == expected
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("error", [ZeroDivisionError("share fails"),
                                        KeyboardInterrupt()])
@@ -574,7 +581,7 @@ class TestWriteInShares:
             else None
         with pytest.raises(type(error), match=str(error) or None):
             self.write(tmp_path / "t.csv", 3 * self.B + 7, 3, monkeypatch)
-        self.assert_no_child_left()
+        assert_no_child_left()
         assert list(tmp_dir.iterdir()) == []
         if fds is not None:
             assert len(os.listdir("/proc/self/fd")) == fds
@@ -582,7 +589,7 @@ class TestWriteInShares:
     def test_bad_columns_fail_before_the_file_is_opened(self, tmp_path,
                                                         monkeypatch):
         path = tmp_path / "t.csv"
-        monkeypatch.setattr(os, "fork", self.no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(ValueError, match="no columns"):
             write_csv_table(path, (), [])
         with pytest.raises(ValueError, match="2 header names but 3"):
@@ -592,6 +599,239 @@ class TestWriteInShares:
             write_csv_table(path, ("a", "b", "c", "d"),
                             [range(12), range(12), range(11), range(10)])
         assert not path.exists()
+
+
+def node_lines(n):
+    """n valid node rows, each of its own spelling."""
+    return [f"{i * 1e-3!r},0,1,1e5,0.1,{i / (n + 1)!r}" for i in range(n)]
+
+
+class TestReadInShares:
+    """read_csv_table with the body cut into shares at \\n bytes, all but
+    the first parsed by forked children: the table or the error of the
+    one-piece read in this process."""
+
+    @pytest.fixture(autouse=True)
+    def small_shares(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_SHARE_BYTES", 8)
+
+    @staticmethod
+    def outcome(path, header, monkeypatch, cpus):
+        """The table's shape and bytes, or the DataError message."""
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+        try:
+            table = read_csv_table(path, header, "rows")
+        except DataError as exc:
+            return str(exc)
+        return table.shape, table.tobytes()
+
+    def assert_as_in_process(self, path, header, monkeypatch, forks=None):
+        """The outcome at 2 and 3 CPUs is that at 1; with `forks` given,
+        the 3-CPU read forked that many children."""
+        expected = self.outcome(path, header, monkeypatch, 1)
+        assert self.outcome(path, header, monkeypatch, 2) == expected
+        with monkeypatch.context() as patch:
+            made = counting_forks(patch)
+            assert self.outcome(path, header, monkeypatch, 3) == expected
+        assert forks is None or len(made) == forks
+        return expected
+
+    @pytest.mark.parametrize("header", [CSV_HEADER, POINT_HEADER])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzz_corpora_as_in_process(self, tmp_path, monkeypatch, header,
+                                        data):
+        # the node and point corpora of the parser fuzz tests
+        path = tmp_path / "fuzz.csv"
+        write(path, data.draw(any_content(csv_texts(header))))
+        self.assert_as_in_process(path, header, monkeypatch)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_same_bits_at_any_cpu_count(self, tmp_path, monkeypatch, cpus):
+        path = tmp_path / "nodes.csv"
+        data = generate_dataset(ReactorGeometry(), PlumeParams(), 300,
+                                seed=2)
+        write_dataset_csv(data, path)
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 1)
+        expected = read_csv_table(path, CSV_HEADER, "samples")
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+        made, parsed = counting_forks(monkeypatch), []
+        real_parse = dataset._parse
+
+        def counted_parse(fh):
+            parsed.append(fh)
+            return real_parse(fh)
+
+        monkeypatch.setattr(dataset, "_parse", counted_parse)
+        got = load_dataset(path, FeatureStage.XYZPV5)
+        # one parse here, share 0's: the file is not read again whole
+        assert len(made) == cpus - 1 and len(parsed) == 1
+        assert np.array_equal(got.X.view(np.uint64),
+                              expected[:, :5].view(np.uint64))
+        assert np.array_equal(got.y.view(np.uint64),
+                              expected[:, 5].view(np.uint64))
+
+    @pytest.mark.parametrize("nl", ["\n", "\r\n"])
+    @pytest.mark.parametrize("end", ["", "nl"])
+    def test_line_ends(self, tmp_path, monkeypatch, nl, end):
+        # \r\n and \n line ends; a last line with or without one
+        path = tmp_path / "nodes.csv"
+        path.write_bytes(nl.join([",".join(CSV_HEADER), *node_lines(30)])
+                         .encode() + (nl.encode() if end else b""))
+        shape, _ = self.assert_as_in_process(path, CSV_HEADER, monkeypatch,
+                                             forks=2)
+        assert shape == (30, 6)
+
+    def test_share_of_empty_lines_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "nodes.csv"
+        rows = node_lines(10)
+        path.write_text("\n".join([",".join(CSV_HEADER), *rows[:5]])
+                        + "\n" * 400 + "\n".join(rows[5:]) + "\n")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            cuts = dataset._line_cuts(fd, path.stat().st_size, 3)
+        finally:
+            os.close(fd)
+        middle = path.read_bytes()[cuts[1]:cuts[2]]
+        assert len(cuts) == 4 and middle.strip(b"\n") == b""
+        shape, _ = self.assert_as_in_process(path, CSV_HEADER, monkeypatch,
+                                             forks=2)
+        assert shape == (10, 6)
+
+    @pytest.mark.parametrize("line, message", [
+        (b"0,0,1,oops,0.1,0.5", "could not convert string to float: 'oops'"),
+        (b"0,0,1", "expected 6 columns, got 3"),
+        (b"0,0,1,1e5,0.1,0.5,7", "expected 6 columns, got 7"),
+        (b"0,0,1,1e5,inf,0.5", "non-finite value"),
+        (b"0,0,1,1e5,0.1,1.5", f"{TARGET_NAME} 1.5 outside \\[0, 1\\]"),
+        (b"0,0,1,1e5,0.1,-0.25", f"{TARGET_NAME} -0.25 outside \\[0, 1\\]"),
+        (b"0,0,1,1e5,0.1,0.5\xff", "not UTF-8 text \\(.*\\)$"),
+    ])
+    @pytest.mark.parametrize("nl", [b"\n", b"\r\n"])
+    def test_fault_in_last_share_gives_serial_error(self, tmp_path,
+                                                    monkeypatch, line,
+                                                    message, nl):
+        # 600 rows, past the first 8 KiB the header's read decodes
+        lines = [",".join(CSV_HEADER).encode(),
+                 *map(str.encode, node_lines(600))]
+        lines[-5:-5] = [b"", line]
+        lineno = len(lines) - 5
+        data = nl.join(lines) + nl
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            cuts = dataset._line_cuts(fd, path.stat().st_size, 3)
+        finally:
+            os.close(fd)
+        assert len(cuts) == 4 and 8192 < cuts[2] < data.rindex(nl + line)
+        error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch)
+        where = "" if b"\xff" in line else f", line {lineno}"
+        assert re.match(f"{re.escape(str(path))}{where}: {message}", error)
+
+    def test_share_of_another_width_gives_serial_error(self, tmp_path,
+                                                        monkeypatch):
+        # each share parses, the last one as 7 columns
+        path = tmp_path / "bad.csv"
+        lines = [",".join(CSV_HEADER), *node_lines(30)]
+        lines[21:] = [line + ",7" for line in lines[21:]]
+        path.write_text("\n".join(lines) + "\n")
+        error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch,
+                                          forks=2)
+        assert error == f"{path}, line 22: expected 6 columns, got 7"
+
+    def test_small_body_reads_in_process(self, tmp_path, monkeypatch):
+        path = tmp_path / "nodes.csv"
+        body = "\n".join(node_lines(20)) + "\n"
+        path.write_text(",".join(CSV_HEADER) + "\n" + body)
+        monkeypatch.setattr(dataset, "_SHARE_BYTES", len(body) + 1)
+        expected = self.outcome(path, CSV_HEADER, monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.outcome(path, CSV_HEADER, monkeypatch, 4) == expected
+
+    def test_cr_line_ends_read_as_one_share(self, tmp_path, monkeypatch):
+        path = tmp_path / "nodes.csv"
+        path.write_text("\r".join([",".join(CSV_HEADER), *node_lines(30)])
+                        + "\r", newline="")
+        expected = self.outcome(path, CSV_HEADER, monkeypatch, 1)
+        assert expected[0] == (30, 6)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.outcome(path, CSV_HEADER, monkeypatch, 3) == expected
+
+    def test_second_thread_keeps_read_in_process(self, tmp_path,
+                                                 monkeypatch):
+        path = tmp_path / "nodes.csv"
+        path.write_text("\n".join([",".join(CSV_HEADER), *node_lines(30)]))
+        expected = self.outcome(path, CSV_HEADER, monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            got = self.outcome(path, CSV_HEADER, monkeypatch, 3)
+        finally:
+            release.set()
+            thread.join()
+        assert got == expected
+
+    @pytest.mark.parametrize("how", ["raise", "kill", "no fork",
+                                     "no temp file"])
+    @pytest.mark.parametrize("fault", [None, "0,0,1,oops,0.1,0.5"])
+    def test_failed_child_gives_serial_outcome(self, tmp_path, monkeypatch,
+                                               how, fault):
+        path = tmp_path / "nodes.csv"
+        lines = [",".join(CSV_HEADER), *node_lines(30)]
+        if fault is not None:
+            lines.insert(25, fault)
+        path.write_text("\n".join(lines) + "\n")
+        expected = self.outcome(path, CSV_HEADER, monkeypatch, 1)
+        parent, real_parse = os.getpid(), dataset._parse
+
+        def failing_in_child(fh):
+            if os.getpid() != parent:
+                fh.readline()  # part of the share is read
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child fails")
+            return real_parse(fh)
+
+        def failing(*args, **kwargs):
+            raise OSError(how)
+
+        if how == "no fork":
+            monkeypatch.setattr(os, "fork", failing)
+        if how == "no temp file":
+            monkeypatch.setattr(tempfile, "TemporaryFile", failing)
+        monkeypatch.setattr(dataset, "_parse", failing_in_child)
+        assert self.outcome(path, CSV_HEADER, monkeypatch, 3) == expected
+        assert_no_child_left()
+
+    def test_interrupt_while_share_0_parses_leaves_nothing(self, tmp_path,
+                                                           monkeypatch):
+        tmp_dir = tmp_path / "tmp"
+        tmp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_dir))
+        path = tmp_path / "nodes.csv"
+        path.write_text("\n".join([",".join(CSV_HEADER), *node_lines(30)]))
+        parent = os.getpid()
+
+        def interrupted(fh):
+            if os.getpid() == parent:
+                assert shares._in_share  # share 0, not the one-piece read
+                raise KeyboardInterrupt
+            time.sleep(60)  # a slow child, ended by the parent
+
+        monkeypatch.setattr(dataset, "_parse", interrupted)
+        fds = len(os.listdir("/proc/self/fd")) if sys.platform == "linux" \
+            else None
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 3)
+        with pytest.raises(KeyboardInterrupt):
+            read_csv_table(path, CSV_HEADER, "samples")
+        assert_no_child_left()
+        assert list(tmp_dir.iterdir()) == []
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
 
 
 class TestSplit:
