@@ -198,9 +198,6 @@ class Normalizer:
         return out
 
 
-# numpy's parser strips these ASCII separators around a number as it
-# strips spaces; float() rejects them, and so does the grammar.
-_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _BLOCK_ROWS = 8192
 # Bytes of a CSV, at least, that each forked share of its read parses.
 _SHARE_BYTES = 1 << 20
@@ -221,14 +218,15 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
 
     The grammar is plain comma-separated numbers without quoting; line
     ends may be \\n, \\r\\n or \\r, and empty lines are skipped. numpy's
-    C parser (np.loadtxt) reads the rows, in forked shares of at least
-    _SHARE_BYTES bytes, one per CPU, where the file holds two such shares
-    (see _parse_in_shares). Should a share fail, the rows are read again
-    here in one piece, so every error is that of the one-piece read.
-    Raises DataError on a missing or empty file, a header mismatch, and,
-    with the offending line number, a row of the wrong width, a cell that
-    is not a float, a non-finite cell, or (when the last column is the
-    volume fraction) a target outside [0, 1]; these checks run on the
+    C parser (np.loadtxt) reads the rows in shares of at least
+    _SHARE_BYTES bytes, one per CPU, all but the first in forked workers
+    (see _parse_in_shares); a smaller file is one share, read here.
+    Should a share fail, a plain pass over the file finds the line at
+    fault, so every error is the same at any CPU count. Raises DataError
+    on a missing or empty file, a header mismatch, and, with the
+    offending line number, a row of the wrong width, a cell that is not
+    a float, a non-finite cell, or (when the last column is the volume
+    fraction) a target outside [0, 1]; the last two checks run on the
     whole table. A file without data rows is reported as holding no
     `rows`.
     """
@@ -245,20 +243,12 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
             if tuple(h.strip() for h in got.split(",")) != header:
                 raise DataError(f"{path}: header must be exactly "
                                 f"{','.join(header)}, got {got}")
-            table = _parse_in_shares(fh.fileno(), len(header))
-            if table is None:
-                try:
-                    table = _parse(fh)
-                except ValueError as exc:
-                    raise _grammar_error(path, header, str(exc)) from None
+            try:
+                table = _parse_in_shares(fh.fileno(), len(header))
+            except ValueError as exc:  # UnicodeDecodeError too
+                raise _grammar_error(path, header, rows, str(exc)) from None
         if len(table) == 0:
             raise DataError(f"{path}: no {rows}")
-        if table.shape[1] != len(header):
-            raise _grammar_error(path, header, f"expected {len(header)} "
-                                 f"columns, got {table.shape[1]}")
-        if _holds_separator(path):
-            raise _grammar_error(path, header, "ASCII separator character "
-                                 "(\\x1c-\\x1f) in the file")
         bad = (_first_invalid_row(table[:, :-1], table[:, -1])
                if header[-1] == TARGET_NAME else _first_invalid_row(table))
         if bad is not None:
@@ -280,7 +270,8 @@ def _parse(fh) -> np.ndarray:
 
 class _Span(io.RawIOBase):
     """Bytes start..stop of the file open at `fd`, read with os.pread,
-    which leaves the file's offset alone."""
+    which leaves the file's offset alone; ValueError on reading an ASCII
+    separator byte."""
 
     def __init__(self, fd: int, start: int, stop: int):
         self.fd, self.at, self.stop = fd, start, stop
@@ -291,6 +282,12 @@ class _Span(io.RawIOBase):
     def readinto(self, buffer) -> int:
         data = os.pread(self.fd, min(len(buffer), self.stop - self.at),
                         self.at)
+        # numpy's parser strips these ASCII separators around a number as
+        # it strips spaces; float() rejects them, and so does the grammar.
+        if (b"\x1c" in data or b"\x1d" in data or b"\x1e" in data
+                or b"\x1f" in data):
+            raise ValueError("ASCII separator character (\\x1c-\\x1f) in "
+                             "the file")
         buffer[:len(data)] = data
         self.at += len(data)
         return len(data)
@@ -318,40 +315,42 @@ def _line_cuts(fd: int, size: int, count: int) -> list[int]:
     return cuts + [size]
 
 
-def _parse_in_shares(fd: int, width: int) -> np.ndarray | None:
-    """The rows after the header line of the CSV open at `fd`, parsed in
-    forked shares of at least _SHARE_BYTES bytes each; None if the file
-    makes one share, or if a share raises or holds rows of a width other
-    than `width`, and so is to be read in one piece.
+def _parse_in_shares(fd: int, width: int) -> np.ndarray:
+    """The rows after the header line of the CSV open at `fd`, `width`
+    numbers each, parsed in shares of at least _SHARE_BYTES bytes; a
+    smaller file makes one share. Raises ValueError if a share holds a
+    line of another width or a cell that is not a number, or a byte that
+    is not UTF-8 or is a separator.
 
-    Each share's lines go to np.loadtxt through a text reader of their
-    own, so they give the rows the one-piece read gives for them. Share
-    0, whose reader skips the header line, is parsed here while each
-    worker parses another and replies with its float64 rows. All are
-    appended in share order to one buffer, which the table is a view of.
+    Each span's lines go to np.loadtxt through a text reader of their
+    own, so they give the rows that one reader of the whole file would;
+    the first span's reader skips the header line. One span is parsed
+    here and its rows are the table. Else share 0 is parsed here while
+    each forked worker parses another and replies with its float64 rows,
+    all appended in share order to one buffer that the table views.
     """
     size = os.fstat(fd).st_size
     cuts = _line_cuts(fd, size, _share_count(size // _SHARE_BYTES))
-    if len(cuts) < 3:
-        return None
+
+    def rows_of(i: int) -> np.ndarray:
+        with io.TextIOWrapper(io.BufferedReader(_Span(fd, cuts[i],
+                                                      cuts[i + 1])),
+                              encoding="utf-8") as text:
+            if i == 0:
+                text.readline()
+            rows = _parse(text)
+        if len(rows) and rows.shape[1] != width:
+            raise ValueError(f"{rows.shape[1]} columns, not {width}")
+        return rows
 
     def parse(spans: list[int], out) -> None:
         for i in spans:
-            with io.TextIOWrapper(io.BufferedReader(_Span(fd, cuts[i],
-                                                          cuts[i + 1])),
-                                  encoding="utf-8") as text:
-                if i == 0:
-                    text.readline()
-                rows = _parse(text)
-            if len(rows) and rows.shape[1] != width:
-                raise ValueError(f"{rows.shape[1]} columns, not {width}")
-            out.write(rows)
+            out.write(rows_of(i))
 
+    if len(cuts) == 2:  # the buffer would hold a second copy of the rows
+        return rows_of(0)
     out = io.BytesIO()
-    try:
-        _in_shares(parse, list(range(len(cuts) - 1)), out)
-    except ValueError:  # UnicodeDecodeError too
-        return None
+    _in_shares(parse, list(range(len(cuts) - 1)), out)
     return np.frombuffer(out.getbuffer()).reshape(-1, width)
 
 
@@ -381,14 +380,17 @@ def number_fault(cell: str) -> str | None:
     return None
 
 
-def _grammar_error(path: Path, header: tuple[str, ...],
+def _grammar_error(path: Path, header: tuple[str, ...], rows: str,
                    reason: str) -> DataError:
     """A DataError naming the first data line of the wrong width or with a
-    cell that is not a number; `reason` alone if no line is at fault.
+    cell that is not a number; if no line is at fault, `reason` alone, or
+    that the file holds no `rows` if it has no data line (a separator in
+    the header alone).
 
     Runs only once a read has failed: numpy's messages count rows in
     their own ways, so the line is found by a plain pass.
     """
+    lineno = None
     for lineno, line in _data_lines(path):
         cells = line.split(",")
         if len(cells) != len(header):
@@ -398,15 +400,7 @@ def _grammar_error(path: Path, header: tuple[str, ...],
             fault = number_fault(cell)
             if fault is not None:
                 return DataError(f"{path}, line {lineno}: {fault}")
-    return DataError(f"{path}: {reason}")
-
-
-def _holds_separator(path: Path) -> bool:
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            if any(sep in chunk for sep in _SEPARATOR_BYTES):
-                return True
-    return False
+    return DataError(f"{path}: {f'no {rows}' if lineno is None else reason}")
 
 
 def _write_blocks(fh, columns: list[np.ndarray],

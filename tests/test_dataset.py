@@ -359,21 +359,23 @@ class TestReadCsvTable:
                                             "got 3"):
             read_csv_table(path, ("x", "y"), "points")
 
-    def test_load_peak_memory_near_the_table(self, tmp_path):
+    def test_load_peak_memory_near_the_table(self, tmp_path, monkeypatch):
         data = generate_dataset(ReactorGeometry(), PlumeParams(), 20_000,
                                 seed=3)
         path = tmp_path / "nodes.csv"
         write_dataset_csv(data, path)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            loaded = load_dataset(path, FeatureStage.XYZPV5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the reader has checked every row, so the DataSet keeps the
-        # table's columns: no second copy and no second check
-        assert peak <= 1.5 * (loaded.X.nbytes + loaded.y.nbytes)
+        for cpus in (1, 2):  # its 2.3 MB reads as one span, then as two
+            monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                loaded = load_dataset(path, FeatureStage.XYZPV5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the reader has checked every row, so the DataSet keeps the
+            # table's columns: no second copy and no second check
+            assert peak <= 1.5 * (loaded.X.nbytes + loaded.y.nbytes)
 
 
 class TestWriteCsvTable:
@@ -466,6 +468,18 @@ def counting_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
+
+
+def counting_parses(monkeypatch):
+    """The text files this process hands dataset._parse from now on."""
+    parsed, real_parse = [], dataset._parse
+
+    def counted_parse(fh):
+        parsed.append(fh)
+        return real_parse(fh)
+
+    monkeypatch.setattr(dataset, "_parse", counted_parse)
+    return parsed
 
 
 def no_fork():
@@ -656,14 +670,8 @@ class TestReadInShares:
         monkeypatch.setattr(shares, "_cpu_count", lambda: 1)
         expected = read_csv_table(path, CSV_HEADER, "samples")
         monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
-        made, parsed = counting_forks(monkeypatch), []
-        real_parse = dataset._parse
-
-        def counted_parse(fh):
-            parsed.append(fh)
-            return real_parse(fh)
-
-        monkeypatch.setattr(dataset, "_parse", counted_parse)
+        made = counting_forks(monkeypatch)
+        parsed = counting_parses(monkeypatch)
         got = load_dataset(path, FeatureStage.XYZPV5)
         # one parse here, share 0's: the file is not read again whole
         assert len(made) == cpus - 1 and len(parsed) == 1
@@ -707,6 +715,8 @@ class TestReadInShares:
         (b"0,0,1,1e5,0.1,1.5", f"{TARGET_NAME} 1.5 outside \\[0, 1\\]"),
         (b"0,0,1,1e5,0.1,-0.25", f"{TARGET_NAME} -0.25 outside \\[0, 1\\]"),
         (b"0,0,1,1e5,0.1,0.5\xff", "not UTF-8 text \\(.*\\)$"),
+        (b"0,0,1,1e5,0.1,0.5\x1e",
+         "could not convert string to float: '0.5\\\\x1e'"),
     ])
     @pytest.mark.parametrize("nl", [b"\n", b"\r\n"])
     def test_fault_in_last_share_gives_serial_error(self, tmp_path,
@@ -729,6 +739,13 @@ class TestReadInShares:
         error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch)
         where = "" if b"\xff" in line else f", line {lineno}"
         assert re.match(f"{re.escape(str(path))}{where}: {message}", error)
+        with monkeypatch.context() as patch:
+            parsed = counting_parses(patch)
+            assert self.outcome(path, CSV_HEADER, patch, 3) == error
+        # share 0, then the last share again here if it failed in its
+        # worker; the file is never parsed whole
+        in_table = "non-finite" in message or "outside" in message
+        assert len(parsed) == (1 if in_table else 2)
 
     def test_share_of_another_width_gives_serial_error(self, tmp_path,
                                                         monkeypatch):
@@ -740,6 +757,17 @@ class TestReadInShares:
         error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch,
                                           forks=2)
         assert error == f"{path}, line 22: expected 6 columns, got 7"
+
+    def test_separator_in_header_gives_serial_error(self, tmp_path,
+                                                    monkeypatch):
+        # share 0's span starts at byte 0, so its check reads the header
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(CSV_HEADER) + "\x1c",
+                                   *node_lines(30)]) + "\n")
+        error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch,
+                                          forks=2)
+        assert error == (f"{path}: ASCII separator character (\\x1c-\\x1f) "
+                         "in the file")
 
     def test_small_body_reads_in_process(self, tmp_path, monkeypatch):
         path = tmp_path / "nodes.csv"
