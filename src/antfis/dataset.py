@@ -224,11 +224,11 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
     Should a share fail, a plain pass over the file finds the line at
     fault, so every error is the same at any CPU count. Raises DataError
     on a missing or empty file, a header mismatch, and, with the
-    offending line number, a row of the wrong width, a cell that is not
-    a float, a non-finite cell, or (when the last column is the volume
-    fraction) a target outside [0, 1]; the last two checks run on the
-    whole table. A file without data rows is reported as holding no
-    `rows`.
+    offending line number, a byte that is not UTF-8, a row of the wrong
+    width, a cell that is not a float, a non-finite cell, or (when the
+    last column is the volume fraction) a target outside [0, 1]; the
+    last two checks run on the whole table. A file without data rows is
+    reported as holding no `rows`.
     """
     path = Path(path)
     if not path.exists():
@@ -255,8 +255,8 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
             lineno, _ = next(itertools.islice(_data_lines(path), bad[0],
                                              None))
             raise DataError(f"{path}, line {lineno}: {bad[1]}")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
     return table
 
 
@@ -363,6 +363,21 @@ def _data_lines(path: Path):
             line = line.rstrip("\n")
             if line:
                 yield lineno, line
+
+
+def _utf8_error(path: Path) -> DataError:
+    """A DataError naming the line of the first byte of `path` that is not
+    UTF-8. Runs only once a read has failed: a text reader's own error
+    counts bytes from the start of its current chunk."""
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a byte escaped on reading
+                byte = ord(line[exc.start]) - 0xDC00
+                return DataError(f"{path}, line {lineno}: not UTF-8 text "
+                                 f"(byte {byte:#04x})")
+    return DataError(f"{path}: not UTF-8 text")
 
 
 def number_fault(cell: str) -> str | None:

@@ -179,9 +179,9 @@ def solve_consequents(A: np.ndarray, y: np.ndarray,
 
 
 def fitness(centers: np.ndarray, sigmas: np.ndarray, basis: np.ndarray,
-            y: np.ndarray,
-            lam: float = DEFAULT_DAMPING) -> tuple[np.ndarray, float]:
-    """Damped least-squares consequents under fixed premises, and their RMSE.
+            y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares consequents under fixed premises, damped by
+    DEFAULT_DAMPING, and their RMSE.
 
     `centers` and `sigmas` are (c, d) premise arrays and `basis` is
     row_basis of the rows y belongs to. Returns the (c, d+1) consequents
@@ -194,7 +194,7 @@ def fitness(centers: np.ndarray, sigmas: np.ndarray, basis: np.ndarray,
     # transposed design matrix (c*(d+1), n): row i*(d+1)+j = wbar_i*(x,1)_j
     At = (wbar[:, None, :] * basis[d:][None]).reshape(c * (d + 1),
                                                       wbar.shape[1])
-    theta = solve_consequents(At.T, y, lam)
+    theta = solve_consequents(At.T, y)
     resid = theta @ At - y
     return (theta.reshape(c, d + 1),
             float(np.sqrt(np.mean(resid * resid))))

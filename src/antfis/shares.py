@@ -1,17 +1,18 @@
 """Work cut into shares, one per CPU: the one module that forks.
 
 A worker is a child made by os.fork that answers requests until its
-request pipe ends. A request is bytes sent over a pipe, framed by its
-length. The child writes its reply into an anonymous temp file made
-for it before the fork, then sends back the reply's length; this
-process reads the reply from the file. A round sends each worker its
-share's request, runs the first share in this process, then appends
-each worker's reply to the caller's output in share order. A share
-whose worker could not start, failed or was killed is run here instead,
-so a failure only costs time, and an error then raised keeps its type
-and message; that worker gets no further request. Leaving the
-`_workers` block, by any path, closes every pipe and temp file and
-kills and reaps every child.
+request pipe ends. A request is bytes sent as one
+multiprocessing.connection message over a one-way pipe. The child
+writes its reply into an anonymous temp file made for it before the
+fork and, once the reply is complete, sends back its size as a message
+over a second pipe; this process reads the reply from the file. A
+round sends each worker its share's request, runs the first share in
+this process, then appends each worker's reply to the caller's output
+in share order. A share whose worker could not start, failed or was
+killed is run here instead, so a failure only costs time, and an error
+then raised keeps its type and message; that worker gets no further
+request. Leaving the `_workers` block, by any path, closes every pipe
+and temp file and kills and reaps every child.
 
 No child is made on one CPU, without os.fork, while a second Python
 thread runs (a forked copy of a threaded process can deadlock), or
@@ -30,10 +31,9 @@ import os
 import signal
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import BinaryIO, Callable
 
-_HEADER = 8       # bytes of the little-endian length that frames a message
 _CHUNK = 1 << 16  # bytes per read when a reply is copied out
 
 # True while this process runs a share, and in every forked child.
@@ -62,99 +62,77 @@ def _cuts(n: int, count: int) -> list[int]:
     return [i * n // count for i in range(count + 1)]
 
 
-def _frame(size: int) -> bytes:
-    return size.to_bytes(_HEADER, "little")
-
-
-def _read(fd: int, n: int) -> bytes:
-    """n bytes from the pipe fd, fewer only at its end."""
-    parts = []
-    while n > 0:
-        part = os.read(fd, n)
-        if not part:
-            break
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
-
-
-def _write(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 class _Worker:
-    """A forked child, the ends of its two pipes open in this process
-    (request read and write end, reply read and write end) and its reply
-    file. A worker whose pid is None has ended or never started, and
-    fails every round."""
+    """A forked child, this process's ends of its two one-way pipes
+    (`requests` it writes, `sizes` it reads) and its reply file. A
+    worker whose pid is None has ended or never started, and fails every
+    round."""
 
     def __init__(self):
-        self.pid = self.spool = None
-        self.fds = [None] * 4
+        self.pid = self.requests = self.sizes = self.spool = None
 
     def start(self, serve: Callable[[bytes, BinaryIO], None],
               workers: list[_Worker], cpu: int | None) -> None:
         """Fork the child, pinned to `cpu` unless it is None; if a pipe,
         the file or the fork fails, the worker ends."""
         global _in_share
-        try:
-            self.fds[0], self.fds[1] = os.pipe()
-            self.fds[2], self.fds[3] = os.pipe()
-            self.spool = tempfile.TemporaryFile()
-            self.pid = os.fork()
-        except OSError:
-            self.end()
-            return
-        if self.pid == 0:  # the child: never returns into the caller
-            code = 1
+        # Imported at the first fork: a command that forks nothing does
+        # not pay its import, about 10 ms.
+        from multiprocessing.connection import Pipe
+        with ExitStack() as theirs:  # the child's ends, closed here
             try:
-                _in_share = True
-                if cpu is not None:
-                    try:
-                        os.sched_setaffinity(0, {cpu})
-                    except OSError:  # say, a CPU gone offline: no pin
-                        pass
-                for worker in workers:
-                    if worker is not self:
-                        worker.close()
-                self.close(1, 2)
-                self.answer(serve)
-                code = 0
-            finally:
-                os._exit(code)
-        self.close(0, 3)
+                requests, self.requests = Pipe(duplex=False)
+                theirs.enter_context(requests)
+                self.sizes, sizes = Pipe(duplex=False)
+                theirs.enter_context(sizes)
+                self.spool = tempfile.TemporaryFile()
+                self.pid = os.fork()
+            except OSError:
+                self.end()
+                return
+            if self.pid == 0:  # the child: never returns into the caller
+                code = 1
+                try:
+                    _in_share = True
+                    if cpu is not None:
+                        try:
+                            os.sched_setaffinity(0, {cpu})
+                        except OSError:  # say, a CPU gone offline: no pin
+                            pass
+                    for worker in workers:
+                        if worker is not self:
+                            worker.close()
+                    self.requests.close()
+                    self.sizes.close()
+                    self.requests, self.sizes = requests, sizes
+                    self.answer(serve)
+                    code = 0
+                finally:
+                    os._exit(code)
 
     def answer(self, serve: Callable[[bytes, BinaryIO], None]) -> None:
         """The child's loop: serve each request until the pipe ends."""
         while True:
-            head = _read(self.fds[0], _HEADER)
-            size = int.from_bytes(head, "little")
-            request = _read(self.fds[0], size)
-            if len(head) < _HEADER or len(request) < size:
+            try:
+                request = self.requests.recv_bytes()
+            except (EOFError, OSError):  # at or within a message
                 return
             self.spool.seek(0)
             self.spool.truncate()
             serve(request, self.spool)
             self.spool.flush()
-            _write(self.fds[3], _frame(self.spool.tell()))
+            self.sizes.send_bytes(b"%d" % self.spool.tell())
 
-    def close(self, *ends: int) -> None:
-        """Close the given pipe ends here, or all of them and the file."""
-        if not ends:
-            ends = range(4)
-            if self.spool is not None:
-                self.spool.close()
-        for end in ends:
-            fd, self.fds[end] = self.fds[end], None
-            if fd is not None:
-                os.close(fd)
+    def close(self) -> None:
+        """Close the pipe ends and the file open here."""
+        for end in (self.requests, self.sizes, self.spool):
+            if end is not None:
+                end.close()
 
     def send(self, request: bytes) -> None:
         if self.pid is not None:
             try:
-                _write(self.fds[1], _frame(len(request)) + request)
+                self.requests.send_bytes(request)
             except OSError:  # the child has gone
                 self.end()
 
@@ -163,11 +141,12 @@ class _Worker:
         worker failed, with `out` untouched."""
         if self.pid is None:
             return False
-        head = _read(self.fds[2], _HEADER)
-        if len(head) < _HEADER:
+        try:
+            size = int(self.sizes.recv_bytes())
+        except (EOFError, OSError):  # the child has gone
             self.end()
             return False
-        size, fd = int.from_bytes(head, "little"), self.spool.fileno()
+        fd = self.spool.fileno()
         for start in range(0, size, _CHUNK):
             out.write(os.pread(fd, min(_CHUNK, size - start), start))
         return True

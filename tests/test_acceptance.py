@@ -24,6 +24,7 @@ from antfis.synthfield import (PlumeParams, ReactorGeometry, fields_at,
                                generate_dataset)
 from antfis.trainer import (TrainConfig, predict_points, train,
                             training_partitions)
+from test_fis import damped
 
 pytestmark = pytest.mark.acceptance
 
@@ -199,7 +200,8 @@ def test_criterion_7_least_squares_oracle():
                         normalizer=norm)
         X = rng.random((n, d))
         y = predict_batch(true, X)
-        coeffs, _ = fitness(true.centers, true.sigmas, row_basis(X), y, 0.0)
+        with damped(0.0):
+            coeffs, _ = fitness(true.centers, true.sigmas, row_basis(X), y)
         coeff_err = np.abs(coeffs - true.coeffs).max()
         assert coeff_err <= 1e-6, coeff_err
 
@@ -209,8 +211,9 @@ def test_criterion_7_least_squares_oracle():
                           coeffs=np.zeros((1, 2)),
                           normalizer=Normalizer(("x",), np.zeros(1),
                                                 np.ones(1)))
-        fitted, _ = fitness(single.centers, single.sigmas,
-                            row_basis(x1[:, None]), y1, 0.0)
+        with damped(0.0):
+            fitted, _ = fitness(single.centers, single.sigmas,
+                                row_basis(x1[:, None]), y1)
         slope, intercept = np.polyfit(x1, y1, 1)
         ols_err = max(abs(fitted[0, 0] - slope), abs(fitted[0, 1] - intercept))
         assert ols_err <= 1e-9, ols_err

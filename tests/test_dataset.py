@@ -171,6 +171,14 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="UTF-8"):
             load_dataset(path, FeatureStage.XYZPV5)
 
+    def test_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(",".join(CSV_HEADER).encode()
+                         + b"\n0,0,1,1e5,0.1,0.5\n0,0,1,1e5,\xff0.1,0.5\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(path, FeatureStage.XYZPV5)
+        assert str(info.value) == f"{path}, line 3: not UTF-8 text (byte 0xff)"
+
     def test_oversized_field_names_row(self, tmp_path):
         # no field-size limit: 200k digits parse, to inf
         path = tmp_path / "bad.csv"
@@ -737,8 +745,8 @@ class TestReadInShares:
             os.close(fd)
         assert len(cuts) == 4 and 8192 < cuts[2] < data.rindex(nl + line)
         error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch)
-        where = "" if b"\xff" in line else f", line {lineno}"
-        assert re.match(f"{re.escape(str(path))}{where}: {message}", error)
+        assert re.match(f"{re.escape(str(path))}, line {lineno}: {message}",
+                        error)
         with monkeypatch.context() as patch:
             parsed = counting_parses(patch)
             assert self.outcome(path, CSV_HEADER, patch, 3) == error
@@ -746,6 +754,20 @@ class TestReadInShares:
         # worker; the file is never parsed whole
         in_table = "non-finite" in message or "outside" in message
         assert len(parsed) == (1 if in_table else 2)
+
+    @pytest.mark.parametrize("nl", [b"\n", b"\r\n", b"\r"])
+    def test_bad_byte_far_in_names_its_line(self, tmp_path, monkeypatch,
+                                             nl):
+        # line 15,002 of 20,001 lies far past the first 8 KiB chunk of
+        # the text reader, from whose start its own error counts
+        lines = [",".join(CSV_HEADER).encode(),
+                 *map(str.encode, node_lines(20_000))]
+        lines[15_001] += b"\xff"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(nl.join(lines) + nl)
+        error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch)
+        assert error == (f"{path}, line 15002: not UTF-8 text "
+                         "(byte 0xff)")
 
     def test_share_of_another_width_gives_serial_error(self, tmp_path,
                                                         monkeypatch):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from antfis import fis
 from antfis.dataset import Normalizer, fit_normalizer
 from antfis.fcm import fcm_cluster
 from antfis.fis import (CENTER_BOUNDS, SIGMA_BOUNDS, SIGMA_CAP, SIGMA_FLOOR,
@@ -27,6 +29,13 @@ def make_model(centers, sigmas, coeffs):
     return FisModel(centers=centers, sigmas=np.asarray(sigmas, dtype=float),
                     coeffs=np.asarray(coeffs, dtype=float),
                     normalizer=unit_normalizer(d))
+
+
+def damped(lam):
+    """A context in which fis.fitness solves at damping `lam`: its own
+    design matrix, solved by solve_consequents(A, y, lam)."""
+    return mock.patch.object(fis, "solve_consequents",
+                             lambda A, y: solve_consequents(A, y, lam))
 
 
 def firing_strengths(m, x):
@@ -187,7 +196,8 @@ class TestFitConsequents:
                           rng.standard_normal((c, d + 1)))
         X = rng.random((n, d))
         y = predict_batch(true, X)
-        coeffs, _ = fitness(true.centers, true.sigmas, row_basis(X), y, 0.0)
+        with damped(0.0):
+            coeffs, _ = fitness(true.centers, true.sigmas, row_basis(X), y)
         np.testing.assert_allclose(coeffs, true.coeffs, atol=1e-6)
 
     def test_planted_recovery_default_damping_bias(self):
@@ -207,8 +217,8 @@ class TestFitConsequents:
         x = rng.random(100)
         y = 1.7 * x + 0.3 + 0.01 * rng.standard_normal(100)
         m = make_model([[0.5]], [[0.3]], [[0.0, 0.0]])
-        coeffs, _ = fitness(m.centers, m.sigmas, row_basis(x[:, None]), y,
-                            0.0)
+        with damped(0.0):
+            coeffs, _ = fitness(m.centers, m.sigmas, row_basis(x[:, None]), y)
         slope, intercept = np.polyfit(x, y, 1)
         assert coeffs[0, 0] == pytest.approx(slope, abs=1e-9)
         assert coeffs[0, 1] == pytest.approx(intercept, abs=1e-9)
@@ -225,7 +235,8 @@ class TestFitConsequents:
         X = rng.random((50, 2))
         y = rng.random(50)
         m = make_model([[0.5, 0.5]], [[0.3, 0.3]], [[1.0, 1.0, 1.0]])
-        coeffs, _ = fitness(m.centers, m.sigmas, row_basis(X), y, 1e12)
+        with damped(1e12):
+            coeffs, _ = fitness(m.centers, m.sigmas, row_basis(X), y)
         np.testing.assert_allclose(coeffs, 0.0, atol=1e-6)
 
     @given(seed=st.integers(0, 200))
@@ -250,7 +261,8 @@ class TestFitConsequents:
                        np.zeros((4, 4)))
         X = rng.random((5, 3))
         y = rng.random(5)
-        coeffs, _ = fitness(m.centers, m.sigmas, row_basis(X), y, 0.0)
+        with damped(0.0):
+            coeffs, _ = fitness(m.centers, m.sigmas, row_basis(X), y)
         pred = predict_batch(replace(m, coeffs=coeffs), X)
         np.testing.assert_allclose(pred, y, atol=1e-8)
 
@@ -261,8 +273,9 @@ class TestFitConsequents:
         m = make_model(rng.random((3, 2)), 0.2 + rng.random((3, 2)),
                        rng.standard_normal((3, 3)))
         X = rng.random((20, 2))
-        coeffs, rmse = fitness(m.centers, m.sigmas, row_basis(X),
-                               predict_batch(m, X), 0.0)
+        with damped(0.0):
+            coeffs, rmse = fitness(m.centers, m.sigmas, row_basis(X),
+                                   predict_batch(m, X))
         assert rmse <= 1e-12
         np.testing.assert_allclose(coeffs, m.coeffs, rtol=0, atol=1e-10)
 
@@ -415,7 +428,8 @@ class TestMatrixProductParity:
     def test_objective_rmse(self, case):
         m, X = case
         y = np.sin(3.0 * X[:, 0]) + X[:, -1] ** 2
-        _, rmse = fitness(m.centers, m.sigmas, row_basis(X), y, 1e-6)
+        with damped(1e-6):
+            _, rmse = fitness(m.centers, m.sigmas, row_basis(X), y)
         assert abs(rmse - oracle_rmse(m, X, y, 1e-6)) <= 1e-9
 
     @given(case=premises_and_rows())
