@@ -9,7 +9,6 @@ columns; the volume fraction is always the regression target.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import os
 import warnings
@@ -221,42 +220,33 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
     C parser (np.loadtxt) reads the rows in shares of at least
     _SHARE_BYTES bytes, one per CPU, all but the first in forked workers
     (see _parse_in_shares); a smaller file is one share, read here.
-    Should a share fail, a plain pass over the file finds the line at
-    fault, so every error is the same at any CPU count. Raises DataError
-    on a missing or empty file, a header mismatch, and, with the
-    offending line number, a byte that is not UTF-8, a row of the wrong
-    width, a cell that is not a float, a non-finite cell, or (when the
-    last column is the volume fraction) a target outside [0, 1]; the
-    last two checks run on the whole table. A file without data rows is
-    reported as holding no `rows`.
+    Should the header, a share or the checks of the whole table fail,
+    _fault names the line at fault, so every error is the same at any
+    CPU count. Raises DataError on a missing or empty file or a header
+    mismatch; and, with the offending line number, on the grammar faults
+    (a byte that is not UTF-8, a row of the wrong width, a cell that is
+    not a float), the first in line order, or, if there is none, on the
+    first row holding a value fault (a non-finite cell or, when the last
+    column is the volume fraction, a target outside [0, 1]). A file
+    without data rows is reported as holding no `rows`.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
     try:
         with path.open("r", encoding="utf-8") as fh:
-            got = fh.readline()
-            if not got:
-                raise DataError(f"{path}: empty file, expected header "
-                                f"{','.join(header)}")
-            got = got.rstrip("\n")
+            got = fh.readline().rstrip("\n")
             if tuple(h.strip() for h in got.split(",")) != header:
-                raise DataError(f"{path}: header must be exactly "
-                                f"{','.join(header)}, got {got}")
-            try:
-                table = _parse_in_shares(fh.fileno(), len(header))
-            except ValueError as exc:  # UnicodeDecodeError too
-                raise _grammar_error(path, header, rows, str(exc)) from None
-        if len(table) == 0:
-            raise DataError(f"{path}: no {rows}")
-        bad = (_first_invalid_row(table[:, :-1], table[:, -1])
-               if header[-1] == TARGET_NAME else _first_invalid_row(table))
-        if bad is not None:
-            lineno, _ = next(itertools.islice(_data_lines(path), bad[0],
-                                             None))
-            raise DataError(f"{path}, line {lineno}: {bad[1]}")
-    except UnicodeDecodeError:
-        raise _utf8_error(path) from None
+                raise _fault(path, header, rows, "")  # names the header
+            table = _parse_in_shares(fh.fileno(), len(header))
+    except ValueError as exc:  # UnicodeDecodeError too
+        raise _fault(path, header, rows, str(exc)) from None
+    if len(table) == 0:
+        raise DataError(f"{path}: no {rows}")
+    bad = (_first_invalid_row(table[:, :-1], table[:, -1])
+           if header[-1] == TARGET_NAME else _first_invalid_row(table))
+    if bad is not None:
+        raise _fault(path, header, rows, bad[1], bad[0])
     return table
 
 
@@ -354,32 +344,6 @@ def _parse_in_shares(fd: int, width: int) -> np.ndarray:
     return np.frombuffer(out.getbuffer()).reshape(-1, width)
 
 
-def _data_lines(path: Path):
-    """(line number, text) of each line after the header that np.loadtxt
-    reads as a row: every line but the empty ones."""
-    with path.open("r", encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line
-
-
-def _utf8_error(path: Path) -> DataError:
-    """A DataError naming the line of the first byte of `path` that is not
-    UTF-8. Runs only once a read has failed: a text reader's own error
-    counts bytes from the start of its current chunk."""
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:  # a byte escaped on reading
-                byte = ord(line[exc.start]) - 0xDC00
-                return DataError(f"{path}, line {lineno}: not UTF-8 text "
-                                 f"(byte {byte:#04x})")
-    return DataError(f"{path}: not UTF-8 text")
-
-
 def number_fault(cell: str) -> str | None:
     """Why `cell` is not a number of the grammar, or None if it is one.
 
@@ -395,27 +359,53 @@ def number_fault(cell: str) -> str | None:
     return None
 
 
-def _grammar_error(path: Path, header: tuple[str, ...], rows: str,
-                   reason: str) -> DataError:
-    """A DataError naming the first data line of the wrong width or with a
-    cell that is not a number; if no line is at fault, `reason` alone, or
-    that the file holds no `rows` if it has no data line (a separator in
-    the header alone).
+def utf8_fault(text: str) -> str | None:
+    """Why `text`, decoded with errors="surrogateescape", is not UTF-8
+    (naming the first byte that the decoder escaped), or None if it is."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"not UTF-8 text (byte {ord(text[exc.start]) - 0xDC00:#04x})"
+    return None
 
-    Runs only once a read has failed: numpy's messages count rows in
-    their own ways, so the line is found by a plain pass.
+
+def _fault(path: Path, header: tuple[str, ...], rows: str, reason: str,
+           row: int | None = None) -> DataError:
+    """A DataError naming the first line of the CSV at `path`, in file
+    order, that holds a byte that is not UTF-8, a header other than
+    `header`, a data line of the wrong width or with a cell that is not a
+    number, or is data row `row` (counting the non-empty lines after the
+    header from 0), of which `reason` is said. If no line is at fault:
+    that the file is empty, that it holds no `rows` if it has no data
+    line, or else `reason` (a separator in the header line).
+
+    One plain pass, run only once a read has failed: numpy's and the
+    text reader's messages count rows and bytes in their own ways.
     """
-    lineno = None
-    for lineno, line in _data_lines(path):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            return DataError(f"{path}, line {lineno}: expected "
-                             f"{len(header)} columns, got {len(cells)}")
-        for cell in cells:
-            fault = number_fault(cell)
+    lineno, data_row = 0, -1
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            cells = line.split(",")
+            fault = utf8_fault(line)
+            if fault is None and lineno == 1:
+                if tuple(h.strip() for h in cells) != header:
+                    return DataError(f"{path}: header must be exactly "
+                                     f"{','.join(header)}, got {line}")
+            elif fault is None and line:
+                data_row += 1
+                if len(cells) != len(header):
+                    fault = f"expected {len(header)} columns, got {len(cells)}"
+                elif data_row == row:
+                    fault = reason
+                else:
+                    fault = next(filter(None, map(number_fault, cells)), None)
             if fault is not None:
                 return DataError(f"{path}, line {lineno}: {fault}")
-    return DataError(f"{path}: {f'no {rows}' if lineno is None else reason}")
+    if lineno == 0:
+        return DataError(f"{path}: empty file, expected header "
+                         f"{','.join(header)}")
+    return DataError(f"{path}: {reason if data_row >= 0 else f'no {rows}'}")
 
 
 def _write_blocks(fh, columns: list[np.ndarray],

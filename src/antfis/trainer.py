@@ -34,7 +34,7 @@ from . import fis
 from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
                       _require_spread, eval_metrics, fit_normalizer, split,
-                      write_csv_table)
+                      utf8_fault, write_csv_table)
 from .errors import AntfisError, DataError, UsageError
 from .fcm import fcm_cluster
 from .rng import mix_seed
@@ -384,17 +384,20 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def _parse_sections(text: str, path) -> dict[str, dict[str, str]]:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() not in (MODEL_MAGIC, *OLD_MAGICS):
-        raise DataError(f"{path}: not a recognized model file "
-                        f"(expected first line '{MODEL_MAGIC}')")
     sections: dict[str, dict[str, str]] = {}
     current = None
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(text.splitlines() or [""], start=1):
         line = raw.strip()
-        if not line:
+        fault = utf8_fault(raw)  # the text is read with surrogateescape
+        if fault is not None:
+            raise DataError(f"{path}, line {lineno}: {fault}")
+        if lineno == 1:
+            if line not in (MODEL_MAGIC, *OLD_MAGICS):
+                raise DataError(f"{path}: not a recognized model file "
+                                f"(expected first line '{MODEL_MAGIC}')")
+        elif not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        elif line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
             if current in sections:
                 raise DataError(f"{path}, line {lineno}: repeated section "
@@ -423,7 +426,8 @@ def load_model(path: str | Path) -> TrainedModel:
     if not path.exists():
         raise DataError(f"model file not found: {path}")
     try:
-        sections = _parse_sections(path.read_text(encoding="utf-8"), path)
+        sections = _parse_sections(
+            path.read_text(encoding="utf-8", errors="surrogateescape"), path)
         config = _from_fields(TrainConfig, sections["config"])
         stage = config.stage
         norm_s = sections["normalizer"]

@@ -769,6 +769,71 @@ class TestReadInShares:
         assert error == (f"{path}, line 15002: not UTF-8 text "
                          "(byte 0xff)")
 
+    @pytest.mark.parametrize("byte_line", [4, 1003])
+    @pytest.mark.parametrize("nl", [b"\n", b"\r\n", b"\r"])
+    def test_bad_cell_named_ahead_of_a_later_byte(self, tmp_path,
+                                                   monkeypatch, byte_line,
+                                                   nl):
+        # line 4 lies in the first 8 KiB chunk that the header's read
+        # decodes, line 1003 past it: either way line 3 comes first
+        lines = [",".join(CSV_HEADER).encode(),
+                 *map(str.encode, node_lines(2_000))]
+        lines[2] = b"0,0,1,oops,0.1,0.5"
+        lines[byte_line - 1] += b"\xff"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(nl.join(lines) + nl)
+        error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch)
+        assert error == (f"{path}, line 3: could not convert string to "
+                         "float: 'oops'")
+
+    # kind: (a grammar fault?, a cell made faulty, the message on it)
+    FAULTS = {
+        "cell": (True, lambda cell: "oops",
+                 "could not convert string to float: 'oops'"),
+        "width": (True, lambda cell: cell + ",7",
+                  "expected 6 columns, got 7"),
+        "byte": (True, lambda cell: cell + "\udcff",  # written as 0xff
+                 "not UTF-8 text (byte 0xff)"),
+        "separator": (True, lambda cell: cell + "\x1e",
+                      "could not convert string to float: {cell!r}"),
+        "nan": (False, lambda cell: "nan", "non-finite value"),
+        "fraction": (False, lambda cell: "1.5",  # on the last cell
+                     f"{TARGET_NAME} 1.5 outside [0, 1]"),
+    }
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_first_fault_in_line_order(self, tmp_path, monkeypatch, data):
+        # the first grammar fault (byte, width or cell) in line order,
+        # else the first value fault (non-finite or out of range)
+        n = data.draw(st.integers(3, 60))
+        drawn = data.draw(st.lists(st.sampled_from(sorted(self.FAULTS)),
+                                   min_size=1, max_size=3))
+        at = data.draw(st.lists(st.integers(0, n - 1), min_size=len(drawn),
+                                max_size=len(drawn), unique=True))
+        kinds = dict(zip(at, drawn))
+        lines, faults = [",".join(CSV_HEADER)], []
+        for i, line in enumerate(node_lines(n)):
+            lines += [""] * data.draw(st.sampled_from([0, 0, 0, 1, 2]))
+            if i in kinds:
+                grammar, spoil, message = self.FAULTS[kinds[i]]
+                cells = line.split(",")
+                j = 5 if kinds[i] == "fraction" else data.draw(
+                    st.integers(0, 5))
+                cells[j] = spoil(cells[j])
+                line = ",".join(cells)
+                faults.append((not grammar, len(lines) + 1,
+                               message.format(cell=cells[j])))
+            lines.append(line)
+        nl = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        path = tmp_path / "bad.csv"
+        path.write_bytes((nl.join(lines) + data.draw(
+            st.sampled_from(["", nl]))).encode("utf-8", "surrogateescape"))
+        _, lineno, message = min(faults)
+        error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch)
+        assert error == f"{path}, line {lineno}: {message}"
+
     def test_share_of_another_width_gives_serial_error(self, tmp_path,
                                                         monkeypatch):
         # each share parses, the last one as 7 columns

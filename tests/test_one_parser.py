@@ -1,8 +1,12 @@
 """Both CSV kinds go through one parser: np.loadtxt is named only in
 dataset._parse, and _parse only in dataset._parse_in_shares, which
-parses every span of every file read, at any size and CPU count. This
-test fails if either name appears in any other function of src/antfis,
-or at a module's top level."""
+parses every span of every file read, at any size and CPU count. The
+first test fails if either name appears in any other function of
+src/antfis, or at a module's top level.
+
+And a failed read is named by one fault path: in dataset.py, every
+DataError whose message names a line is built in dataset._fault, and
+read_csv_table has one except handler, which hands it the failure."""
 
 import ast
 from pathlib import Path
@@ -34,3 +38,24 @@ def test_one_parser_path():
     found = {use for path in PACKAGE.glob("*.py") for use in users(path)}
     assert sorted(found) == [("_parse", "dataset.py", "_parse_in_shares"),
                              ("loadtxt", "dataset.py", "_parse")]
+
+
+def names_a_line(node):
+    """True if `node` builds a DataError whose message says `line `."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "DataError"
+            and any(isinstance(part, ast.Constant)
+                    and isinstance(part.value, str) and "line " in part.value
+                    for arg in node.args for part in ast.walk(arg)))
+
+
+def test_one_fault_path():
+    body = ast.parse((PACKAGE / "dataset.py").read_text()).body
+    builders = {getattr(top, "name", None) for top in body
+                for node in ast.walk(top) if names_a_line(node)}
+    assert builders == {"_fault"}
+    read, = [top for top in body if isinstance(top, ast.FunctionDef)
+             and top.name == "read_csv_table"]
+    handlers = [node for node in ast.walk(read)
+                if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 1

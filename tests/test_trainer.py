@@ -710,6 +710,21 @@ class TestModelFile:
         with pytest.raises(DataError, match="model file"):
             load_model(path)
 
+    @pytest.mark.parametrize("lineno", [1, 3, 20])
+    def test_non_utf8_byte_names_its_line(self, small_model, tmp_path,
+                                          lineno):
+        # named as a CSV names it, ahead of an unparseable later line
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] += b"\xff"
+        lines[lineno] = b"junk"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}, line {lineno}: not UTF-8 text "
+                                   "(byte 0xff)")
+
     @pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"),
                                         ("0.5", "0.5"), ("1", "0"),
                                         ("nan", "1"), ("0", "inf")])
