@@ -18,8 +18,9 @@ from pathlib import Path
 
 from . import __version__
 from .aco import AcoConfig
-from .dataset import (FeatureStage, load_dataset, number_fault,
-                      read_csv_table, write_csv_table, write_dataset_csv)
+from .dataset import (FeatureStage, _numbered_lines, load_dataset,
+                      number_fault, read_csv_table, write_csv_table,
+                      write_dataset_csv)
 from .errors import AntfisError, DataError, UsageError
 from .synthfield import PlumeParams, ReactorGeometry, generate_dataset
 from .trainer import (TrainConfig, _predict, evaluate, load_model,
@@ -121,18 +122,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_params_file(path: str) -> dict[str, float]:
     values = {}
-    text = Path(path).read_text(encoding="utf-8", errors="replace")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw, fault in _numbered_lines(path):
+        line = raw.split("#", 1)[0].strip(" \t")
+        key, sep, value = (part.strip(" \t") for part in line.partition("="))
+        if fault is None and not line:
             continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in _GEOM_KEYS + _PLUME_KEYS:
-            raise DataError(f"{path}, line {lineno}: expected <name>=<value> "
-                            f"with a known parameter, got {raw!r}")
-        if number_fault(value) is not None:
-            raise DataError(f"{path}, line {lineno}: bad number {value!r}")
+        if fault is None and (not sep or key not in _GEOM_KEYS + _PLUME_KEYS):
+            fault = ("expected <name>=<value> with a known parameter, got "
+                     f"{raw!r}")
+        elif fault is None and (number_fault(value) or not value.isprintable()):
+            fault = f"bad number {value!r}"
+        if fault is not None:
+            raise DataError(f"{path}, line {lineno}: {fault}")
         values[key] = float(value)
     return values
 

@@ -235,8 +235,7 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
         raise DataError(f"{path}: file not found")
     try:
         with path.open("r", encoding="utf-8") as fh:
-            got = fh.readline().rstrip("\n")
-            if tuple(h.strip() for h in got.split(",")) != header:
+            if tuple(h.strip() for h in fh.readline().split(",")) != header:
                 raise _fault(path, header, rows, "")  # names the header
             table = _parse_in_shares(fh.fileno(), len(header))
     except ValueError as exc:  # UnicodeDecodeError too
@@ -369,6 +368,14 @@ def utf8_fault(text: str) -> str | None:
     return None
 
 
+def _numbered_lines(path: str | Path):
+    """(number from 1, text without line end, utf8_fault of the text) of
+    each line of the text file at `path`; only \\n, \\r\\n and \\r end a line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            yield lineno, line.rstrip("\n"), utf8_fault(line)
+
+
 def _fault(path: Path, header: tuple[str, ...], rows: str, reason: str,
            row: int | None = None) -> DataError:
     """A DataError naming the first line of the CSV at `path`, in file
@@ -383,25 +390,22 @@ def _fault(path: Path, header: tuple[str, ...], rows: str, reason: str,
     text reader's messages count rows and bytes in their own ways.
     """
     lineno, data_row = 0, -1
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            cells = line.split(",")
-            fault = utf8_fault(line)
-            if fault is None and lineno == 1:
-                if tuple(h.strip() for h in cells) != header:
-                    return DataError(f"{path}: header must be exactly "
-                                     f"{','.join(header)}, got {line}")
-            elif fault is None and line:
-                data_row += 1
-                if len(cells) != len(header):
-                    fault = f"expected {len(header)} columns, got {len(cells)}"
-                elif data_row == row:
-                    fault = reason
-                else:
-                    fault = next(filter(None, map(number_fault, cells)), None)
-            if fault is not None:
-                return DataError(f"{path}, line {lineno}: {fault}")
+    for lineno, line, fault in _numbered_lines(path):
+        cells = line.split(",")
+        if fault is None and lineno == 1:
+            if tuple(h.strip() for h in cells) != header:
+                return DataError(f"{path}: header must be exactly "
+                                 f"{','.join(header)}, got {line}")
+        elif fault is None and line:
+            data_row += 1
+            if len(cells) != len(header):
+                fault = f"expected {len(header)} columns, got {len(cells)}"
+            elif data_row == row:
+                fault = reason
+            else:
+                fault = next(filter(None, map(number_fault, cells)), None)
+        if fault is not None:
+            return DataError(f"{path}, line {lineno}: {fault}")
     if lineno == 0:
         return DataError(f"{path}: empty file, expected header "
                          f"{','.join(header)}")

@@ -13,11 +13,12 @@ seed via SplitMix64 mixing, so a (dataset, config) pair fully determines
 the trained model.
 
 A model file is plain text: a version line, then `[section]` headers
-with `key = value` lines. The dataclasses are its schema: `[config]`
-holds TrainConfig's fields (AcoConfig's prefixed `aco.`) and `[report
-train]` and `[report test]` EvalReport's, one line each in declaration
-order. The loader rebuilds them from their type hints, so their range
-checks apply to a file's values. A repeated section or key is an error.
+with `key = value` lines, padded with spaces and tabs only. The
+dataclasses are its schema: `[config]` holds TrainConfig's fields
+(AcoConfig's prefixed `aco.`), `[report train]` and `[report test]`
+EvalReport's, one line each in declaration order. The loader rebuilds
+them from their type hints, so their range checks apply to a file's
+values. A repeated section or key, or a control character, is an error.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from . import fis
 from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
-                      _require_spread, eval_metrics, fit_normalizer, split,
-                      utf8_fault, write_csv_table)
+                      _numbered_lines, _require_spread, eval_metrics,
+                      fit_normalizer, split, write_csv_table)
 from .errors import AntfisError, DataError, UsageError
 from .fcm import fcm_cluster
 from .rng import mix_seed
@@ -383,36 +384,40 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
-def _parse_sections(text: str, path) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines() or [""], start=1):
-        line = raw.strip()
-        fault = utf8_fault(raw)  # the text is read with surrogateescape
-        if fault is not None:
-            raise DataError(f"{path}, line {lineno}: {fault}")
-        if lineno == 1:
+class _Keys(dict):
+    """The entries of model-file section `name`, or the sections if None."""
+
+    def __init__(self, name: str | None = None):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, key):
+        raise ValueError(f"no section [{key}]" if self.name is None
+                         else f"[{self.name}] has no key {key!r}")
+
+
+def _parse_sections(path: Path) -> _Keys:
+    sections, current = _Keys(), None
+    for lineno, raw, fault in _numbered_lines(path):
+        line = raw.strip(" \t")
+        ok = fault is None and raw.replace("\t", " ").isprintable()
+        if ok and lineno == 1:
             if line not in (MODEL_MAGIC, *OLD_MAGICS):
-                raise DataError(f"{path}: not a recognized model file "
-                                f"(expected first line '{MODEL_MAGIC}')")
-        elif not line:
-            continue
-        elif line.startswith("[") and line.endswith("]"):
+                fault = f"not a recognized model file (expected {MODEL_MAGIC!r})"
+        elif ok and line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
             if current in sections:
-                raise DataError(f"{path}, line {lineno}: repeated section "
-                                f"[{current}]")
-            sections[current] = {}
-        elif "=" in line and current is not None:
-            key, _, value = line.partition("=")
-            key = key.strip()
+                fault = f"repeated section [{current}]"
+            sections[current] = _Keys(current)
+        elif ok and "=" in line and current is not None:
+            key, _, value = (part.strip(" \t") for part in line.partition("="))
             if key in sections[current]:
-                raise DataError(f"{path}, line {lineno}: repeated key "
-                                f"{key!r} in [{current}]")
-            sections[current][key] = value.strip()
-        else:
-            raise DataError(f"{path}, line {lineno}: unparseable model line "
-                            f"{raw!r}")
+                fault = f"repeated key {key!r} in [{current}]"
+            sections[current][key] = value
+        elif fault is None and (line or not ok):  # not a blank line
+            fault = f"unparseable model line {raw!r}"
+        if fault is not None:
+            raise DataError(f"{path}, line {lineno}: {fault}")
     return sections
 
 
@@ -426,37 +431,27 @@ def load_model(path: str | Path) -> TrainedModel:
     if not path.exists():
         raise DataError(f"model file not found: {path}")
     try:
-        sections = _parse_sections(
-            path.read_text(encoding="utf-8", errors="surrogateescape"), path)
+        sections = _parse_sections(path)
         config = _from_fields(TrainConfig, sections["config"])
-        stage = config.stage
-        norm_s = sections["normalizer"]
+        norm_s, names = sections["normalizer"], config.stage.feature_names
         try:
-            normalizer = Normalizer(
-                feature_names=tuple(norm_s["features"].split(",")),
-                mins=_floats(norm_s["min"]), maxs=_floats(norm_s["max"]))
+            normalizer = Normalizer(names, _floats(norm_s["min"]),
+                                    _floats(norm_s["max"]))
         except DataError:
             normalizer = None
-        if normalizer is None \
-                or normalizer.feature_names != stage.feature_names:
+        if normalizer is None or norm_s["features"] != ",".join(names):
             raise DataError(f"{path}: [normalizer] must name the stage's "
                             "features, each with finite min < max")
-        centers, sigmas, coeffs = [], [], []
-        for i in range(config.n_rules):
-            rule_s = sections[f"rule {i}"]
-            centers.append(_floats(rule_s["center"]))
-            sigmas.append(_floats(rule_s["sigma"]))
-            coeffs.append(_floats(rule_s["coeff"]))
-        model = fis.FisModel(centers=np.array(centers), sigmas=np.array(sigmas),
-                             coeffs=np.array(coeffs), normalizer=normalizer)
+        rules = [sections[f"rule {i}"] for i in range(config.n_rules)]
+        model = fis.FisModel(*(np.array([_floats(rule[key]) for rule in rules])
+                               for key in ("center", "sigma", "coeff")),
+                             normalizer=normalizer)
         reports = {name: _from_fields(EvalReport, sections[f"report {name}"])
                    for name in ("train", "test")}
         convergence = _floats(sections["convergence"]["rmse"])
         if not np.isfinite(convergence).all():
             raise ValueError("[convergence] rmse values must be finite")
-    except (KeyError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: invalid model file ({exc})") from exc
-    return TrainedModel(fis=model, config=config,
-                        train_report=reports["train"],
-                        test_report=reports["test"],
-                        convergence=convergence)
+    return TrainedModel(model, config, reports["train"], reports["test"],
+                        convergence)

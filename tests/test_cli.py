@@ -778,6 +778,40 @@ class TestExitCodes:
             assert code == 2
             assert str(params) in err
 
+    @pytest.mark.parametrize("content, message", [
+        # str.splitlines ends a line at \x1c; a file line ends only at
+        # \n, \r\n or \r
+        (b"alpha_max=0.2\x1c5\n", "bad number '0.2\\x1c5'"),
+        # spaces and tabs are the only padding, as in a model file
+        (b"alpha_max=0.2\x0b\n", "bad number '0.2\\x0b'"),
+        (b"\x0c\nalpha_max=0.2\n", "expected <name>=<value> with a known "
+                                   "parameter, got '\\x0c'"),
+        # a bad byte is named as a CSV names it, in a comment too
+        (b"alpha_max=0.2\xff\n", "not UTF-8 text (byte 0xff)"),
+        (b"alpha_max=0.2 # \xff\n", "not UTF-8 text (byte 0xff)")],
+        ids=["separator", "padding", "form-feed", "byte", "byte-in-comment"])
+    def test_params_file_fault_names_line_1(self, capsys, tmp_path, content,
+                                            message):
+        params = tmp_path / "params.txt"
+        params.write_bytes(content)
+        out = tmp_path / "d.csv"
+        code, _, err = invoke(capsys, "gen-data", "--n", "10", "--out",
+                              str(out), "--params", str(params))
+        assert (code, err) == (2, f"error: {params}, line 1: {message}\n")
+        assert not out.exists()
+
+    def test_params_file_padding_and_comments(self, capsys, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_bytes(b" \t\r\n# alpha_max=0.9\r\n\talpha_max = 0.3 "
+                           b"\t# peak\rnoise_sd=0\n")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("alpha_max=0.3\nnoise_sd=0\n")
+        for path, out in ((params, "a.csv"), (plain, "b.csv")):
+            assert invoke(capsys, "gen-data", "--n", "20", "--out",
+                          str(tmp_path / out), "--params", str(path))[0] == 0
+        assert (tmp_path / "a.csv").read_bytes() \
+            == (tmp_path / "b.csv").read_bytes()
+
 
 class TestEntry:
     """The package imports no numpy, and the command line pins BLAS to one

@@ -6,7 +6,13 @@ src/antfis, or at a module's top level.
 
 And a failed read is named by one fault path: in dataset.py, every
 DataError whose message names a line is built in dataset._fault, and
-read_csv_table has one except handler, which hands it the failure."""
+read_csv_table has one except handler, which hands it the failure.
+
+And every text input (a CSV's failed read, a model file, a --params file)
+is split into numbered lines by one iterator, dataset._numbered_lines: no
+other function decodes with an `errors=` handler, reads a file through
+read_text or splits text with splitlines, each of which would number or
+name a line its own way."""
 
 import ast
 from pathlib import Path
@@ -59,3 +65,24 @@ def test_one_fault_path():
     handlers = [node for node in ast.walk(read)
                 if isinstance(node, ast.ExceptHandler)]
     assert len(handlers) == 1
+
+
+def text_readers(path):
+    """(module, top-level function or None, what) of each call that
+    passes `errors=`, or calls read_text or splitlines."""
+    for top in ast.parse(path.read_text()).body:
+        where = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("read_text", "splitlines"):
+                yield path.name, where, node.func.attr
+            if any(kw.arg == "errors" for kw in node.keywords):
+                yield path.name, where, "errors="
+
+
+def test_one_line_reader():
+    found = {use for path in PACKAGE.glob("*.py")
+             for use in text_readers(path)}
+    assert found == {("dataset.py", "_numbered_lines", "errors=")}

@@ -10,12 +10,13 @@ raises, and a usage error (exit 1) names a flag.
 import contextlib
 import io
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from antfis.cli import run
+from antfis.cli import _read_params_file, run
 from antfis.dataset import (CSV_HEADER, FeatureStage, load_dataset,
                             read_csv_table, write_dataset_csv)
 from antfis.errors import DataError
@@ -257,3 +258,60 @@ def test_train_flags(train_csv, tmp_path_factory, flags):
     if any(not math.isfinite(float(value)) for flag, value in flags.items()
            if flag in ("--p", "--q", "--xi")):
         assert code != 0
+
+
+# One fault injected into a valid file of each text kind, inside a
+# number, name or value, where no reader can take it for padding: a byte
+# that is not UTF-8, or a character that str.splitlines ends a line at.
+# Whatever the line ends, each reader names the line of the fault.
+INJECTED = st.sampled_from([b"\xff", b"\x80", b"\xc3", "\x0b", "\x0c",
+                            "\x1c", "\x1d", "\x1e", "\x85"])
+PARAM_LINES = ["alpha_max = 0.25", "noise_sd=0.001", "height\t=\t2.5",
+               "u_max = 0.125  # m/s"]
+
+
+@st.composite
+def valid_lines(draw, kind):
+    """The lines of a valid `kind` file, and the index of the first line
+    that may take a fault (a CSV's header is checked on its own)."""
+    if kind == "model":
+        return MODEL.split("\n")[:-1], 0
+    if kind == "params":
+        return draw(st.lists(st.sampled_from(PARAM_LINES), min_size=1,
+                             max_size=4)), 0
+    rows = draw(st.lists(st.lists(st.floats(0.0, 1.0).map(repr), min_size=6,
+                                  max_size=6), min_size=1, max_size=5))
+    return [",".join(CSV_HEADER)] + [",".join(row) for row in rows], 1
+
+
+@st.composite
+def injected_files(draw, kind):
+    """(bytes, line number of the fault) of a valid `kind` file with a
+    fault injected between two characters of a token, and random line
+    ends."""
+    lines, first = draw(valid_lines(kind))
+    spots = [(i, m.start() + k) for i in range(first, len(lines))
+             for m in re.finditer(r"[^ \t,=#]{2,}", lines[i].split("#")[0])
+             for k in range(1, len(m.group()))]
+    i, at = draw(st.sampled_from(spots))
+    fault = draw(INJECTED)
+    data = [line.encode() for line in lines]
+    data[i] = data[i][:at] + (fault if isinstance(fault, bytes)
+                              else fault.encode()) + data[i][at:]
+    nl = draw(NEWLINES).encode()
+    return nl.join(data) + draw(st.sampled_from([b"", nl])), i + 1
+
+
+READERS = {"csv": lambda path: read_csv_table(path, CSV_HEADER, "samples"),
+           "model": load_model, "params": _read_params_file}
+
+
+@FUZZ
+@given(data=st.data(), kind=st.sampled_from(sorted(READERS)))
+def test_every_reader_names_the_injected_line(files, data, kind):
+    content, lineno = data.draw(injected_files(kind))
+    path = files / f"injected-{kind}.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataError) as info:
+        READERS[kind](path)
+    assert str(info.value).startswith(f"{path}, line {lineno}: ")

@@ -725,6 +725,50 @@ class TestModelFile:
         assert str(info.value) == (f"{path}, line {lineno}: not UTF-8 text "
                                    "(byte 0xff)")
 
+    @pytest.mark.parametrize("edit", [
+        lambda line: ["\x0c", line],
+        lambda line: [line + "\x1e"],
+        # str.splitlines would end the line at the \x1c, so that the
+        # fault fell on the next line
+        lambda line: [line[:10] + "\x1c" + line[10:]]],
+        ids=["form-feed-line", "trailing-separator", "separator"])
+    def test_control_character_names_its_line(self, small_model, tmp_path,
+                                              edit):
+        # spaces and tabs are the only padding of a model line; `edit`
+        # gives the lines that replace a rule's center line, the first
+        # of them faulty
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        lines = path.read_text().split("\n")
+        i = lines.index("[rule 1]") + 1
+        lines[i:i + 1] = edit(lines[i])
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}, line {i + 1}: unparseable "
+                                   f"model line {lines[i]!r}")
+
+    @pytest.mark.parametrize("cut, message", [
+        ("coeff", "[rule 1] has no key 'coeff'"),
+        ("aco.n_ants", "[config] has no key 'aco.n_ants'"),
+        ("[report test]", "no section [report test]")],
+        ids=["rule-key", "config-key", "section"])
+    def test_missing_key_or_section_names_it(self, small_model, tmp_path,
+                                             cut, message):
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        text = path.read_text()
+        if cut.startswith("["):
+            text = text[:text.index(cut)] + text[text.index("[convergence]"):]
+        else:
+            start = text.index(f"\n{cut} = ", text.index("[rule 1]")
+                               if cut == "coeff" else 0)
+            text = text[:start] + text[text.index("\n", start + 1):]
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: invalid model file ({message})"
+
     @pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"),
                                         ("0.5", "0.5"), ("1", "0"),
                                         ("nan", "1"), ("0", "inf")])
