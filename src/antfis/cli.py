@@ -130,7 +130,7 @@ def _read_params_file(path: str) -> dict[str, float]:
         if fault is None and (not sep or key not in _GEOM_KEYS + _PLUME_KEYS):
             fault = ("expected <name>=<value> with a known parameter, got "
                      f"{raw!r}")
-        elif fault is None and (number_fault(value) or not value.isprintable()):
+        elif fault is None and number_fault(value):
             fault = f"bad number {value!r}"
         if fault is not None:
             raise DataError(f"{path}, line {lineno}: {fault}")

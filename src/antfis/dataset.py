@@ -235,7 +235,8 @@ def read_csv_table(path: str | Path, header: tuple[str, ...],
         raise DataError(f"{path}: file not found")
     try:
         with path.open("r", encoding="utf-8") as fh:
-            if tuple(h.strip() for h in fh.readline().split(",")) != header:
+            if tuple(h.strip(" \t\n") for h in fh.readline().split(",")) \
+                    != header:
                 raise _fault(path, header, rows, "")  # names the header
             table = _parse_in_shares(fh.fileno(), len(header))
     except ValueError as exc:  # UnicodeDecodeError too
@@ -259,8 +260,8 @@ def _parse(fh) -> np.ndarray:
 
 class _Span(io.RawIOBase):
     """Bytes start..stop of the file open at `fd`, read with os.pread,
-    which leaves the file's offset alone; ValueError on reading an ASCII
-    separator byte."""
+    which leaves the file's offset alone; ValueError on reading a byte
+    that is not ASCII, or is a vertical tab, form feed or separator."""
 
     def __init__(self, fd: int, start: int, stop: int):
         self.fd, self.at, self.stop = fd, start, stop
@@ -271,12 +272,12 @@ class _Span(io.RawIOBase):
     def readinto(self, buffer) -> int:
         data = os.pread(self.fd, min(len(buffer), self.stop - self.at),
                         self.at)
-        # numpy's parser strips these ASCII separators around a number as
-        # it strips spaces; float() rejects them, and so does the grammar.
-        if (b"\x1c" in data or b"\x1d" in data or b"\x1e" in data
-                or b"\x1f" in data):
-            raise ValueError("ASCII separator character (\\x1c-\\x1f) in "
-                             "the file")
+        # numpy's parser strips \v, \f, \x1c-\x1f and non-ASCII spaces
+        # around a number; the grammar pads with spaces and tabs only
+        if not data.isascii() or any(byte in data
+                                     for byte in b"\v\f\x1c\x1d\x1e\x1f"):
+            raise ValueError("a vertical tab, form feed, ASCII separator "
+                             "or non-ASCII byte in the file")
         buffer[:len(data)] = data
         self.at += len(data)
         return len(data)
@@ -309,7 +310,7 @@ def _parse_in_shares(fd: int, width: int) -> np.ndarray:
     numbers each, parsed in shares of at least _SHARE_BYTES bytes; a
     smaller file makes one share. Raises ValueError if a share holds a
     line of another width or a cell that is not a number, or a byte that
-    is not UTF-8 or is a separator.
+    _Span rejects.
 
     Each span's lines go to np.loadtxt through a text reader of their
     own, so they give the rows that one reader of the whole file would;
@@ -346,14 +347,14 @@ def _parse_in_shares(fd: int, width: int) -> np.ndarray:
 def number_fault(cell: str) -> str | None:
     """Why `cell` is not a number of the grammar, or None if it is one.
 
-    The grammar is what both float() and np.loadtxt accept: float()
-    also takes digit-group underscores and non-ASCII digits.
+    The grammar is what both float() and np.loadtxt accept, padded with
+    spaces and tabs only: float() also takes `_` and non-ASCII digits.
     """
     try:
         float(cell)
     except ValueError as exc:
         return str(exc)
-    if "_" in cell or not cell.strip().isascii():
+    if "_" in cell or not (cell.isascii() and cell.strip(" \t").isprintable()):
         return f"could not convert string to float: {cell!r}"
     return None
 
@@ -393,7 +394,7 @@ def _fault(path: Path, header: tuple[str, ...], rows: str, reason: str,
     for lineno, line, fault in _numbered_lines(path):
         cells = line.split(",")
         if fault is None and lineno == 1:
-            if tuple(h.strip() for h in cells) != header:
+            if tuple(h.strip(" \t") for h in cells) != header:
                 return DataError(f"{path}: header must be exactly "
                                  f"{','.join(header)}, got {line}")
         elif fault is None and line:

@@ -158,24 +158,16 @@ def predict_batch(model: FisModel, X) -> np.ndarray:
     return out
 
 
-def solve_consequents(A: np.ndarray, y: np.ndarray,
-                      lam: float = DEFAULT_DAMPING) -> np.ndarray:
-    """Solve min ||A t - y||^2 + lam ||t||^2 for the stacked coefficients.
-
-    With lam > 0 the normal equations are positive definite and solved
-    directly; with lam = 0 the minimum-norm least-squares solution is
-    returned, so rank-deficient systems never error.
-    """
-    if lam < 0.0:
-        raise ValueError(f"solve_consequents: damping must be >= 0, got {lam}")
-    if lam > 0.0:
-        gram = A.T @ A
-        gram.flat[::gram.shape[0] + 1] += lam
-        try:
-            return np.linalg.solve(gram, A.T @ y)
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.lstsq(A, y, rcond=None)[0]
+def solve_consequents(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve min ||A t - y||^2 + DEFAULT_DAMPING ||t||^2 for the stacked
+    coefficients by the damped normal equations or, should they be
+    singular in floating point, by minimum-norm least squares."""
+    gram = A.T @ A
+    gram.flat[::gram.shape[0] + 1] += DEFAULT_DAMPING
+    try:
+        return np.linalg.solve(gram, A.T @ y)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
 def fitness(centers: np.ndarray, sigmas: np.ndarray, basis: np.ndarray,

@@ -304,6 +304,18 @@ class TestEval:
                               "--data", str(data_csv))
         assert code == 2
 
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_older_model_version_exit_2_naming_line_1(
+            self, capsys, tmp_path, data_csv, model_file, version):
+        old = tmp_path / "old.txt"
+        old.write_text(model_file.read_text().replace(
+            "antfis-model v3", f"antfis-model {version}", 1))
+        code, _, err = invoke(capsys, "eval", "--model", str(old),
+                              "--data", str(data_csv))
+        assert code == 2
+        assert err == (f"error: {old}, line 1: not a recognized model file "
+                       "(expected 'antfis-model v3')\n")
+
 
 class TestSweep:
     def test_grid_csv(self, capsys, data_csv, tmp_path):

@@ -341,11 +341,14 @@ class TestReadCsvTable:
                                             "string to float: '   '"):
             read_csv_table(path, ("x",), "points")
 
-    @pytest.mark.parametrize("cell", ['"1.5"', "1_0", "١", "\x1c1"])
+    @pytest.mark.parametrize("cell", ['"1.5"', "1_0", "١", "\x1c1",
+                                      "0.5\x0b", "\x0c0.5", "0.5\x85",
+                                      "\xa00.5"])
     def test_narrowed_grammar(self, tmp_path, cell):
         # The csv-module parser took a quoted cell, digit-group underscores
-        # and non-ASCII digits; numpy's parser takes \x1c-\x1f as spaces.
-        # The grammar is both parsers' common ground.
+        # and non-ASCII digits; numpy's parser takes \x1c-\x1f as spaces,
+        # and both take \x0b, \x0c, \x85 and \xa0 as padding. The grammar
+        # is both parsers' common ground, padded with spaces and tabs only.
         path = tmp_path / "points.csv"
         path.write_text(f"x\n0.5\n{cell}\n", encoding="utf-8")
         if cell != "\x1c1":
@@ -356,8 +359,20 @@ class TestReadCsvTable:
     def test_separator_in_header_only_names_the_file(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("x\x1c\n0.5\n")
-        with pytest.raises(DataError, match=r"points.csv: ASCII separator"):
+        with pytest.raises(DataError) as info:
             read_csv_table(path, ("x",), "points")
+        assert str(info.value) == f"{path}: header must be exactly x, got x\x1c"
+
+    @pytest.mark.parametrize("pad", ["\x0b", "\x0c", "\x85", "\xa0"])
+    def test_header_padded_with_other_whitespace_is_named(self, tmp_path,
+                                                         pad):
+        # spaces and tabs are the only padding of a header name too
+        path = tmp_path / "points.csv"
+        path.write_text(f" x ,\ty{pad}\n0.5,1\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_csv_table(path, ("x", "y"), "points")
+        assert str(info.value) == (f"{path}: header must be exactly x,y, "
+                                   f"got  x ,\ty{pad}")
 
     def test_first_row_of_wrong_width_names_its_line(self, tmp_path):
         # every row of the same wrong width: np.loadtxt itself succeeds
@@ -725,6 +740,10 @@ class TestReadInShares:
         (b"0,0,1,1e5,0.1,0.5\xff", "not UTF-8 text \\(.*\\)$"),
         (b"0,0,1,1e5,0.1,0.5\x1e",
          "could not convert string to float: '0.5\\\\x1e'"),
+        (b"0,0,1,1e5,0.1,0.5\x0b",
+         "could not convert string to float: '0.5\\\\x0b'"),
+        (b"0,0,1,1e5,0.1,\xc2\xa00.5",
+         "could not convert string to float: '\\\\xa00.5'"),
     ])
     @pytest.mark.parametrize("nl", [b"\n", b"\r\n"])
     def test_fault_in_last_share_gives_serial_error(self, tmp_path,
@@ -847,14 +866,15 @@ class TestReadInShares:
 
     def test_separator_in_header_gives_serial_error(self, tmp_path,
                                                     monkeypatch):
-        # share 0's span starts at byte 0, so its check reads the header
+        # the header check names it before any share is read
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([",".join(CSV_HEADER) + "\x1c",
                                    *node_lines(30)]) + "\n")
         error = self.assert_as_in_process(path, CSV_HEADER, monkeypatch,
-                                          forks=2)
-        assert error == (f"{path}: ASCII separator character (\\x1c-\\x1f) "
-                         "in the file")
+                                          forks=0)
+        header = ",".join(CSV_HEADER)
+        assert error == (f"{path}: header must be exactly {header}, "
+                         f"got {header}\x1c")
 
     def test_small_body_reads_in_process(self, tmp_path, monkeypatch):
         path = tmp_path / "nodes.csv"

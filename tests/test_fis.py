@@ -31,11 +31,19 @@ def make_model(centers, sigmas, coeffs):
                     normalizer=unit_normalizer(d))
 
 
+def damped_solve(A, y, lam):
+    """min ||A t - y||^2 + lam ||t||^2 by numpy alone: the minimum-norm
+    least-squares solution at lam = 0, else the damped normal equations."""
+    if lam == 0.0:
+        return np.linalg.lstsq(A, y, rcond=None)[0]
+    return np.linalg.solve(A.T @ A + lam * np.eye(A.shape[1]), A.T @ y)
+
+
 def damped(lam):
     """A context in which fis.fitness solves at damping `lam`: its own
-    design matrix, solved by solve_consequents(A, y, lam)."""
+    design matrix, solved by damped_solve(A, y, lam)."""
     return mock.patch.object(fis, "solve_consequents",
-                             lambda A, y: solve_consequents(A, y, lam))
+                             lambda A, y: damped_solve(A, y, lam))
 
 
 def firing_strengths(m, x):
@@ -279,9 +287,15 @@ class TestFitConsequents:
         assert rmse <= 1e-12
         np.testing.assert_allclose(coeffs, m.coeffs, rtol=0, atol=1e-10)
 
-    def test_negative_damping_rejected(self):
-        with pytest.raises(ValueError):
-            solve_consequents(np.ones((3, 2)), np.ones(3), lam=-1.0)
+    def test_singular_normal_equations_fall_back_to_lstsq(self):
+        rng = np.random.default_rng(8)
+        A, y = rng.random((12, 4)), rng.random(12)
+        want = np.linalg.lstsq(A, y, rcond=None)[0]
+        with mock.patch.object(np.linalg, "solve",
+                               side_effect=np.linalg.LinAlgError) as solve:
+            got = solve_consequents(A, y)
+        solve.assert_called_once()
+        np.testing.assert_array_equal(got, want)
 
 
 class TestEncodeDecode:
@@ -371,7 +385,7 @@ def oracle_predict(m, X):
 def oracle_rmse(m, X, y, lam):
     Xa = np.concatenate([X, np.ones((len(X), 1))], axis=1)
     A = (oracle_weights(m, X)[:, :, None] * Xa[:, None, :]).reshape(len(X), -1)
-    resid = A @ solve_consequents(A, y, lam) - y
+    resid = A @ damped_solve(A, y, lam) - y
     return float(np.sqrt(np.mean(resid * resid)))
 
 

@@ -12,7 +12,11 @@ And every text input (a CSV's failed read, a model file, a --params file)
 is split into numbered lines by one iterator, dataset._numbered_lines: no
 other function decodes with an `errors=` handler, reads a file through
 read_text or splits text with splitlines, each of which would number or
-name a line its own way."""
+name a line its own way.
+
+And no function of dataset.py, trainer.py or cli.py strips text with a
+bare strip, lstrip or rstrip, which takes any Unicode whitespace as
+padding: in every text input, spaces and tabs are the only padding."""
 
 import ast
 from pathlib import Path
@@ -86,3 +90,22 @@ def test_one_line_reader():
     found = {use for path in PACKAGE.glob("*.py")
              for use in text_readers(path)}
     assert found == {("dataset.py", "_numbered_lines", "errors=")}
+
+
+def bare_strips(path):
+    """(module, top-level function or None, method) of each call of
+    strip, lstrip or rstrip without arguments."""
+    for top in ast.parse(path.read_text()).body:
+        where = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("strip", "lstrip", "rstrip") \
+                    and not node.args and not node.keywords:
+                yield path.name, where, node.func.attr
+
+
+def test_no_bare_strip():
+    found = {use for name in ("dataset.py", "trainer.py", "cli.py")
+             for use in bare_strips(PACKAGE / name)}
+    assert found == set()

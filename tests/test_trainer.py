@@ -74,9 +74,8 @@ def small_model(small_data):
     return train(small_data, quick_config(FeatureStage.XYZPV5))
 
 
-# A stage-1 model file in the v1 layout, which also carried the
-# `optimize_consequents` switch of a since-removed training mode.
-V1_MODEL = """antfis-model v1
+# A stage-1 model file as save_model writes it.
+V3_MODEL = """antfis-model v3
 
 [config]
 p = 0.7
@@ -84,11 +83,6 @@ stage = 1
 n_rules = 2
 seed = 3
 split_seed = none
-lam = 1e-06
-optimize_consequents = false
-fcm.m = 2.0
-fcm.tol = 1e-05
-fcm.max_iter = 200
 aco.n_ants = 6
 aco.archive_size = 10
 aco.q = 0.1
@@ -125,15 +119,6 @@ n = 3
 [convergence]
 rmse = 0.02,0.01
 """
-
-# The v2 layout: v1 without that switch. Both also carry the damping and
-# the clustering settings, since fixed as constants, which the current
-# layout (v3) leaves out.
-V2_MODEL = V1_MODEL.replace("antfis-model v1", "antfis-model v2").replace(
-    "optimize_consequents = false\n", "")
-V3_MODEL = V2_MODEL.replace("antfis-model v2", "antfis-model v3").replace(
-    "lam = 1e-06\n", "").replace(
-    "fcm.m = 2.0\nfcm.tol = 1e-05\nfcm.max_iter = 200\n", "")
 
 
 class TestTrain:
@@ -801,9 +786,9 @@ class TestModelFile:
             load_model(path)
 
 
-    def test_v1_file_loads_and_resaves_as_v3(self, tmp_path):
-        path = tmp_path / "v1.txt"
-        path.write_text(V1_MODEL)
+    def test_model_literal_loads_and_resaves_identically(self, tmp_path):
+        path = tmp_path / "v3.txt"
+        path.write_text(V3_MODEL)
         model = load_model(path)
         assert model.config.stage is FeatureStage.X1
         assert model.config.aco.n_ants == 6
@@ -814,22 +799,45 @@ class TestModelFile:
             ("x",), np.zeros(1), np.ones(1)))
         np.testing.assert_array_equal(predict_points(model, [[0.0]]),
                                       predict_batch(unscaled, [[0.5]]))
-        again = tmp_path / "v3.txt"
-        save_model(model, again)
-        assert again.read_text() == V3_MODEL
-
-    def test_v2_file_loads_and_resaves_as_v3(self, tmp_path):
-        path = tmp_path / "v2.txt"
-        path.write_text(V2_MODEL)
-        model = load_model(path)
-        # the predictions a v2 reader gave for this file
+        # the predictions the loader gave when it still read v1 and v2
+        # files, whose rules and scaler these are
         np.testing.assert_allclose(
             predict_points(model, [[-0.125], [-0.05], [0.0], [0.03]]),
             [0.10875638395230586, 0.21863590163934093, 0.1831203603409933,
              0.10543273129042137], rtol=1e-12, atol=0)
-        again = tmp_path / "v3.txt"
+        again = tmp_path / "again.txt"
         save_model(model, again)
         assert again.read_text() == V3_MODEL
+
+    @pytest.mark.parametrize("version", ["antfis-model v1",
+                                         "antfis-model v2"])
+    def test_older_version_names_line_1(self, tmp_path, version):
+        path = tmp_path / "old.txt"
+        path.write_text(V3_MODEL.replace("antfis-model v3", version))
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}, line 1: not a recognized model "
+                                   "file (expected 'antfis-model v3')")
+
+    @pytest.mark.parametrize("after, extra, message", [
+        ("split_seed = none\n", "foo = 1\n", "[config] has unknown key 'foo'"),
+        ("rmse = 0.02,0.01\n", "\n[bogus]\n", "unknown section [bogus]"),
+        ("coeff = 0.5,0.1\n", "weight = 2\n",
+         "[rule 0] has unknown key 'weight'"),
+        # n_rules = 2 reads two rules, so a third would be dropped
+        ("coeff = -0.25,0.2\n", "\n[rule 2]\ncenter = 0.5\nsigma = 0.2\n"
+                                "coeff = 0.0,0.0\n", "unknown section [rule 2]")],
+        ids=["config-key", "section", "rule-key", "extra-rule"])
+    def test_unknown_key_or_section_names_it(self, tmp_path, after, extra,
+                                             message):
+        # the loader reads every key save_model writes, so a key or
+        # section it does not read was not written by save_model
+        assert V3_MODEL.count(after) == 1
+        path = tmp_path / "model.txt"
+        path.write_text(V3_MODEL.replace(after, after + extra))
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: invalid model file ({message})"
 
 
 class TestTrainConfig:
