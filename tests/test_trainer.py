@@ -799,6 +799,14 @@ class TestModelFile:
             ("x",), np.zeros(1), np.ones(1)))
         np.testing.assert_array_equal(predict_points(model, [[0.0]]),
                                       predict_batch(unscaled, [[0.5]]))
+        again = tmp_path / "again.txt"
+        save_model(model, again)
+        assert again.read_text() == V3_MODEL
+
+    def test_model_literal_keeps_pinned_predictions(self, tmp_path):
+        path = tmp_path / "v3.txt"
+        path.write_text(V3_MODEL)
+        model = load_model(path)
         # the predictions the loader gave when it still read v1 and v2
         # files, whose rules and scaler these are
         np.testing.assert_allclose(
