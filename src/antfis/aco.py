@@ -16,11 +16,11 @@ only for the archive members chosen as guides. All candidates of an
 iteration are drawn before any is evaluated.
 
 The evaluations of a round (the initial archive, then each iteration's
-ants) run in contiguous shares, one per CPU (shares._round): this
-process evaluates the first, and workers forked once per optimize call
-evaluate the others from their rows sent as float64 bytes. The
-objectives come back in ant order, so the result is the serial one for
-any CPU count; a failed worker's share is evaluated here.
+ants) run in contiguous shares, one per CPU, each served by one function
+from its rows sent as float64 bytes (shares._workers), so the objective
+always receives a private copy of each vector. Workers forked once per
+optimize call serve all shares but the first. The objectives come back
+in ant order, so the result is the serial one for any CPU count.
 """
 
 from __future__ import annotations
@@ -181,9 +181,12 @@ def optimize(objective: Callable[[np.ndarray], float],
 
     The archive starts from k uniform samples drawn from `seed` (with any
     `initial_guesses` replacing the first few, clipped into bounds), then
-    runs exactly max_iter iterations of sample / evaluate / merge. The
-    objective may return +inf to flag an invalid vector; NaN candidates
-    are dropped. Raises NumericError if no initial point evaluates finite.
+    runs exactly max_iter iterations of sample / evaluate / merge. One
+    function evaluates every share of a round, so the objective receives
+    a private copy of each vector at any CPU count. It may return +inf to
+    flag an invalid vector. A NaN initial point ranks last and a NaN
+    candidate is dropped, each round's count logged. Raises NumericError
+    if no initial point evaluates finite.
     """
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2 \
@@ -194,24 +197,19 @@ def optimize(objective: Callable[[np.ndarray], float],
 
     dim = len(bounds)
 
-    def evaluate(batch: np.ndarray) -> bytes:
+    def serve(request: bytes, reply) -> None:
+        batch = np.frombuffer(request).reshape(-1, dim).copy()
         values = np.empty(len(batch))
         for a, vector in enumerate(batch):
             values[a] = objective(vector)
-        return values.tobytes()
+        reply.write(values.tobytes())
 
-    def serve(request: bytes, reply) -> None:
-        reply.write(evaluate(np.frombuffer(request).reshape(-1, dim).copy()))
-
-    with shares._workers(shares._share_count(config.n_ants) - 1,
-                         serve) as workers:
+    count = shares._share_count(config.n_ants)
+    with shares._workers(count - 1, serve) as round:
         def evaluate_all(batch: np.ndarray) -> np.ndarray:
-            cuts = shares._cuts(len(batch), len(workers) + 1)
+            cuts = shares._cuts(len(batch), count)
             out = io.BytesIO()
-            shares._round(workers, [batch[a:b].tobytes()
-                                    for a, b in zip(cuts[1:], cuts[2:])],
-                          lambda i, into: into.write(
-                              evaluate(batch[cuts[i]:cuts[i + 1]])), out)
+            round([batch[a:b].tobytes() for a, b in zip(cuts, cuts[1:])], out)
             return np.frombuffer(out.getvalue()).copy()
 
         k = config.archive_size
@@ -221,7 +219,10 @@ def optimize(objective: Callable[[np.ndarray], float],
         for i, guess in enumerate(initial_guesses[:k]):
             solutions[i] = np.clip(np.asarray(guess, dtype=float), lo, hi)
         objectives = evaluate_all(solutions)
-        objectives[np.isnan(objectives)] = np.inf
+        if (nan := np.isnan(objectives)).any():
+            logger.warning("aco: ranked %d initial point(s) with NaN "
+                           "objective last", nan.sum())
+        objectives[nan] = np.inf
         if not np.isfinite(objectives).any():
             raise NumericError("aco: objective invalid on domain")
 

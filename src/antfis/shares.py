@@ -1,28 +1,27 @@
 """Work cut into shares, one per CPU: the one module that forks.
 
-A worker is a child made by os.fork that answers requests until its
-request pipe ends. A request is bytes sent as one
-multiprocessing.connection message over a one-way pipe. The child
-writes its reply into an anonymous temp file made for it before the
-fork and, once the reply is complete, sends back its size as a message
-over a second pipe; this process reads the reply from the file. A
-round sends each worker its share's request, runs the first share in
-this process, then appends each worker's reply to the caller's output
-in share order. A share whose worker could not start, failed or was
-killed is run here instead, so a failure only costs time, and an error
-then raised keeps its type and message; that worker gets no further
-request. Leaving the `_workers` block, by any path, closes every pipe
-and temp file and kills and reaps every child.
+One function, serve(request, reply), serves every share of a round: it
+writes the reply to its request's bytes into a binary file. A worker is
+a child made by os.fork that serves requests until its request pipe
+ends; each request is one multiprocessing.connection message over a
+one-way pipe. The child writes its reply into an anonymous temp file
+made before the fork and then sends its size as a message over a second
+pipe; this process reads the reply from the file. This process serves
+share 0, and the share of any worker that could not start, failed or
+was killed, from the same request bytes: a failure only costs time, an
+error then raised keeps its type and message, and that worker gets no
+further request. Leaving the `_workers` block, by any path, closes
+every pipe and temp file and kills and reaps every child.
 
 No child is made on one CPU, without os.fork, while a second Python
 thread runs (a forked copy of a threaded process can deadlock), or
 while a share runs, in this process or in a child: work never nests.
 
-Its users: _in_shares, a single round whose children inherit the items
-(the row blocks of write_csv_table, the line spans of read_csv_table,
-the cells of trainer.sweep), and aco.optimize, whose workers live for
-one call and evaluate each round's candidate rows, sent as float64
-bytes.
+Its users: _in_shares, one round whose children inherit the items (the
+row blocks of write_csv_table, whose shares write CSV text; the line
+spans of read_csv_table and the cells of trainer.sweep, whose shares
+write float64s), and aco.optimize, whose workers live for one call and
+evaluate each round's candidate rows, sent as float64 bytes.
 """
 
 from __future__ import annotations
@@ -164,9 +163,8 @@ def _worker_cpus(count: int) -> list[int | None]:
     """A CPU for each of `count` workers: those this process may run on
     that follow, in a ring, the one it runs on now; None for each where
     affinity cannot be set or there are not more CPUs than workers."""
-    if not hasattr(os, "sched_setaffinity"):
-        return [None] * count
-    cpus = sorted(os.sched_getaffinity(0))
+    cpus = (sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_setaffinity") else [])
     if len(cpus) <= count:
         return [None] * count
     try:
@@ -181,7 +179,9 @@ def _worker_cpus(count: int) -> list[int | None]:
 @contextmanager
 def _workers(count: int, serve: Callable[[bytes, BinaryIO], None]):
     """Fork `count` workers that answer a request with serve(request,
-    reply), `reply` a binary file, and yield them.
+    reply), `reply` a binary file, and yield round(requests, out), which
+    sends requests[i] to worker i for share i, i from 1, serves share 0
+    here, and appends the replies to the binary file `out` in share order.
 
     Each worker is pinned to a CPU of its own, other than the one this
     process runs on, where there are enough. A pipe write wakes its
@@ -192,33 +192,28 @@ def _workers(count: int, serve: Callable[[bytes, BinaryIO], None]):
     keep that one CPU.
     """
     workers = []
+
+    def round(requests: list[bytes], out: BinaryIO) -> None:
+        global _in_share
+        for worker, request in zip(workers, requests[1:], strict=True):
+            worker.send(request)
+        outer, _in_share = _in_share, True
+        try:
+            serve(requests[0], out)
+            for worker, request in zip(workers, requests[1:]):
+                if not worker.reply_into(out):
+                    serve(request, out)
+        finally:
+            _in_share = outer
+
     try:
         for cpu in _worker_cpus(count):
             workers.append(_Worker())
             workers[-1].start(serve, workers, cpu)
-        yield workers
+        yield round
     finally:
         for worker in workers:
             worker.end()
-
-
-def _round(workers: list[_Worker], requests: list[bytes],
-           here: Callable[[int, BinaryIO], None], out: BinaryIO) -> None:
-    """One round over 1 + len(workers) shares: requests[i] goes to
-    workers[i], which serves share i + 1; here(0, out) runs share 0 in
-    this process; then each worker's reply is appended to `out` in share
-    order, or here(i, out) runs share i if its worker failed."""
-    global _in_share
-    for worker, request in zip(workers, requests, strict=True):
-        worker.send(request)
-    outer, _in_share = _in_share, True
-    try:
-        here(0, out)
-        for i, worker in enumerate(workers, start=1):
-            if not worker.reply_into(out):
-                here(i, out)
-    finally:
-        _in_share = outer
 
 
 def _in_shares(run: Callable[[list, BinaryIO], None], items: list,
@@ -230,18 +225,10 @@ def _in_shares(run: Callable[[list, BinaryIO], None], items: list,
     names a share, the reply holds the bytes run wrote for it. `out`
     receives the same bytes for any CPU count when `run` writes the same
     bytes for a list of items as for its parts in turn.
-
-    Three callers: dataset.write_csv_table, whose items are row blocks
-    and whose shares write their rows' CSV text; dataset.read_csv_table,
-    whose items are spans of a file's lines and whose shares write the
-    rows they parse as float64s; and trainer.sweep, whose items are grid
-    cells and whose shares write each cell's (train R, test R) as two
-    float64s.
     """
     cuts = _cuts(len(items), _share_count(len(items)))
     shares = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     with _workers(len(shares) - 1,
                   lambda request, reply: run(shares[int(request)], reply)
-                  ) as workers:
-        _round(workers, [b"%d" % i for i in range(1, len(shares))],
-               lambda i, into: run(shares[i], into), out)
+                  ) as round:
+        round([b"%d" % i for i in range(len(shares))], out)

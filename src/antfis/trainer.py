@@ -36,7 +36,7 @@ from . import fis
 from .aco import AcoConfig, optimize
 from .dataset import (DataSet, EvalReport, FeatureStage, Normalizer,
                       _numbered_lines, _require_spread, eval_metrics,
-                      fit_normalizer, split, write_csv_table)
+                      fit_normalizer, number_fault, split, write_csv_table)
 from .errors import AntfisError, DataError, UsageError
 from .fcm import fcm_cluster
 from .rng import mix_seed
@@ -346,7 +346,7 @@ def _from_fields(cls, section: dict[str, str], prefix: str = ""):
         key = prefix + f.name
         values[f.name] = (_from_fields(t, section, f"{key}.")
                           if is_dataclass(t)
-                          else _PARSERS.get(t, t)(section[key]))
+                          else section.value(key, _PARSERS.get(t, t)))
     return cls(**values)
 
 
@@ -381,6 +381,10 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")], dtype=float)
+
+
 class _Keys(dict):
     """The entries of model-file section `name`, or the sections if None;
     `read` holds the keys looked up."""
@@ -392,6 +396,18 @@ class _Keys(dict):
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
+
+    def value(self, key: str, parse: Callable[[str], object] = _floats):
+        """parse(the value of `key`), each comma-separated part of it "none"
+        or a CSV cell number; a ValueError names section, key and value."""
+        text = self[key]
+        try:
+            for part in text.split(","):
+                if part != "none" and (fault := number_fault(part)):
+                    raise ValueError(fault)
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"[{self.name}] {key} = {text!r}: {exc}") from None
 
     def __missing__(self, key):
         raise ValueError(f"no section [{key}]" if self.name is None
@@ -423,10 +439,6 @@ def _parse_sections(path: Path) -> _Keys:
     return sections
 
 
-def _floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")], dtype=float)
-
-
 def load_model(path: str | Path) -> TrainedModel:
     """Read a model container written by save_model, and nothing else."""
     path = Path(path)
@@ -437,20 +449,20 @@ def load_model(path: str | Path) -> TrainedModel:
         config = _from_fields(TrainConfig, sections["config"])
         norm_s, names = sections["normalizer"], config.stage.feature_names
         try:
-            normalizer = Normalizer(names, _floats(norm_s["min"]),
-                                    _floats(norm_s["max"]))
+            normalizer = Normalizer(names, norm_s.value("min"),
+                                    norm_s.value("max"))
         except DataError:
             normalizer = None
         if normalizer is None or norm_s["features"] != ",".join(names):
             raise DataError(f"{path}: [normalizer] must name the stage's "
                             "features, each with finite min < max")
         rules = [sections[f"rule {i}"] for i in range(config.n_rules)]
-        model = fis.FisModel(*(np.array([_floats(rule[key]) for rule in rules])
+        model = fis.FisModel(*(np.array([rule.value(key) for rule in rules])
                                for key in ("center", "sigma", "coeff")),
                              normalizer=normalizer)
         reports = {name: _from_fields(EvalReport, sections[f"report {name}"])
                    for name in ("train", "test")}
-        convergence = _floats(sections["convergence"]["rmse"])
+        convergence = sections["convergence"].value("rmse")
         if not np.isfinite(convergence).all():
             raise ValueError("[convergence] rmse values must be finite")
         for keys in (sections, *sections.values()):

@@ -209,6 +209,8 @@ class TestUpdateArchive:
                              np.array([np.nan, 0.0]))
         assert out.objectives[0] == 0.0
         assert not np.isnan(out.objectives).any()
+        assert caplog.messages == [
+            "aco: discarded 1 candidate(s) with NaN objective"]
 
     @given(seed=st.integers(0, 300))
     @settings(max_examples=40, deadline=None)
@@ -325,6 +327,27 @@ class TestOptimize:
         res = optimize(partial, box(2), self.config(max_iter=30), seed=7)
         assert np.isfinite(res.best_objective)
 
+    def test_nan_objective_counted_in_every_round(self, in_process, caplog):
+        # the initial round's NaN points rank last, a later round's are
+        # dropped; each round with one says how many
+        k, n, iters = 8, 6, 10
+        values = []
+
+        def partial(v):
+            values.append(np.nan if v[0] > 0.5 else sphere(v))
+            return values[-1]
+
+        optimize(partial, box(2), self.config(max_iter=iters, n_ants=n,
+                                              archive_size=k), seed=7)
+        counts = [int(np.isnan(values[:k]).sum())] + [
+            int(np.isnan(values[k + it * n:k + (it + 1) * n]).sum())
+            for it in range(iters)]
+        assert counts[0] > 0 and any(counts[1:])
+        assert caplog.messages == [
+            f"aco: ranked {counts[0]} initial point(s) with NaN objective "
+            "last"] + [f"aco: discarded {c} candidate(s) with NaN objective"
+                       for c in counts[1:] if c]
+
     def test_initial_guess_joins_archive(self):
         guess = np.zeros(4)
         res = optimize(sphere, box(4), self.config(max_iter=1), seed=7,
@@ -417,6 +440,23 @@ class TestOptimizeInWorkers:
         np.testing.assert_array_equal(a.best_vector, b.best_vector)
         np.testing.assert_array_equal(a.history, b.history)
         assert a.evaluations == b.evaluations
+
+    def test_objective_writing_into_its_vector(self, monkeypatch):
+        # the objective gets a private copy of each vector at any CPU
+        # count, so a write into it changes neither the archive nor the
+        # result
+        def halving(v):
+            value = sphere(v)
+            v *= 0.5
+            return value
+
+        config = AcoConfig(n_ants=6, archive_size=5, max_iter=5)
+        for seed in (0, 4):
+            expected = optimize(sphere, box(4), config, seed=seed)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+                self.assert_same(optimize(halving, box(4), config,
+                                          seed=seed), expected)
 
     @pytest.mark.parametrize("how", ["kill", "raise", "no fork", "no pipe",
                                      "no temp file"])

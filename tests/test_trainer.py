@@ -847,6 +847,31 @@ class TestModelFile:
             load_model(path)
         assert str(info.value) == f"{path}: invalid model file ({message})"
 
+    @pytest.mark.parametrize("line, edited, message", [
+        ("seed = 3", "seed = 0_3", "[config] seed = '0_3': could not "
+                                   "convert string to float: '0_3'"),
+        ("n = 7", "n = \u0667", "[report train] n = '\u0667': could not "
+                               "convert string to float: '\u0667'"),
+        ("coeff = 0.5,0.1", "coeff = 0.5,0.1_0",
+         "[rule 0] coeff = '0.5,0.1_0': could not convert string to "
+         "float: '0.1_0'"),
+        ("p = 0.7", "p = \uff10.7", "[config] p = '\uff10.7': could not "
+                                  "convert string to float: '\uff10.7'")],
+        ids=["config-underscore", "report-arabic-indic-digit",
+             "rule-underscore", "config-fullwidth-digit"])
+    def test_numbers_follow_the_csv_grammar(self, tmp_path, line, edited,
+                                            message):
+        # int() and float() also take digit-group underscores and
+        # non-ASCII digits, which save_model never writes and a CSV cell
+        # may not hold
+        assert V3_MODEL.count(f"\n{line}\n") == 1
+        path = tmp_path / "model.txt"
+        path.write_text(V3_MODEL.replace(f"\n{line}\n", f"\n{edited}\n"),
+                        encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: invalid model file ({message})"
+
 
 class TestTrainConfig:
     def test_rule_count_invariant(self):
