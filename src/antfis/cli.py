@@ -184,13 +184,13 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
-    if not re.fullmatch(r"\s*\d{1,9}\s*(,\s*\d{1,9}\s*)*", text):
+    if not re.fullmatch(r"\s*\d{1,9}\s*(,\s*\d{1,9}\s*)*", text, re.ASCII):
         raise UsageError(f"bad {flag} value {text!r}")
     return [int(v) for v in text.split(",")]
 
 
 def _parse_stages(text: str) -> list[FeatureStage]:
-    m = re.fullmatch(r"\s*(\d{1,9})\s*-\s*(\d{1,9})\s*", text)
+    m = re.fullmatch(r"\s*(\d{1,9})\s*-\s*(\d{1,9})\s*", text, re.ASCII)
     ks = range(int(m[1]), int(m[2]) + 1) if m else _parse_ints(text, "--stages")
     if not ks:
         raise UsageError(f"bad --stages range {text!r}: it holds no stage")

@@ -1,15 +1,14 @@
 """Fuzzy c-means clustering with seeded random membership initialization.
 
-Alternates the classic updates
+Alternates the classic updates at Bezdek's standard fuzzifier m = M = 2,
 
-    v_i = sum_k u_ik^m x_k / sum_k u_ik^m
-    u_ik = 1 / sum_j (||x_k - v_i|| / ||x_k - v_j||)^(2/(m-1))
+    v_i = sum_k u_ik^2 x_k / sum_k u_ik^2
+    u_ik = d_ik^-2 / sum_j d_jk^-2,    d_ik = ||x_k - v_i||
 
-with m = M, Bezdek's standard fuzzifier 2, until the objective
-J = sum_i sum_k u_ik^m ||x_k - v_i||^2 falls by less than TOL in one
-iteration, or for at most MAX_ITER iterations. Membership matrices are
-initialized from seeded uniform draws and row-normalized, so runs are
-bitwise reproducible.
+until the objective J = sum_i sum_k u_ik^2 d_ik^2 falls by less than
+TOL in one iteration, or for at most MAX_ITER iterations. Membership
+matrices are initialized from seeded uniform draws and row-normalized,
+so runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -34,22 +33,6 @@ class FcmResult:
     objective_history: np.ndarray  # J after each completed iteration
 
 
-def _sq_distances(Xt: np.ndarray, centers: np.ndarray, out: np.ndarray,
-                  buf: np.ndarray) -> np.ndarray:
-    """Squared distance of every row to every center into `out`: (c, n).
-
-    `Xt` is the (d, n) data; the sum runs feature by feature over
-    contiguous rows, using `buf` for each feature's squared difference.
-    """
-    np.subtract(Xt[0], centers[:, :1], out=out)
-    np.square(out, out=out)
-    for j in range(1, Xt.shape[0]):
-        np.subtract(Xt[j], centers[:, j:j + 1], out=buf)
-        np.square(buf, out=buf)
-        out += buf
-    return out
-
-
 def _memberships_from_distances(d2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Memberships (c, n) from squared distances, written into `out`."""
     # A point on (or so near that 1/d2 overflows) a center makes its
@@ -57,7 +40,7 @@ def _memberships_from_distances(d2: np.ndarray, out: np.ndarray) -> np.ndarray:
     # deterministic one-hot on the first nearest center, removing the
     # division singularity.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.power(d2, -1.0 / (M - 1.0), out=out)
+        np.reciprocal(d2, out=out)
         total = out.sum(axis=0)
         out /= total
     bad = ~np.isfinite(total) | (total == 0.0)
@@ -76,11 +59,12 @@ def fcm_cluster(data: np.ndarray, c: int, seed: int = 0) -> FcmResult:
     ValueError when there are fewer points than clusters or the data
     contains non-finite values.
 
-    The loop works in a clusters x rows layout: memberships, their m-th
-    powers W and squared distances are (c, n) arrays made once per call,
+    The loop works in a clusters x rows layout: memberships, their
+    squares W and squared distances are (c, n) arrays made once per call,
     the data is read as (d, n) rows, and every reduction over the points
-    runs along contiguous rows. W is computed once per iteration and
-    serves both J and the next centers.
+    runs along contiguous rows. The distances come from one (c, d, n)
+    difference buffer summed over its features. W is computed once per
+    iteration and serves both J and the next centers.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -99,9 +83,10 @@ def fcm_cluster(data: np.ndarray, c: int, seed: int = 0) -> FcmResult:
     U /= U.sum(axis=0)
 
     Xt = np.ascontiguousarray(X.T)
-    W = np.power(U, M)
+    W = np.square(U)
     d2 = np.empty_like(U)
     buf = np.empty_like(U)
+    diff = np.empty((c,) + Xt.shape)
     # An empty cluster keeps its previous center; on the first pass it
     # takes the data mean.
     centers = np.broadcast_to(X.mean(axis=0), (c, X.shape[1]))
@@ -111,9 +96,11 @@ def fcm_cluster(data: np.ndarray, c: int, seed: int = 0) -> FcmResult:
         col = W.sum(axis=1)[:, None]
         centers = np.where(col > 0.0, (W @ X) / np.maximum(col, 1e-300),
                            centers)
-        _sq_distances(Xt, centers, d2, buf)
+        np.subtract(Xt, centers[:, :, None], out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=d2)
         _memberships_from_distances(d2, U)
-        np.power(U, M, out=W)
+        np.square(U, out=W)
         j = float(np.multiply(W, d2, out=buf).sum())
         history.append(j)
         if prev_j - j < TOL:

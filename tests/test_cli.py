@@ -642,6 +642,11 @@ FLAG_FAULTS = [
     (["sweep", "--stages", "3-1"], "--stages"),
     (["sweep", "--stages", "1-9"], "--stages"),
     (["sweep", "--ants", "4,x"], "--ants"),
+    # Unicode separators and digits that only an ASCII grammar rejects
+    (["sweep", "--ants", "20\x1c,30"], "error: bad --ants"),
+    (["sweep", "--stages", "1\x1c,3"], "error: bad --stages"),
+    (["sweep", "--ants", "\u0662\u0660,\u0663\u0660"], "error: bad --ants"),
+    (["sweep", "--stages", "\u0661-\u0665"], "error: bad --stages"),
     (["sweep", "--threads", "0"], "--threads"),
     (["gen-data", "--n", "0"], "--n"),
     (["gen-data", "--noise-sd", "nan"], "--noise-sd"),

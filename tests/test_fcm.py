@@ -58,6 +58,50 @@ def reference_fcm(X, U0):
     return centers, U, history
 
 
+def general_m_fcm(X, c, seed):
+    """fcm_cluster's (c, n) loop as written for a general fuzzifier m:
+    distances summed one feature at a time, memberships from
+    d2 ** (-1/(m-1)) and weights from U ** m, through np.power. At
+    m = M = 2 it is the arithmetic the m = 2 loop must match bit for bit."""
+    X = np.asarray(X, dtype=float)
+    m = M
+    U = np.ascontiguousarray(np.random.default_rng(seed).random((len(X), c)).T)
+    U /= U.sum(axis=0)
+    Xt = np.ascontiguousarray(X.T)
+    W = np.power(U, m)
+    d2 = np.empty_like(U)
+    buf = np.empty_like(U)
+    centers = np.broadcast_to(X.mean(axis=0), (c, X.shape[1]))
+    history = []
+    prev_j = np.inf
+    for _ in range(MAX_ITER):
+        col = W.sum(axis=1)[:, None]
+        centers = np.where(col > 0.0, (W @ X) / np.maximum(col, 1e-300),
+                           centers)
+        np.subtract(Xt[0], centers[:, :1], out=d2)
+        np.square(d2, out=d2)
+        for f in range(1, Xt.shape[0]):
+            np.subtract(Xt[f], centers[:, f:f + 1], out=buf)
+            np.square(buf, out=buf)
+            d2 += buf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.power(d2, -1.0 / (m - 1.0), out=U)
+            total = U.sum(axis=0)
+            U /= total
+        bad = ~np.isfinite(total) | (total == 0.0)
+        if bad.any():
+            cols = np.flatnonzero(bad)
+            U[:, cols] = 0.0
+            U[d2[:, cols].argmin(axis=0), cols] = 1.0
+        np.power(U, m, out=W)
+        j = float(np.multiply(W, d2, out=buf).sum())
+        history.append(j)
+        if prev_j - j < TOL:
+            break
+        prev_j = j
+    return centers, U.T, np.array(history)
+
+
 class TestFcmCluster:
     def test_separated_clouds_recover_means(self):
         X = two_clouds()
@@ -181,6 +225,25 @@ class TestFcmCluster:
         tol = max(1e-10, 100.0 * drift)
         assert np.abs(res.memberships - U).max() <= tol
         assert np.abs(res.centers - centers).max() <= tol
+
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 5),
+           c=st.integers(2, 10), extra=st.integers(0, 40),
+           layout=st.sampled_from(["spread", "repeated", "coincident"]))
+    @settings(max_examples=80, deadline=None)
+    def test_same_bits_as_general_m_arithmetic(self, seed, d, c, extra,
+                                               layout):
+        X = np.random.default_rng(seed).random((c + extra, d))
+        if layout == "repeated":
+            X = np.vstack([X, np.repeat(X[:1], c + extra, axis=0)])
+        elif layout == "coincident":
+            X[:] = 0.0  # every point on every center: d2 == 0 exactly
+        centers, U, history = general_m_fcm(X, c, seed)
+        res = fcm_cluster(X, c, seed=seed)
+        if layout == "coincident":  # the one-hot fallback
+            assert (res.memberships[:, 0] == 1.0).all()
+        assert np.array_equal(res.centers, centers)
+        assert np.array_equal(res.memberships, U)
+        assert np.array_equal(res.objective_history, history)
 
 
 class TestFcmObjective:
