@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, UsageError
-from .shares import _in_shares, _share_count
+from .shares import _cuts, _in_shares, _share_count
 
 FEATURE_NAMES = ("x", "y", "z", "pressure", "air_superficial_velocity")
 TARGET_NAME = "air_volume_fraction"
@@ -414,16 +414,19 @@ def _fault(path: Path, header: tuple[str, ...], rows: str, reason: str,
 
 
 def _write_blocks(fh, columns: list[np.ndarray],
-                  blocks: list[tuple[int, int]]) -> None:
-    """Write the rows of `blocks` to the binary file `fh`, each block
+                  spans: list[tuple[int, int]]) -> None:
+    """Write the rows of each (start, stop) span to the binary file `fh`,
+    in the blocks of _row_blocks(stop - start) offset by start, each
     formatted by one %-format call."""
     m = len(columns)
     line = ",".join(["%r"] * m) + "\n"
-    for start, stop in blocks:
-        cells = [None] * ((stop - start) * m)
-        for j, col in enumerate(columns):
-            cells[j::m] = col[start:stop].tolist()
-        fh.write((line * (stop - start) % tuple(cells)).encode("utf-8"))
+    for first, last in spans:
+        for start, stop in _row_blocks(last - first):
+            start, stop = first + start, first + stop
+            cells = [None] * ((stop - start) * m)
+            for j, col in enumerate(columns):
+                cells[j::m] = col[start:stop].tolist()
+            fh.write((line * (stop - start) % tuple(cells)).encode("utf-8"))
 
 
 def write_csv_table(path: str | Path, header: tuple[str, ...],
@@ -431,11 +434,13 @@ def write_csv_table(path: str | Path, header: tuple[str, ...],
     """Write equal-length columns under `header` as a CSV, one value per
     cell at repr precision (ints as ints, floats as repr(float)).
 
-    Rows go out in the blocks of _row_blocks, each formatted by one
-    %-format call, so no process holds more than one block's values as
-    Python objects at once. Raises ValueError, before the file is opened,
-    unless there is a column per header name and all columns have one
-    length.
+    The rows are cut into spans within one row of each other, one per
+    share, with no more shares than _row_blocks(n) has blocks. Each share
+    formats its span in blocks of at most _BLOCK_ROWS rows, one %-format
+    call each, so no process holds more than one block's values as Python
+    objects at once; the bytes never depend on the CPU count. Raises
+    ValueError, before the file is opened, unless there is a column per
+    header name and all columns have one length.
     """
     columns = [np.asarray(col) for col in columns]
     if not columns:
@@ -448,10 +453,11 @@ def write_csv_table(path: str | Path, header: tuple[str, ...],
         if len(col) != n:
             raise ValueError(f"write_csv_table: column {name!r} holds "
                              f"{len(col)} values, column {header[0]!r} {n}")
+    cuts = _cuts(n, _share_count(len(_row_blocks(n))))
     with Path(path).open("wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        _in_shares(lambda blocks, out: _write_blocks(out, columns, blocks),
-                   _row_blocks(n), fh)
+        _in_shares(lambda spans, out: _write_blocks(out, columns, spans),
+                   list(zip(cuts, cuts[1:])), fh)
 
 
 def load_dataset(path: str | Path, stage: FeatureStage) -> DataSet:

@@ -18,9 +18,10 @@ thread runs (a forked copy of a threaded process can deadlock), or
 while a share runs, in this process or in a child: work never nests.
 
 Its users: _in_shares, one round whose children inherit the items (the
-row blocks of write_csv_table, whose shares write CSV text; the line
-spans of read_csv_table and the cells of trainer.sweep, whose shares
-write float64s), and aco.optimize, whose workers live for one call and
+even row spans of write_csv_table, one per share, each formatted as CSV
+text in blocks of at most dataset._BLOCK_ROWS rows; the line spans of
+read_csv_table and the cells of trainer.sweep, whose shares write
+float64s), and aco.optimize, whose workers live for one call and
 evaluate each round's candidate rows, sent as float64 bytes.
 """
 
@@ -216,10 +217,13 @@ def _workers(count: int, serve: Callable[[bytes, BinaryIO], None]):
             worker.end()
 
 
-def _in_shares(run: Callable[[list, BinaryIO], None], items: list,
+def _in_shares(run: Callable[[list, BinaryIO], None], items: list[object],
                out: BinaryIO) -> None:
     """Call run(share, out) on `items` cut into _share_count(len(items))
-    contiguous shares, in share order, `out` being a binary file.
+    contiguous shares, in share order, `out` being a binary file. The
+    items are whatever a share's work is described by: the (start, stop)
+    row spans of write_csv_table, one per share, the span numbers of
+    read_csv_table or the cells of trainer.sweep.
 
     One round of forked workers, which inherit the items: the request
     names a share, the reply holds the bytes run wrote for it. `out`

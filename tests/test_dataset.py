@@ -539,12 +539,29 @@ class TestWriteInShares:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1,
-                                   3 * B + 7])
+                                   3 * B + 7, 4 * B + 3, 4 * B + 4])
     def test_same_bytes_as_in_process(self, tmp_path, monkeypatch, n, cpus):
+        # 23 and 24 rows cut their shares inside a block at 2 and 3 CPUs.
         expected = self.write(tmp_path / "one.csv", n, 1, monkeypatch)
         assert self.write(tmp_path / "many.csv", n, cpus,
                           monkeypatch) == expected
         assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, rows", [(2, [11, 11]), (3, [7, 7, 8])])
+    def test_shares_format_rows_within_one(self, tmp_path, monkeypatch,
+                                           cpus, rows):
+        # 22 rows make 5 blocks of 4-5 rows: even shares end inside them.
+        record, real_write = tmp_path / "rows.txt", dataset._write_blocks
+
+        def recording(fh, columns, spans):
+            with open(record, "a") as log:  # one append per share
+                log.write(f"{sum(b - a for a, b in spans)}\n")
+            real_write(fh, columns, spans)
+
+        monkeypatch.setattr(dataset, "_write_blocks", recording)
+        self.write(tmp_path / "t.csv", 22, cpus, monkeypatch)
+        assert_no_child_left()
+        assert sorted(map(int, record.read_text().split())) == rows
 
     def test_forks_one_child_per_other_share(self, tmp_path, monkeypatch):
         forks = counting_forks(monkeypatch)
