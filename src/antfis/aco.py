@@ -157,16 +157,16 @@ def update_archive(archive: SolutionArchive, candidates: np.ndarray,
                    objectives: np.ndarray) -> SolutionArchive:
     """Merge candidates, keep the best k; ties keep earlier insertions.
 
-    NaN objectives are discarded with a warning; +inf marks an invalid
-    candidate and simply sorts last.
+    +inf marks an invalid candidate and sorts after every number. A NaN
+    objective sorts after +inf, so a NaN candidate, behind the archive's
+    k entries, is never kept; their count is logged as discarded.
     """
     objectives = np.asarray(objectives, dtype=float)
-    keep = ~np.isnan(objectives)
-    if not keep.all():
+    if nans := int(np.isnan(objectives).sum()):
         logger.warning("aco: discarded %d candidate(s) with NaN objective",
-                       int((~keep).sum()))
-    merged_sol = np.vstack([archive.solutions, candidates[keep]])
-    merged_obj = np.concatenate([archive.objectives, objectives[keep]])
+                       nans)
+    merged_sol = np.vstack([archive.solutions, candidates])
+    merged_obj = np.concatenate([archive.objectives, objectives])
     k = archive.solutions.shape[0]
     order = np.argsort(merged_obj, kind="stable")[:k]
     return SolutionArchive(solutions=merged_sol[order],

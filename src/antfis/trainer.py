@@ -25,7 +25,6 @@ is an error.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
@@ -250,9 +249,9 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
     each share writing its cells' (train R, test R) as float64 bytes. A
     cell's cost grows with its stage and ant count, so the grid is
     passed in zigzag order (last, first, second-last, ...) to balance
-    the shares. A failed cell writes NaN, which no trained R is; the
-    first such cell in grid order is then trained again here, so its
-    error, prefixed with the cell, is the one a serial sweep raises.
+    the shares. A cell's error, prefixed with the cell, takes the fork
+    helper's failed-share path, so the sweep stops at the first failing
+    cell in this run order, with a serial sweep's error at any CPU count.
     `n_workers` is accepted and ignored; it is kept for existing callers.
     """
     stages = tuple(sorted(set(stages), key=lambda s: s.n_features))
@@ -278,11 +277,7 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
 
     def run(share, out) -> None:
         for cell in share:
-            try:
-                pair = train_cell(*cell)
-            except AntfisError:
-                pair = (math.nan, math.nan)
-            out.write(np.array(pair, dtype=np.float64).tobytes())
+            out.write(np.array(train_cell(*cell), dtype=np.float64).tobytes())
 
     grid = [(stage, ants) for stage in stages for ants in ant_counts]
     zigzag = [grid[i // 2] if i % 2 else grid[~(i // 2)]
@@ -290,14 +285,8 @@ def sweep(data: DataSet, stages, ant_counts, base: TrainConfig,
     out = io.BytesIO()
     _in_shares(run, zigzag, out)
     pairs = dict(zip(zigzag, np.frombuffer(out.getvalue()).reshape(-1, 2)))
-    cells = []
-    for cell in grid:
-        train_r, test_r = pairs[cell]
-        if math.isnan(train_r):
-            train_r, test_r = train_cell(*cell)
-        cells.append(SweepCell(*cell, train_r=float(train_r),
-                               test_r=float(test_r)))
-    return SweepReport(cells=tuple(cells))
+    return SweepReport(cells=tuple(SweepCell(*cell, *map(float, pairs[cell]))
+                                   for cell in grid))
 
 
 def write_sweep_csv(report: SweepReport, path: str | Path) -> None:

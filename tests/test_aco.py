@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from antfis import aco, shares
@@ -227,6 +227,33 @@ class TestUpdateArchive:
         order = np.argsort(pool_obj, kind="stable")[:k]
         np.testing.assert_array_equal(out.objectives, pool_obj[order])
         np.testing.assert_array_equal(out.solutions, pool_sol[order])
+
+    # few distinct values, so ties, NaN and both infinities mix
+    OBJECTIVES = st.sampled_from([np.nan, -np.inf, np.inf, -1.0, 0.0, 2.0])
+
+    @given(archived=st.lists(OBJECTIVES, min_size=2, max_size=8),
+           new=st.lists(OBJECTIVES, max_size=10))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_as_merge_without_nan_candidates(self, caplog, archived,
+                                                  new):
+        caplog.clear()
+        arch = make_archive(np.arange(len(archived), dtype=float)[:, None],
+                            archived)
+        cands = 100.0 + np.arange(len(new), dtype=float)[:, None]
+        objs = np.array(new, dtype=float)
+        out = update_archive(arch, cands, objs)
+        # oracle: drop the NaN candidates, then merge and keep the best k
+        keep = ~np.isnan(objs)
+        pool_obj = np.concatenate([arch.objectives, objs[keep]])
+        pool_sol = np.vstack([arch.solutions, cands[keep]])
+        order = np.argsort(pool_obj, kind="stable")[:len(archived)]
+        np.testing.assert_array_equal(out.objectives, pool_obj[order])
+        np.testing.assert_array_equal(out.solutions, pool_sol[order])
+        nans = int((~keep).sum())
+        assert caplog.messages == (
+            [f"aco: discarded {nans} candidate(s) with NaN objective"]
+            if nans else [])
 
 
 def box(dims, lo=-1.0, hi=1.0):

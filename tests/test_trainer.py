@@ -504,9 +504,26 @@ class TestSweep:
         with pytest.raises(DataError) as shared:
             self.grid_sweep(tiny, cpus, monkeypatch, base)
         self.assert_no_child_left()
-        assert "sweep cell (stage 1, ants 4) failed: " in str(serial.value)
+        assert "sweep cell (stage 2, ants 6) failed: " in str(serial.value)
         assert str(shared.value) == str(serial.value)
         assert type(shared.value.__cause__) is DataError
+
+    def test_sweep_stops_at_failing_cell(self, small_data, monkeypatch):
+        # run order of GRID: (2, 6), (1, 4), (2, 4), (1, 6); (2, 4) fails
+        real_train, trained = trainer.train, []
+
+        def counting(data, config, n_workers=1):
+            trained.append((config.stage.n_features, config.aco.n_ants))
+            if trained[-1] == (2, 4):
+                raise NumericError("cell fails")
+            return real_train(data, config)
+
+        monkeypatch.setattr(trainer, "train", counting)
+        with pytest.raises(NumericError,
+                           match=r"^sweep cell \(stage 2, ants 4\) failed: "
+                                 r"cell fails$"):
+            self.grid_sweep(small_data, 1, monkeypatch)
+        assert trained == [(2, 6), (1, 4), (2, 4)]
 
     @pytest.mark.parametrize("how", ["error", "fault", "kill", "no fork"])
     def test_failed_child_gives_same_cells(self, small_data, monkeypatch,
