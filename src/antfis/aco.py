@@ -9,11 +9,12 @@ the best k of old plus new solutions, which forgets weak trails the way
 evaporation does.
 
 Every ant draws its guide uniform and kernel normals from its own
-counter-based stream addressed by (seed, iteration, ant); the draws of
-one iteration's ants are gathered into one block, row a for ant a, and
-turned into candidates with array operations. Kernel widths are computed
-only for the archive members chosen as guides. All candidates of an
-iteration are drawn before any is evaluated.
+counter-based stream addressed by (seed, iteration, ant); rng.draws
+gathers one iteration's draws into one block, row a for ant a, and
+sample_candidates turns the block into candidates with array
+operations. Kernel widths are computed only for the archive members
+chosen as guides. All candidates of an iteration are drawn before any
+is evaluated.
 
 The evaluations of a round (the initial archive, then each iteration's
 ants) run in contiguous shares, one per CPU, each served by one function
@@ -28,13 +29,13 @@ from __future__ import annotations
 import io
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import shares
 from .errors import NumericError, UsageError
-from .rng import substream, substreams
+from .rng import draws, substream
 
 logger = logging.getLogger(__name__)
 
@@ -126,26 +127,16 @@ def kernel_widths(solutions: np.ndarray, xi: float, bounds: np.ndarray,
 
 
 def sample_candidates(solutions: np.ndarray, cdf: np.ndarray, xi: float,
-                      bounds: np.ndarray,
-                      rngs: Iterable[np.random.Generator],
-                      n_ants: int) -> np.ndarray:
-    """Draw one candidate for each of the n_ants generators in `rngs` from
-    the archive's kernel mixture.
+                      bounds: np.ndarray, u: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    """One candidate per row of the draw block (u, z) from the archive's
+    kernel mixture: row a is the ant whose guide uniform is u[a] and whose
+    d standard normals are z[a] (rng.draws).
 
-    Each generator gives its ant one guide uniform, then d standard
-    normals; row a of the result belongs to the a-th generator. The draw
-    block is allocated before the first draw, so a count too large for
-    memory raises MemoryError at once. `cdf` comes from selection_cdf of
-    the same archive. Guides are chosen with one searchsorted, kernel
-    widths are computed only for the guides that were chosen, and all
-    candidates are reflected in one call.
+    `cdf` comes from selection_cdf of the same archive. Guides are chosen
+    with one searchsorted, kernel widths are computed only for the guides
+    that were chosen, and all candidates are reflected in one call.
     """
-    d = solutions.shape[1]
-    u = np.empty(n_ants)
-    z = np.empty((n_ants, d))
-    for a, rng in zip(range(n_ants), rngs, strict=True):
-        u[a] = rng.random()
-        rng.standard_normal(out=z[a])
     guides = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
     chosen, slot = np.unique(guides, return_inverse=True)
     widths = kernel_widths(solutions, xi, bounds, chosen)[slot]
@@ -235,8 +226,7 @@ def optimize(objective: Callable[[np.ndarray], float],
         for it in range(config.max_iter):
             candidates = sample_candidates(
                 archive.solutions, cdf, config.xi, bounds,
-                substreams(seed, _ANT_STREAM, it, count=config.n_ants),
-                config.n_ants)
+                *draws(seed, _ANT_STREAM, it, count=config.n_ants, d=dim))
             archive = update_archive(archive, candidates,
                                      evaluate_all(candidates))
             history[it] = archive.objectives[0]

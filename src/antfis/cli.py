@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .aco import AcoConfig
@@ -33,6 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number(kind: type) -> Callable[[str], int | float]:
+    """A flag's type: kind(text) for text in the number grammar of every
+    file (dataset.number_fault), which int() and float() widen with `_`,
+    non-ASCII digits and padding other than spaces and tabs."""
+    def parse(text: str) -> int | float:
+        if number_fault(text):
+            raise ValueError(text)
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse names it in its message
+    return parse
+
+
+_int, _float = _number(int), _number(float)
 _GEOM_KEYS = tuple(f.name for f in fields(ReactorGeometry))
 _PLUME_KEYS = tuple(f.name for f in fields(PlumeParams))
 # The train and sweep flags default to the config classes' own defaults.
@@ -47,44 +61,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="generate a synthetic node table")
-    gen.add_argument("--n", type=int, default=1500,
+    gen.add_argument("--n", type=_int, default=1500,
                      help="number of nodes (default 1500, canonical "
                           "experiment size)")
-    gen.add_argument("--seed", type=int, default=7, help="RNG seed (default 7)")
+    gen.add_argument("--seed", type=_int, default=7,
+                     help="RNG seed (default 7)")
     gen.add_argument("--out", required=True, help="output CSV path")
     gen.add_argument("--params", default=None,
                      help="key=value file overriding generator defaults")
     for key in _GEOM_KEYS + _PLUME_KEYS:
-        gen.add_argument(f"--{key.replace('_', '-')}", type=float, default=None,
-                         dest=key, help=f"override {key}")
+        gen.add_argument(f"--{key.replace('_', '-')}", type=_float,
+                         default=None, dest=key, help=f"override {key}")
 
     def add_train_flags(p):
         aco = _DEFAULTS.aco
-        p.add_argument("--p", type=float, default=_DEFAULTS.p,
+        p.add_argument("--p", type=_float, default=_DEFAULTS.p,
                        help="training share of the data (default "
                             "%(default)s, canonical experiment value)")
-        p.add_argument("--iters", type=int, default=aco.max_iter,
+        p.add_argument("--iters", type=_int, default=aco.max_iter,
                        help="optimizer iterations (default %(default)s, "
                             "canonical experiment value)")
-        p.add_argument("--rules", type=int, default=_DEFAULTS.n_rules,
+        p.add_argument("--rules", type=_int, default=_DEFAULTS.n_rules,
                        help="fuzzy rule count (default %(default)s)")
-        p.add_argument("--archive-size", type=int, default=aco.archive_size,
+        p.add_argument("--archive-size", type=_int, default=aco.archive_size,
                        help="solution archive size (default %(default)s)")
-        p.add_argument("--q", type=float, default=aco.q,
+        p.add_argument("--q", type=_float, default=aco.q,
                        help="rank-weight locality (default %(default)s)")
-        p.add_argument("--xi", type=float, default=aco.xi,
+        p.add_argument("--xi", type=_float, default=aco.xi,
                        help="kernel width factor (default %(default)s)")
-        p.add_argument("--seed", type=int, default=_DEFAULTS.seed,
+        p.add_argument("--seed", type=_int, default=_DEFAULTS.seed,
                        help="master seed (default %(default)s)")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_int, default=1,
                        help="accepted for compatibility; must be >= 1 and "
                             "has no effect on results or speed (default 1)")
 
     tr = sub.add_parser("train", help="train a model on a node table")
     tr.add_argument("--data", required=True, help="input CSV path")
-    tr.add_argument("--stage", type=int, default=5, choices=range(1, 6),
+    tr.add_argument("--stage", type=_int, default=5, choices=range(1, 6),
                     help="number of staged inputs, 1-5 (default 5)")
-    tr.add_argument("--ants", type=int, default=_DEFAULTS.aco.n_ants,
+    tr.add_argument("--ants", type=_int, default=_DEFAULTS.aco.n_ants,
                     help="candidates sampled per iteration (default "
                          "%(default)s, canonical experiment value)")
     tr.add_argument("--out", required=True, help="output model file")
@@ -184,13 +199,15 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
-    if not re.fullmatch(r"\s*\d{1,9}\s*(,\s*\d{1,9}\s*)*", text, re.ASCII):
+    if not re.fullmatch(r"[ \t]*\d{1,9}[ \t]*(,[ \t]*\d{1,9}[ \t]*)*", text,
+                        re.ASCII):
         raise UsageError(f"bad {flag} value {text!r}")
     return [int(v) for v in text.split(",")]
 
 
 def _parse_stages(text: str) -> list[FeatureStage]:
-    m = re.fullmatch(r"\s*(\d{1,9})\s*-\s*(\d{1,9})\s*", text, re.ASCII)
+    m = re.fullmatch(r"[ \t]*(\d{1,9})[ \t]*-[ \t]*(\d{1,9})[ \t]*", text,
+                     re.ASCII)
     ks = range(int(m[1]), int(m[2]) + 1) if m else _parse_ints(text, "--stages")
     if not ks:
         raise UsageError(f"bad --stages range {text!r}: it holds no stage")

@@ -3,13 +3,11 @@
 mix_seed derives child seeds by SplitMix64 mixing; the split and fuzzy
 c-means seed numpy's default generator (PCG64) with one. The optimizer's
 archive and ant draws come from counter-based Philox streams addressed
-by (seed, path), not advanced (substream, substreams), so they are the
+by (seed, path), not advanced (substream, draws), so they are the
 same whether consumers run sequentially or in parallel.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -43,15 +41,18 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def substreams(seed: int, *path: int,
-               count: int) -> Iterator[np.random.Generator]:
-    """substream(seed, *path, i) for i = 0 .. count-1, in turn.
+def draws(seed: int, *path: int, count: int,
+          d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, z), u (count,) and z (count, d): row i holds one uniform, then d
+    standard normals, drawn in that order from substream(seed, *path, i).
 
-    One Philox generator is re-keyed for each i instead of building count
-    of them, which costs several times more. A yielded generator is
-    therefore only valid until the next one is requested: draw from it
-    before advancing the iterator.
+    Both arrays are allocated before the first draw, so a count too large
+    for memory raises MemoryError at once. One Philox generator is
+    re-keyed for each i instead of building count of them, which costs
+    several times more.
     """
+    u = np.empty(count)
+    z = np.empty((count, d))
     prefix = mix_seed(seed, *path)
     rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed below
     for i in range(count):
@@ -62,4 +63,6 @@ def substreams(seed: int, *path: int,
                       "key": np.array(key, dtype=np.uint64)},
             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0}
-        yield rng
+        u[i] = rng.random()
+        rng.standard_normal(out=z[i])
+    return u, z

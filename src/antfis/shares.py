@@ -10,8 +10,10 @@ pipe; this process reads the reply from the file. This process serves
 share 0, and the share of any worker that could not start, failed or
 was killed, from the same request bytes: a failure only costs time, an
 error then raised keeps its type and message, and that worker gets no
-further request. Leaving the `_workers` block, by any path, closes
-every pipe and temp file and kills and reaps every child.
+further request. While workers live, the OpenBLAS that numpy bundles
+runs one thread, here and in every child. Leaving the `_workers` block,
+by any path, closes every pipe and temp file, kills and reaps every
+child and restores the BLAS thread count.
 
 No child is made on one CPU, without os.fork, while a second Python
 thread runs (a forked copy of a threaded process can deadlock), or
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import tempfile
 import threading
 from contextlib import ExitStack, contextmanager
@@ -160,6 +163,33 @@ class _Worker:
             os.waitpid(pid, 0)
 
 
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles, as this process loaded it; None where numpy is not loaded or
+    no library exports those symbols (MKL, Accelerate, an OpenBLAS under
+    other names)."""
+    numpy = sys.modules.get("numpy")
+    if numpy is None:
+        return None
+    # Imported at the first fork, as Pipe is.
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                        "numpy.libs")
+    for path in glob.glob(os.path.join(glob.escape(libs),
+                                       "libscipy_openblas64_*.so")):
+        try:  # only the copy numpy loaded: RTLD_NOLOAD loads nothing new
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
 def _worker_cpus(count: int) -> list[int | None]:
     """A CPU for each of `count` workers: those this process may run on
     that follow, in a ring, the one it runs on now; None for each where
@@ -191,8 +221,14 @@ def _workers(count: int, serve: Callable[[bytes, BinaryIO], None]):
     (measured: 1.5 ms of a 3 ms round spent in the request write). This
     process stays unpinned: BLAS threads it starts while pinned would
     keep that one CPU.
+
+    While at least one worker lives, numpy's bundled OpenBLAS runs one
+    thread here, and the children inherit that; its own threads would
+    share the CPUs with the workers (measured on 2 vCPUs: a stage-3 train
+    took 25 s against 0.5 s). The count is restored on leaving, by any
+    path.
     """
-    workers = []
+    workers, threads = [], None
 
     def round(requests: list[bytes], out: BinaryIO) -> None:
         global _in_share
@@ -208,6 +244,10 @@ def _workers(count: int, serve: Callable[[bytes, BinaryIO], None]):
             _in_share = outer
 
     try:
+        if count and (blas := _openblas()) is not None:
+            get_threads, set_threads = blas
+            threads = get_threads()
+            set_threads(1)
         for cpu in _worker_cpus(count):
             workers.append(_Worker())
             workers[-1].start(serve, workers, cpu)
@@ -215,6 +255,8 @@ def _workers(count: int, serve: Callable[[bytes, BinaryIO], None]):
     finally:
         for worker in workers:
             worker.end()
+        if threads is not None:
+            set_threads(threads)
 
 
 def _in_shares(run: Callable[[list, BinaryIO], None], items: list[object],

@@ -160,8 +160,10 @@ def train(data: DataSet, config: TrainConfig, n_workers: int = 1) -> TrainedMode
     search starts no worse than the clustering baseline. The optimizer
     evaluates each round's candidates in forked shares, one per CPU,
     unless this train runs inside a share itself, as a sweep cell does.
-    Pin BLAS to one thread first: unpinned, a stage-3 train took 24.9 s,
-    not 0.52 s, on 2 vCPUs. `n_workers` is ignored, for existing callers.
+    While they run, the OpenBLAS that numpy's wheel bundles is capped at
+    one thread (shares._workers); pin any other BLAS to one thread first:
+    unpinned, a stage-3 train took 24.9 s, not 0.5 s, on 2 vCPUs.
+    `n_workers` is ignored, for existing callers.
     """
     if data.feature_stage != config.stage:
         raise ValueError(f"train: data stage {data.feature_stage.n_features} "

@@ -1,6 +1,5 @@
 import hashlib
 import io
-import itertools
 import math
 import os
 import signal
@@ -18,7 +17,7 @@ from antfis.aco import (_ANT_STREAM, _INIT_STREAM, AcoConfig, OptResult,
                         rank_weights, sample_candidates, selection_cdf,
                         update_archive)
 from antfis.errors import NumericError, UsageError
-from antfis.rng import mix_seed, substream, substreams
+from antfis.rng import draws, mix_seed, substream
 
 
 def make_archive(solutions, objectives):
@@ -35,9 +34,12 @@ def archive_cdf(archive, q=0.1):
 
 
 def draw(archive, xi, bounds, rng, q=0.1):
-    """One candidate: the only row of a one-ant draw block."""
+    """One candidate: the only row of a one-ant draw block, whose guide
+    uniform and then normals come from `rng`."""
+    u = np.array([rng.random()])
+    z = rng.standard_normal((1, archive.solutions.shape[1]))
     return sample_candidates(archive.solutions, archive_cdf(archive, q), xi,
-                             bounds, [rng], 1)[0]
+                             bounds, u, z)[0]
 
 
 def sphere(x):
@@ -98,8 +100,12 @@ class TestSampleCandidate:
         n = 100_000
         rng = substream(42, 0)
         # n one-ant draws in turn from one generator, as one block
+        u, z = np.empty(n), np.empty((n, 1))
+        for a in range(n):
+            u[a] = rng.random()
+            rng.standard_normal(out=z[a])
         v = sample_candidates(arch.solutions, archive_cdf(arch, 0.3), 0.05,
-                              bounds, itertools.repeat(rng, n), n)
+                              bounds, u, z)
         # identify the guide by nearest archive member (sd is small vs spacing)
         counts = np.bincount(
             np.argmin(np.abs(arch.solutions[:, 0] - v[:, :1]), axis=1),
@@ -165,7 +171,7 @@ class TestSampleCandidate:
            n_ants=st.integers(1, 30), d=st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_row_a_is_ant_a(self, seed, it, n_ants, d):
-        # row a is the one-ant draw from the a-th generator: its guide
+        # row a is the one-ant draw from the a-th stream: its guide
         # uniform picks the guide, its normals scale that guide's widths
         rng = np.random.default_rng(seed)
         k = 7
@@ -173,8 +179,8 @@ class TestSampleCandidate:
         bounds = np.array([[-1.0, 1.0]] * d)
         cdf = archive_cdf(arch)
         got = sample_candidates(arch.solutions, cdf, 0.85, bounds,
-                                substreams(seed, _ANT_STREAM, it,
-                                           count=n_ants), n_ants)
+                                *draws(seed, _ANT_STREAM, it, count=n_ants,
+                                       d=d))
         assert got.shape == (n_ants, d)
         for a in range(n_ants):
             ant = substream(seed, _ANT_STREAM, it, a)
@@ -316,8 +322,10 @@ class TestOptimize:
         cdf = archive_cdf(arch, cfg.q)
         for it in range(cfg.max_iter):
             ants = [substream(seed, _ANT_STREAM, it, a) for a in range(n)]
+            u = np.array([ant.random() for ant in ants])
+            z = np.array([ant.standard_normal(3) for ant in ants])
             want = sample_candidates(arch.solutions, cdf, cfg.xi, bounds,
-                                     ants, n)
+                                     u, z)
             np.testing.assert_array_equal(seen[k + it * n:k + (it + 1) * n],
                                           want)
             arch = update_archive(arch, want, [sphere(v) for v in want])
@@ -681,17 +689,15 @@ class TestRngHelpers:
         assert not np.array_equal(a, c)
 
     @given(seed=st.integers(0, 2**64 - 1), it=st.integers(0, 10**6),
-           count=st.integers(0, 12))
+           count=st.integers(0, 12), d=st.integers(1, 7))
     @settings(max_examples=50, deadline=None)
-    def test_substreams_are_the_substreams(self, seed, it, count):
+    def test_rows_of_draws_are_draws_of_fresh_substreams(self, seed, it,
+                                                         count, d):
         # the re-keyed generator draws what a fresh substream draws,
         # whatever the previous key left in its buffer
-        drawn = 0
-        for i, rng in enumerate(substreams(seed, 1, it, count=count)):
+        u, z = draws(seed, 1, it, count=count, d=d)
+        assert u.shape == (count,) and z.shape == (count, d)
+        for i in range(count):
             want = substream(seed, 1, it, i)
-            assert rng.random() == want.random()
-            np.testing.assert_array_equal(rng.standard_normal(7),
-                                          want.standard_normal(7))
-            rng.integers(0, 2**31, dtype=np.uint32)  # leave a half word
-            drawn += 1
-        assert drawn == count
+            assert u[i] == want.random()
+            np.testing.assert_array_equal(z[i], want.standard_normal(d))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from antfis import aco, cli, dataset, shares, trainer
+from antfis import aco, cli, dataset, rng, shares, trainer
 from antfis.cli import run
 from antfis.dataset import CSV_HEADER, FeatureStage, load_dataset
 from antfis.errors import NumericError
@@ -648,7 +648,17 @@ FLAG_FAULTS = [
     (["sweep", "--ants", "\u0662\u0660,\u0663\u0660"], "error: bad --ants"),
     (["sweep", "--stages", "\u0661-\u0665"], "error: bad --stages"),
     (["sweep", "--threads", "0"], "--threads"),
+    # what int() and float() take beyond the number grammar of every file:
+    # non-ASCII digits, `_`, and padding other than spaces and tabs
+    (["train", "--iters", "\u0661\u0660\u0660"], "--iters"),
+    (["train", "--p", "\u0660.\u0667"], "--p"),
+    (["train", "--seed", "1_000"], "--seed"),
+    (["train", "--q", "0.1\v"], "--q"),
+    (["sweep", "--ants", "20,\v30"], "error: bad --ants"),
+    (["sweep", "--stages", "1\f-5"], "error: bad --stages"),
     (["gen-data", "--n", "0"], "--n"),
+    (["gen-data", "--n", "1_500"], "--n"),
+    (["gen-data", "--noise-sd", "0.00_5"], "--noise-sd"),
     (["gen-data", "--noise-sd", "nan"], "--noise-sd"),
     (["gen-data", "--height", "inf"], "--height"),
     (["gen-data", "--g=-inf"], "--g"),
@@ -772,12 +782,14 @@ class TestExitCodes:
                 raise MemoryError("Unable to allocate 7.28 TiB")
             return real_empty(shape, *args, **kwargs)
 
-        def no_draws(*args, count):
-            raise AssertionError("an ant drew before the block was sized")
-            yield
+        class NoDraws(np.random.Generator):
+            # rng builds its generators from this class; the initial
+            # archive draws uniforms only, and every ant draws normals
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("an ant drew before the block was sized")
 
         monkeypatch.setattr(aco.np, "empty", empty)
-        monkeypatch.setattr(aco, "substreams", no_draws)
+        monkeypatch.setattr(rng.np.random, "Generator", NoDraws)
         code, _, err = invoke(capsys, "train", "--data", str(data_csv),
                               "--ants", "1000000000000", "--iters", "1",
                               "--rules", "3", "--out", str(tmp_path / "m"))

@@ -1,12 +1,15 @@
 """All parallel work in the package forks through one module, shares.py,
 which holds the fallbacks and the clean-up of every child. The first
 test fails if the calls that make, await or end a child, the pipes it
-talks through, the tempfile module its replies go through, or the
-multiprocessing package its messages are framed by appear anywhere else
-in src/antfis. The others check that the framing carries large messages
-and that a command which forks nothing does not import it."""
+talks through, the tempfile module its replies go through, the
+multiprocessing package its messages are framed by, or the ctypes module
+that caps BLAS threads while children live appear anywhere else in
+src/antfis. The others check that the framing carries large messages,
+that a command which forks nothing does not import it, and the BLAS
+cap."""
 
 import ast
+import contextlib
 import io
 import os
 import random
@@ -14,11 +17,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from antfis import shares
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "antfis"
 HELPER = "shares.py"
 OS_CALLS = {"fork", "_exit", "waitpid", "kill", "pipe"}
+MODULES = {"tempfile", "ctypes"}
 
 
 def is_multiprocessing(module):
@@ -26,19 +32,19 @@ def is_multiprocessing(module):
 
 
 def is_reference(node):
-    """True if `node` names one of OS_CALLS of os, or tempfile, or imports
-    multiprocessing."""
+    """True if `node` names one of OS_CALLS of os, or one of MODULES, or
+    imports multiprocessing."""
     if isinstance(node, ast.Attribute):
         return (node.attr in OS_CALLS and isinstance(node.value, ast.Name)
                 and node.value.id == "os")
     if isinstance(node, ast.Name):
-        return node.id == "tempfile"
-    if isinstance(node, ast.alias):  # import tempfile as ...
-        return node.name == "tempfile" and node.asname is not None
+        return node.id in MODULES
+    if isinstance(node, ast.alias):  # import tempfile [as ...]
+        return node.name in MODULES
     if isinstance(node, ast.Import):
         return any(is_multiprocessing(alias.name) for alias in node.names)
     if isinstance(node, ast.ImportFrom):
-        return node.module == "tempfile" or is_multiprocessing(node.module) \
+        return node.module in MODULES or is_multiprocessing(node.module) \
             or (node.module == "os"
                 and any(alias.name in OS_CALLS for alias in node.names))
     return False
@@ -91,3 +97,34 @@ def test_cli_import_leaves_multiprocessing_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("share_0_fails", [False, True])
+def test_blas_runs_one_thread_while_workers_live(monkeypatch, share_0_fails):
+    import numpy  # noqa: F401  loads numpy's BLAS
+    blas = shares._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS exports no "
+                    "scipy_openblas_get_num_threads64_")
+    get_threads, set_threads = blas
+    monkeypatch.setattr(shares, "_cpu_count", lambda: 2)
+    parent, before = os.getpid(), get_threads()
+
+    def serve(request, reply):
+        if share_0_fails and request == b"0":
+            raise ZeroDivisionError("share 0 fails")
+        # a marker byte says that a worker, not this process, replied
+        reply.write(b"%d" % get_threads() + b"w" * (os.getpid() != parent))
+
+    set_threads(2)  # not what the environment pins, so a restore shows
+    try:
+        with pytest.raises(ZeroDivisionError) if share_0_fails \
+                else contextlib.nullcontext():
+            with shares._workers(shares._share_count(2) - 1, serve) as round:
+                assert get_threads() == 1
+                out = io.BytesIO()
+                round([b"0", b"1"], out)
+                assert out.getvalue() == b"11w"
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
