@@ -17,18 +17,25 @@ chosen as guides. All candidates of an iteration are drawn before any
 is evaluated.
 
 The evaluations of a round (the initial archive, then each iteration's
-ants) run in contiguous shares, one per CPU, each served by one function
-from its rows sent as float64 bytes (shares._workers), so the objective
-always receives a private copy of each vector. Workers forked once per
-optimize call serve all shares but the first. The objectives come back
-in ant order, so the result is the serial one for any CPU count.
+ants) are claimed from a board shared with workers forked once per
+optimize call (shares._workers): an anonymous shared mapping of the
+round's candidate rows, their objective values, and a claim and a done
+byte per row. One function serves every share: from its own start it
+scans the rows with wrap-around and evaluates a private copy of each row
+it claims, so no process waits on a fixed half. A race on a claim only
+makes two processes evaluate one ant, to the same bits. After the round
+this process evaluates, in ant order, every row left not done (a failed
+worker's, or one whose objective raised, which then raises the serial
+error), so the result is the serial one for any CPU count.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import mmap
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,6 +171,24 @@ def update_archive(archive: SolutionArchive, candidates: np.ndarray,
                            objectives=merged_obj[order])
 
 
+def _board(n: int, dim: int) -> tuple[np.ndarray, ...]:
+    """(rows, values, claimed, done) of n ants over one anonymous shared
+    mapping, which forked workers share: (n, dim) candidate rows, n
+    objective values, and n claim and n done bytes, all zero. A size
+    that cannot be mapped raises MemoryError, as numpy's would."""
+    size = n * (8 * dim + 10)
+    try:
+        mapped = mmap.mmap(-1, size)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"Unable to allocate {size:,} bytes for a board "
+                          f"of {n:,} ants") from exc
+    rows = np.frombuffer(mapped, count=n * dim).reshape(n, dim)
+    values = np.frombuffer(mapped, count=n, offset=rows.nbytes)
+    flags = np.frombuffer(mapped, np.uint8, count=2 * n,
+                          offset=rows.nbytes + values.nbytes)
+    return rows, values, flags[:n], flags[n:]
+
+
 def optimize(objective: Callable[[np.ndarray], float],
              bounds: Sequence[tuple[float, float]],
              config: AcoConfig = AcoConfig(), seed: int = 0,
@@ -187,21 +212,32 @@ def optimize(objective: Callable[[np.ndarray], float],
                          f"with lo < hi, got {bounds.tolist()}")
 
     dim = len(bounds)
+    count = shares._share_count(config.n_ants)
+    rows, values, claimed, done = _board(
+        max(config.archive_size, config.n_ants), dim)
 
     def serve(request: bytes, reply) -> None:
-        batch = np.frombuffer(request).reshape(-1, dim).copy()
-        values = np.empty(len(batch))
-        for a, vector in enumerate(batch):
-            values[a] = objective(vector)
-        reply.write(values.tobytes())
+        n, start = map(int, request.split())
+        for a in chain(range(start, n), range(start)):
+            if claimed[a]:
+                continue
+            claimed[a] = 1
+            try:
+                values[a] = objective(rows[a].copy())
+            except Exception:  # raised again below, after the round
+                return
+            done[a] = 1
 
-    count = shares._share_count(config.n_ants)
     with shares._workers(count - 1, serve) as round:
         def evaluate_all(batch: np.ndarray) -> np.ndarray:
-            cuts = shares._cuts(len(batch), count)
-            out = io.BytesIO()
-            round([batch[a:b].tobytes() for a, b in zip(cuts, cuts[1:])], out)
-            return np.frombuffer(out.getvalue()).copy()
+            n = len(batch)
+            rows[:n] = batch
+            claimed[:n] = done[:n] = 0
+            round([b"%d %d" % (n, start)
+                   for start in shares._cuts(n, count)[:-1]], io.BytesIO())
+            for a in np.flatnonzero(done[:n] == 0):
+                values[a] = objective(rows[a].copy())
+            return values[:n].copy()
 
         k = config.archive_size
         lo, hi = bounds[:, 0], bounds[:, 1]

@@ -63,8 +63,12 @@ def fcm_cluster(data: np.ndarray, c: int, seed: int = 0) -> FcmResult:
     squares W and squared distances are (c, n) arrays made once per call,
     the data is read as (d, n) rows, and every reduction over the points
     runs along contiguous rows. The distances come from one (c, d, n)
-    difference buffer summed over its features. W is computed once per
-    iteration and serves both J and the next centers.
+    difference buffer summed over its features. The buffer is first
+    filled with the centers, each repeated along the rows, then
+    overwritten with the data minus them: a subtraction of contiguous
+    arrays runs faster than one that broadcasts each center along the
+    rows. W is computed once per iteration and serves both J and the
+    next centers.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -96,7 +100,8 @@ def fcm_cluster(data: np.ndarray, c: int, seed: int = 0) -> FcmResult:
         col = W.sum(axis=1)[:, None]
         centers = np.where(col > 0.0, (W @ X) / np.maximum(col, 1e-300),
                            centers)
-        np.subtract(Xt, centers[:, :, None], out=diff)
+        diff[...] = centers[:, :, None]
+        np.subtract(Xt, diff, out=diff)
         np.square(diff, out=diff)
         diff.sum(axis=1, out=d2)
         _memberships_from_distances(d2, U)

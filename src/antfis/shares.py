@@ -23,8 +23,10 @@ Its users: _in_shares, one round whose children inherit the items (the
 even row spans of write_csv_table, one per share, each formatted as CSV
 text in blocks of at most dataset._BLOCK_ROWS rows; the line spans of
 read_csv_table and the cells of trainer.sweep, whose shares write
-float64s), and aco.optimize, whose workers live for one call and
-evaluate each round's candidate rows, sent as float64 bytes.
+float64s), and aco.optimize, whose workers live for one call: each
+round's request names only a row count and the row a share starts its
+scan at, and the workers claim, read and answer the candidate rows on a
+board mapped before the fork, with empty replies.
 """
 
 from __future__ import annotations

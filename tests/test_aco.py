@@ -5,6 +5,7 @@ import os
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -438,9 +439,10 @@ def counting_forks(monkeypatch):
 
 
 class TestOptimizeInWorkers:
-    """optimize evaluates each round's candidates in shares, one per CPU:
-    the first in this process, the others in workers forked once per
-    call. The result never depends on the CPU count or on a failure."""
+    """optimize evaluates each round's candidates in this process and in
+    workers forked once per call, one per other CPU, which claim them one
+    at a time from a shared board. The result never depends on the CPU
+    count, on who claims which ant, or on a failure."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_bits_pinned_for_any_cpu_count(self, monkeypatch, cpus):
@@ -547,6 +549,65 @@ class TestOptimizeInWorkers:
             errors.append(str(info.value))
             assert_no_child_left()
         assert errors[0] == errors[1] == f"bad vector {target.tolist()}"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_two_errors_in_different_shares_raise_the_lower_ant(
+            self, monkeypatch, cpus):
+        # ants 2 and 5 of the first iteration are in different shares for
+        # 2 and 3 CPUs (cuts 0 3 7 and 0 2 4 7); a serial run raises at
+        # ant 2, and so does every CPU count
+        k = ROSENBROCK.archive_size
+        seen = []
+        with monkeypatch.context() as mp:
+            mp.setattr(shares, "_cpu_count", lambda: 1)
+            rosenbrock_run(lambda v: seen.append(v.copy()) or rosenbrock(v))
+        targets = [seen[k + 2], seen[k + 5]]
+
+        def failing(v):
+            if any(np.array_equal(v, target) for target in targets):
+                raise ZeroDivisionError(f"bad vector {v.tolist()}")
+            return rosenbrock(v)
+
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+        with pytest.raises(ZeroDivisionError) as info:
+            rosenbrock_run(failing)
+        assert str(info.value) == f"bad vector {targets[0].tolist()}"
+        assert_no_child_left()
+
+    def test_slow_worker_leaves_this_process_most_ants(self, monkeypatch):
+        # ants are claimed one at a time, not handed out in fixed shares:
+        # a worker that takes about 1 ms an ant leaves this process more
+        # than half of them (fixed shares would leave it 125 of 290)
+        parent, here = os.getpid(), [0]
+
+        def slow_in_child(v):
+            if os.getpid() == parent:
+                here[0] += 1
+            else:
+                time.sleep(1e-3)
+            return rosenbrock(v)
+
+        monkeypatch.setattr(shares, "_cpu_count", lambda: 2)
+        res = rosenbrock_run(slow_in_child)
+        self.assert_same(res, self.serial())
+        assert here[0] > res.evaluations / 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_every_share_scanning_from_ant_0(self, monkeypatch, cpus):
+        # every process starts its scan at the same ant, so they race on
+        # the claims; an ant evaluated twice gets the same bits twice
+        monkeypatch.setattr(shares, "_cuts",
+                            lambda n, count: [0] * (count + 1))
+        monkeypatch.setattr(shares, "_cpu_count", lambda: cpus)
+        self.assert_same(rosenbrock_run(), self.serial())
+        assert_no_child_left()
+
+    def test_board_too_large_to_map_is_a_memory_error(self):
+        # raised before any ant draws, as numpy raises for an array
+        config = AcoConfig(n_ants=10**18, max_iter=1)
+        with pytest.raises(MemoryError, match="^Unable to allocate"):
+            optimize(sphere, box(2), config)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("error", [KeyboardInterrupt(),
